@@ -8,7 +8,6 @@ k-means, sequence-based cluster labeling, and metrics reports.
 from .cluster import (
     ClusterModel,
     PcaBasis,
-    euclidean,
     kmeans_fit,
     label_clusters,
     pca_fit,
@@ -55,7 +54,7 @@ from .vectorize import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClusterModel", "PcaBasis", "euclidean", "kmeans_fit", "label_clusters",
+    "ClusterModel", "PcaBasis", "kmeans_fit", "label_clusters",
     "pca_fit", "pca_transform", "predict",
     "detect_reentrancy", "detect_timestamp", "detect_tx_origin",
     "detect_unchecked_call", "scan_corpus",

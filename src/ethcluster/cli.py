@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import cluster as cl
-from . import detect as detect_mod
-from . import embed, vectorize
+from . import embed, pipeline, vectorize
 from .errors import EthClusterError, FormatError, PathError, PipelineStageError, RateLimited
+# perfbench/spans.py wraps confusion, metrics, write_report and render_table on this module.
 from .evaluate import confusion, metrics, project2d, render_table, write_points_csv, write_report
 from .ingest import (
     DEFAULT_ENDPOINTS,
@@ -29,38 +29,20 @@ from .ingest import (
     records_from_dir,
 )
 from .pipeline import PipelineConfig, run_pipeline, scan_contract
-from .preprocess import preprocess_contract
+from .preprocess import load_tokendocs, preprocess_contract, save_tokendocs
 
 RATE_LIMIT_RETRIES = 5
 
 
-def _read_sources(directory: str) -> list[tuple[str, str]]:
-    """(stem, source) for every .sol under directory, sorted by path."""
+def _read_sources(directory: str) -> list[str]:
+    """The source of every .sol under directory, sorted by path."""
     root = Path(directory)
     if not root.is_dir():
         raise PathError(f"not a directory: {directory}")
-    pairs = []
-    for path in sorted(root.rglob("*.sol")):
-        pairs.append((path.stem, path.read_text("utf-8", errors="replace")))
-    if not pairs:
+    sources = [p.read_text("utf-8", errors="replace") for p in sorted(root.rglob("*.sol"))]
+    if not sources:
         raise PathError(f"no .sol files under {directory}")
-    return pairs
-
-
-def _read_token_docs(directory: str) -> tuple[list[str], list[list[str]], dict[str, str]]:
-    """Token documents written by ``preprocess``: one token per line per .txt."""
-    root = Path(directory)
-    if not root.is_dir():
-        raise PathError(f"not a directory: {directory}")
-    stems, docs = [], []
-    for path in sorted(root.glob("*.txt")):
-        stems.append(path.stem)
-        docs.append([line for line in path.read_text("utf-8").splitlines() if line])
-    if not docs:
-        raise PathError(f"no .txt token files under {directory}")
-    manifest_path = root / "manifest.json"
-    manifest = json.loads(manifest_path.read_text("utf-8")) if manifest_path.exists() else {}
-    return stems, docs, manifest
+    return sources
 
 
 def cmd_ingest(args) -> int:
@@ -111,82 +93,49 @@ def cmd_build_dataset(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = {}
-    for stem, source in _read_sources(args.input):
-        doc = preprocess_contract(source)
-        (out / f"{stem}.txt").write_text("\n".join(doc.tokens) + "\n", "utf-8")
-        manifest[stem] = doc.contract_hash
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1), "utf-8")
-    print(f"{len(manifest)} contracts tokenized -> {args.out}")
+    docs = [preprocess_contract(source) for source in _read_sources(args.input)]
+    save_tokendocs(docs, args.out)
+    print(f"{len(docs)} contracts tokenized -> {args.out}")
     return 0
 
 
 def cmd_detect(args) -> int:
-    docs = [preprocess_contract(source) for _, source in _read_sources(args.input)]
-    flags = detect_mod.scan_corpus(docs, args.kind)
-    payload = {
-        "kind": args.kind,
-        "flags": flags,
-        "hashes": [doc.contract_hash for doc in docs],
-    }
-    Path(args.out).write_text(json.dumps(payload, indent=1), "utf-8")
+    detection = pipeline.detect_corpus(load_tokendocs(args.input), args.kind)
+    pipeline.save_detection(detection, args.out)
+    flags = detection["flags"]
     print(f"{sum(flags)}/{len(flags)} contracts flagged for {args.kind} -> {args.out}")
     return 0
 
 
 def cmd_train_embedding(args) -> int:
-    _, docs, _ = _read_token_docs(args.input)
     config = embed.EmbeddingConfig(
         vector_size=args.dim, window=args.window, min_count=args.min_count,
-        workers=args.workers, sg=args.sg, epochs=args.epochs, seed=args.seed,
-        negative=args.negative,
+        sg=args.sg, epochs=args.epochs, seed=args.seed, negative=args.negative,
     )
-    model = embed.train_embedding(docs, config)
+    model = embed.train_embedding([d.tokens for d in load_tokendocs(args.input)], config)
     embed.save_model(model, args.out)
     print(f"vocab={len(model.vocab)} dim={args.dim} -> {args.out}")
     return 0
 
 
 def cmd_vectorize(args) -> int:
-    stems, docs, manifest = _read_token_docs(args.input)
+    docs = load_tokendocs(args.input)
     model = embed.load_model(args.embedding)
-    dictionary = vectorize.build_dictionary(docs)
-    tfidf = vectorize.TfidfModel(dictionary)
-    bags = [vectorize.doc2bow(dictionary, doc) for doc in docs]
-    flags = None
-    if args.flags:
-        try:
-            payload = json.loads(Path(args.flags).read_text("utf-8"))
-            flags = {payload["kind"]: payload["flags"]}
-        except (KeyError, json.JSONDecodeError) as exc:
-            raise FormatError(f"{args.flags}: bad flags file: {exc}") from exc
-    keyword_map = vectorize.select_keywords(bags, tfidf, model, args.threshold, flags)
-    dim = model.config.vector_size
-    hashes = [manifest.get(stem, stem) for stem in stems]
-    vectors = [
-        vectorize.DocumentVector(h, vectorize.doc_vector_values(doc, keyword_map, dim))
-        for h, doc in zip(hashes, docs)
-    ]
+    detection = pipeline.load_detection(args.flags) if args.flags else None
+    keyword_map, vectors = pipeline.vectorize_corpus(docs, model, args.threshold, detection)
     vectorize.save_vectors(vectors, args.out)
-    keywords_path = Path(args.out).parent / "keywords.json"
-    vectorize.save_keyword_map(keyword_map, keywords_path)
-    print(f"{len(vectors)} vectors (dim {dim}, {len(keyword_map)} keywords) -> {args.out}")
+    vectorize.save_keyword_map(keyword_map, Path(args.out).parent / "keywords.json")
+    print(f"{len(vectors)} vectors (dim {model.config.vector_size}, "
+          f"{len(keyword_map)} keywords) -> {args.out}")
     return 0
 
 
 def cmd_cluster(args) -> int:
-    vectors = vectorize.load_vectors(args.vectors)
-    X = np.array([v.values for v in vectors])
-    basis = None
-    if X.shape[1] > args.pca_threshold:
-        n_comp = min(args.pca_components, X.shape[0], X.shape[1])
-        basis = cl.pca_fit(X, n_comp)
-        X = cl.pca_transform(basis, X)
-    model = cl.kmeans_fit(X, k=args.k, max_iterations=args.max_iter, seed=args.seed)
-    if args.dataset:
-        model = cl.label_clusters(model, Dataset.load(args.dataset))
+    dataset = Dataset.load(args.dataset) if args.dataset else None
+    model, basis = pipeline.cluster_vectors(
+        vectorize.load_vectors(args.vectors), args.k, args.max_iter, args.seed,
+        args.pca_threshold, args.pca_components, dataset,
+    )
     cl.save_cluster_model(model, basis, args.out)
     print(f"k={args.k} iterations={model.iterations_run} -> {args.out}")
     return 0
@@ -194,14 +143,10 @@ def cmd_cluster(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model, _, _ = cl.load_cluster_model(args.model)
-    dataset = Dataset.load(args.dataset)
-    if not model.labels:
-        model = cl.label_clusters(model, dataset)
-    predicted = [model.labels[int(a)] for a in model.assignments]
-    cm = confusion(predicted, dataset.truth_labels)
-    report = metrics(cm)
-    write_report(args.kind or "unspecified", cm, report, {}, args.out)
-    print(render_table(args.kind or "unspecified", cm, report))
+    cm, report = pipeline.evaluate_model(model, Dataset.load(args.dataset))
+    kind = args.kind or "unspecified"
+    write_report(kind, cm, report, {}, args.out)
+    print(render_table(kind, cm, report))
     return 0
 
 
@@ -278,32 +223,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_dataset)
 
-    p = sub.add_parser("preprocess", help="tokenize contracts, one token per line")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("preprocess", help="tokenize a directory of contracts into one tokens file")
+    p.add_argument("--in", dest="input", required=True, help="directory of .sol sources")
+    p.add_argument("--out", required=True, help="tokens file (preprocess.json format)")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("detect", help="regex-flag a corpus for one vulnerability kind")
     p.add_argument("--kind", required=True)
-    p.add_argument("--in", dest="input", required=True, help="directory of .sol sources")
+    p.add_argument("--in", dest="input", required=True, help="tokens file from preprocess")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("train-embedding", help="train word vectors over token files")
-    p.add_argument("--in", dest="input", required=True)
+    p = sub.add_parser("train-embedding", help="train word vectors over a tokens file")
+    p.add_argument("--in", dest="input", required=True, help="tokens file from preprocess")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, default=pipeline.DEFAULT_SEED)
     p.add_argument("--window", type=int, default=5)
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--sg", type=int, default=1, choices=(0, 1))
     p.add_argument("--min-count", type=int, default=1)
     p.add_argument("--negative", type=int, default=5)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_embedding)
 
     p = sub.add_parser("vectorize", help="select keywords and build document vectors")
-    p.add_argument("--in", dest="input", required=True)
+    p.add_argument("--in", dest="input", required=True, help="tokens file from preprocess")
     p.add_argument("--embedding", required=True)
     p.add_argument("--flags", default=None)
     p.add_argument("--threshold", type=float, default=0.7)
@@ -313,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="PCA (if high-dimensional) plus seeded k-means")
     p.add_argument("--vectors", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=1194)
+    p.add_argument("--seed", type=int, default=pipeline.DEFAULT_SEED)
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--pca-threshold", type=int, default=50)
     p.add_argument("--pca-components", type=int, default=50)
@@ -364,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(json.dumps({"error": "PathError", "message": str(exc)}), file=sys.stderr)
         return 1
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -61,15 +60,6 @@ def pca_transform(basis: PcaBasis, X: np.ndarray) -> np.ndarray:
     if X.shape[1] != basis.mean.shape[0]:
         raise DimError(f"expected {basis.mean.shape[0]} columns, got {X.shape[1]}")
     return (X - basis.mean) @ basis.components
-
-
-def euclidean(p: Sequence[float], q: Sequence[float]) -> float:
-    """Euclidean distance between two equal-length vectors."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise DimError(f"length mismatch: {p.shape} vs {q.shape}")
-    return float(np.sqrt(np.sum((p - q) ** 2)))
 
 
 @dataclass

@@ -88,11 +88,6 @@ def detector_for(kind: str):
         ) from None
 
 
-def contract_flags(lines: Sequence[str]) -> dict[str, int]:
-    """All four per-kind flags for one contract's line view."""
-    return {kind: _DETECTORS[kind](lines) for kind in REGEX_KINDS}
-
-
 def scan_corpus(docs: Iterable[TokenDoc], kind: str) -> list[int]:
     """Apply one kind's detector to every document, in corpus order."""
     detector = detector_for(kind)

@@ -2,15 +2,14 @@
 
 Skip-gram or CBOW with negative sampling, trained by plain SGD with a linear
 learning-rate decay. All randomness (window shrinking, noise words) comes
-from one seeded numpy generator drawn outside the hot loops, so training with
-``workers=1`` is bit-reproducible and independent of whether the numba or the
-fallback kernel path runs.
+from one seeded numpy generator drawn outside the hot loops, so training is
+bit-reproducible and independent of whether the numba or the fallback kernel
+path runs.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -38,7 +37,6 @@ class EmbeddingConfig:
     vector_size: int = 100
     window: int = 5
     min_count: int = 1
-    workers: int = 1
     sg: int = SKIP_GRAM
     epochs: int = 5
     seed: int = 1
@@ -50,8 +48,6 @@ class EmbeddingConfig:
             raise InvalidInput("vector_size, window and epochs must all be >= 1")
         if self.min_count < 0 or self.negative < 0:
             raise InvalidInput("min_count and negative must be >= 0")
-        if self.workers < 1:
-            raise InvalidInput("workers must be >= 1")
         if self.sg not in (SKIP_GRAM, CBOW):
             raise InvalidInput("sg must be 0 (CBOW) or 1 (skip-gram)")
         if self.initial_learning_rate <= 0:
@@ -150,9 +146,7 @@ def _noise_cdf(freqs: np.ndarray) -> np.ndarray:
 def train_embedding(docs: Sequence[Sequence[str]], config: EmbeddingConfig) -> EmbeddingModel:
     """Train word vectors over tokenized documents.
 
-    With ``workers=1`` the result is a pure function of (docs, config).
-    ``workers > 1`` dispatches documents to threads whose in-place updates
-    interleave without locking; that run is fast but not reproducible.
+    The result is a pure function of (docs, config).
     """
     if not docs:
         raise InvalidInput("document list is empty")
@@ -179,8 +173,8 @@ def train_embedding(docs: Sequence[Sequence[str]], config: EmbeddingConfig) -> E
     a0 = config.initial_learning_rate
     amin = min(MIN_LEARNING_RATE, a0)
 
-    def doc_tasks(epoch: int):
-        position = epoch * sum(len(d) for d in encoded)
+    position = 0
+    for _ in range(config.epochs):
         for doc in encoded:
             n = len(doc)
             b = rng.integers(1, config.window + 1, size=n)
@@ -200,21 +194,7 @@ def train_embedding(docs: Sequence[Sequence[str]], config: EmbeddingConfig) -> E
             alphas = a0 - (a0 - amin) * ((position + pos) / max(1, total_positions))
             alphas = np.maximum(amin, alphas)
             position += n
-            yield doc, lo, hi, negs, alphas
-
-    for epoch in range(config.epochs):
-        if config.workers == 1:
-            for doc, lo, hi, negs, alphas in doc_tasks(epoch):
-                kernel(w_in, w_out, doc, lo, hi, negs, alphas)
-        else:
-            tasks = list(doc_tasks(epoch))
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                futures = [
-                    pool.submit(kernel, w_in, w_out, doc, lo, hi, negs, alphas)
-                    for doc, lo, hi, negs, alphas in tasks
-                ]
-                for fut in futures:
-                    fut.result()
+            kernel(w_in, w_out, doc, lo, hi, negs, alphas)
 
     return EmbeddingModel(vocab=vocab, vectors=w_in, config=config)
 
@@ -243,8 +223,10 @@ def load_model(path: str | Path) -> EmbeddingModel:
     try:
         dim = int(head[2])
         vocab_size = int(head[3])
-        config = EmbeddingConfig(**json.loads(head[4]))
-    except (ValueError, TypeError, json.JSONDecodeError) as exc:
+        fields = json.loads(head[4])
+        fields.pop("workers", None)  # older files carry the removed Hogwild thread count
+        config = EmbeddingConfig(**fields)
+    except (ValueError, TypeError, AttributeError) as exc:
         raise FormatError(f"{path}: bad header: {exc}") from exc
     if len(lines) - 1 < vocab_size:
         raise FormatError(f"{path}: expected {vocab_size} vector lines, found {len(lines) - 1}")

@@ -44,7 +44,7 @@ class EmptyVocab(EthClusterError):
 
 
 class FormatError(EthClusterError):
-    """A persisted model file is malformed or truncated."""
+    """A persisted file (model, dataset, tokens, flags) is malformed or truncated."""
 
 
 class VersionError(EthClusterError):

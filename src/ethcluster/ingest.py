@@ -21,6 +21,7 @@ from typing import Iterator
 import requests
 
 from .errors import (
+    FormatError,
     InsufficientData,
     InvalidInput,
     NotVerified,
@@ -295,12 +296,15 @@ class Dataset:
 
     @classmethod
     def load(cls, path: str | Path) -> "Dataset":
-        obj = json.loads(Path(path).read_text("utf-8"))
-        entries = tuple(
-            (ContractRecord.from_json(json.dumps(e["record"])), e["truth_label"])
-            for e in obj["entries"]
-        )
-        return cls(entries=entries, vulnerable_fraction=obj["vulnerable_fraction"])
+        try:
+            obj = json.loads(Path(path).read_text("utf-8"))
+            entries = tuple(
+                (ContractRecord.from_json(json.dumps(e["record"])), e["truth_label"])
+                for e in obj["entries"]
+            )
+            return cls(entries=entries, vulnerable_fraction=obj["vulnerable_fraction"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: bad dataset file: {exc}") from exc
 
 
 def build_mixed_dataset(vulnerable: list[ContractRecord],

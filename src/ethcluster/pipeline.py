@@ -4,8 +4,9 @@ Each vulnerability runs as its own one-class pipeline over an ordered
 vulnerable-first dataset: preprocess, regex flags, embedding training,
 TF-IDF keyword selection, optional PCA, seeded k-means, sequence-based
 cluster labeling, metrics. Every stage persists its artifact under
-``<workdir>/<vulnerability>/`` so runs are resumable and inspectable, and
-every artifact is a deterministic function of (dataset, config).
+``<workdir>/<vulnerability>/`` so runs are inspectable, and every artifact
+is a deterministic function of (dataset, config). Each stage is one function
+shared with the CLI stage subcommands.
 """
 
 from __future__ import annotations
@@ -15,15 +16,16 @@ import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from . import cluster as cl
 from . import detect, embed, vectorize
-from .errors import InvalidInput, ModelNotFound, PathError, PipelineStageError
-from .evaluate import MetricsReport, confusion, metrics, render_table, write_report
+from .errors import FormatError, InvalidInput, ModelNotFound, PathError, PipelineStageError
+from .evaluate import ConfusionMatrix, MetricsReport, confusion, metrics, render_table, write_report
 from .ingest import Dataset
-from .preprocess import TokenDoc, preprocess_contract
+from .preprocess import TokenDoc, preprocess_contract, save_tokendocs
 
 REENTRANCY = "reentrancy"
 ACCESS_CONTROL = "access_control"
@@ -63,7 +65,6 @@ class PipelineConfig:
     sg: int = 1
     min_count: int = 1
     negative: int = 5
-    workers: int = 1
     initial_learning_rate: float = 0.025
 
     @classmethod
@@ -104,29 +105,12 @@ class PipelineConfig:
             vector_size=self.vector_size,
             window=self.window,
             min_count=self.min_count,
-            workers=self.workers,
             sg=self.sg,
             epochs=self.epochs,
             seed=self.seed,
             negative=self.negative,
             initial_learning_rate=self.initial_learning_rate,
         )
-
-
-def _save_tokendocs(docs: list[TokenDoc], path: Path) -> None:
-    payload = [
-        {"contract_hash": d.contract_hash, "tokens": list(d.tokens), "lines": list(d.lines)}
-        for d in docs
-    ]
-    path.write_text(json.dumps(payload, indent=1), "utf-8")
-
-
-def _load_tokendocs(path: Path) -> list[TokenDoc]:
-    payload = json.loads(path.read_text("utf-8"))
-    return [
-        TokenDoc(d["contract_hash"], tuple(d["tokens"]), tuple(d["lines"]))
-        for d in payload
-    ]
 
 
 @contextmanager
@@ -138,6 +122,81 @@ def stage(name: str):
         raise
     except Exception as exc:
         raise PipelineStageError(name, exc) from exc
+
+
+# --- stages ----------------------------------------------------------------
+# One function per stage, from in-memory inputs to the stage's artifact.
+# ``run_pipeline`` chains them with ``preprocess_contract`` and
+# ``embed.train_embedding``; the CLI stage subcommands load their input
+# files, call the same function and save its result.
+
+def detect_corpus(docs: Sequence[TokenDoc], kind: str | None) -> dict:
+    """The ``detect.json`` payload: one regex flag per document, or None
+    when the vulnerability has no pattern."""
+    return {
+        "kind": kind,
+        "flags": None if kind is None else detect.scan_corpus(docs, kind),
+        "hashes": [d.contract_hash for d in docs],
+    }
+
+
+def save_detection(payload: dict, path: str | Path) -> None:
+    Path(path).write_text(json.dumps(payload, indent=1), "utf-8")
+
+
+def load_detection(path: str | Path) -> dict:
+    try:
+        payload = json.loads(Path(path).read_text("utf-8"))
+        return {"kind": payload["kind"], "flags": payload["flags"]}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad flags file: {exc}") from exc
+
+
+def vectorize_corpus(docs: Sequence[TokenDoc], model: embed.EmbeddingModel, threshold: float,
+                     detection: dict | None = None
+                     ) -> tuple[dict[str, np.ndarray], list[vectorize.DocumentVector]]:
+    """Keyword map and one document vector per document.
+
+    Keywords score above ``threshold`` by TF-IDF; documents flagged in
+    ``detection`` force in their kind's pattern words.
+    """
+    token_lists = [list(d.tokens) for d in docs]
+    dictionary = vectorize.build_dictionary(token_lists)
+    tfidf = vectorize.TfidfModel(dictionary)
+    bags = [vectorize.doc2bow(dictionary, toks) for toks in token_lists]
+    flags = None
+    if detection is not None and detection["kind"] is not None:
+        flags = {detection["kind"]: detection["flags"]}
+    keyword_map = vectorize.select_keywords(bags, tfidf, model, threshold, flags)
+    vectors = vectorize.document_vectors(docs, keyword_map, model.config.vector_size)
+    return keyword_map, vectors
+
+
+def cluster_vectors(vectors: Sequence[vectorize.DocumentVector], k: int, max_iterations: int,
+                    seed: int, pca_activation_dim: int, pca_components: int,
+                    dataset: Dataset | None = None) -> tuple[cl.ClusterModel, cl.PcaBasis | None]:
+    """PCA when the vectors are wider than ``pca_activation_dim``, then
+    seeded k-means; clusters are labeled when a dataset is given."""
+    X = np.array([v.values for v in vectors])
+    basis = None
+    if X.shape[1] > pca_activation_dim:
+        basis = cl.pca_fit(X, min(pca_components, X.shape[0], X.shape[1]))
+        X = cl.pca_transform(basis, X)
+    cmodel = cl.kmeans_fit(X, k=k, max_iterations=max_iterations, seed=seed)
+    if dataset is not None:
+        cmodel = cl.label_clusters(cmodel, dataset)
+    return cmodel, basis
+
+
+def evaluate_model(cmodel: cl.ClusterModel,
+                   dataset: Dataset) -> tuple[ConfusionMatrix, MetricsReport]:
+    """Confusion matrix and metrics of the training predictions; an
+    unlabeled model is labeled from the dataset first."""
+    if not cmodel.labels:
+        cmodel = cl.label_clusters(cmodel, dataset)
+    predicted = [cmodel.labels[int(a)] for a in cmodel.assignments]
+    cm = confusion(predicted, dataset.truth_labels)
+    return cm, metrics(cm)
 
 
 def run_pipeline(config: PipelineConfig) -> MetricsReport:
@@ -153,50 +212,30 @@ def run_pipeline(config: PipelineConfig) -> MetricsReport:
 
     with stage("preprocess"):
         docs = [preprocess_contract(rec.source) for rec in dataset.records]
-        _save_tokendocs(docs, out / "preprocess.json")
+        save_tokendocs(docs, out / "preprocess.json")
 
     with stage("detect"):
-        kind = config.regex_kind
-        flag_array = detect.scan_corpus(docs, kind) if kind else None
-        (out / "detect.json").write_text(json.dumps({
-            "kind": kind,
-            "flags": flag_array,
-            "hashes": [d.contract_hash for d in docs],
-        }, indent=1), "utf-8")
+        detection = detect_corpus(docs, config.regex_kind)
+        save_detection(detection, out / "detect.json")
 
     with stage("embed"):
-        model = embed.train_embedding([list(d.tokens) for d in docs], config.embedding_config())
+        model = embed.train_embedding([d.tokens for d in docs], config.embedding_config())
         embed.save_model(model, out / "embedding.vec")
 
     with stage("vectorize"):
-        token_lists = [list(d.tokens) for d in docs]
-        dictionary = vectorize.build_dictionary(token_lists)
-        tfidf = vectorize.TfidfModel(dictionary)
-        bags = [vectorize.doc2bow(dictionary, toks) for toks in token_lists]
-        flags = {kind: flag_array} if kind else None
-        keyword_map = vectorize.select_keywords(
-            bags, tfidf, model, config.tfidf_threshold, flags
-        )
-        vectors = vectorize.document_vectors(docs, keyword_map, config.vector_size)
+        keyword_map, vectors = vectorize_corpus(docs, model, config.tfidf_threshold, detection)
         vectorize.save_keyword_map(keyword_map, out / "keywords.json")
         vectorize.save_vectors(vectors, out / "vectors.json")
 
     with stage("cluster"):
-        X = np.array([v.values for v in vectors])
-        basis = None
-        if config.vector_size > config.pca_activation_dim:
-            n_comp = min(config.pca_components, X.shape[0], X.shape[1])
-            basis = cl.pca_fit(X, n_comp)
-            X = cl.pca_transform(basis, X)
-        cmodel = cl.kmeans_fit(X, k=config.num_clusters,
-                               max_iterations=config.max_iterations, seed=config.seed)
-        cmodel = cl.label_clusters(cmodel, dataset)
+        cmodel, basis = cluster_vectors(
+            vectors, config.num_clusters, config.max_iterations, config.seed,
+            config.pca_activation_dim, config.pca_components, dataset,
+        )
         cl.save_cluster_model(cmodel, basis, out / "model.json", extra=params)
 
     with stage("evaluate"):
-        predicted = [cmodel.labels[int(a)] for a in cmodel.assignments]
-        cm = confusion(predicted, dataset.truth_labels)
-        report = metrics(cm)
+        cm, report = evaluate_model(cmodel, dataset)
         write_report(config.vulnerability, cm, report, params, out / "report.json")
         (out / "report.txt").write_text(
             render_table(config.vulnerability, cm, report) + "\n", "utf-8"
@@ -221,8 +260,10 @@ def scan_contract(config: PipelineConfig, source: str) -> dict:
     keyword_map = vectorize.load_keyword_map(keywords_path)
     cmodel, basis, _ = cl.load_cluster_model(model_path)
 
+    # Size the vector from the trained model, not from the caller's config.
+    dim = basis.mean.shape[0] if basis is not None else cmodel.centers.shape[1]
     doc = preprocess_contract(source)
-    values = vectorize.doc_vector_values(doc.tokens, keyword_map, config.vector_size)
+    values = vectorize.doc_vector_values(doc.tokens, keyword_map, dim)
     label = cl.predict(cmodel, basis, values)
 
     result: dict = {"vulnerability": config.vulnerability, "label": label}

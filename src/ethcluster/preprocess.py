@@ -11,10 +11,13 @@ Turns raw contract source into two synchronized views:
 
 from __future__ import annotations
 
+import json
 import logging
 import string
 from dataclasses import dataclass
+from pathlib import Path
 
+from .errors import FormatError
 from .ingest import source_hash
 
 logger = logging.getLogger(__name__)
@@ -79,17 +82,19 @@ def strip_comments(source: str) -> str:
     return "".join(out)
 
 
+def _words(stripped: str) -> list[str]:
+    """Words of comment-stripped text: punctuation becomes whitespace, then split."""
+    return stripped.translate(_PUNCT_TABLE).split()
+
+
 def normalize(source: str) -> str:
     """Collapse source to a single line of space-separated words.
 
     Applies, in order: comment stripping, replacement of every ASCII
-    punctuation character by a space, newline-to-space conversion, and
-    whitespace collapsing with trimming.
+    punctuation character by a space, and whitespace (newlines included)
+    collapsing with trimming.
     """
-    text = strip_comments(source)
-    text = text.translate(_PUNCT_TABLE)
-    text = text.replace("\n", " ")
-    return " ".join(text.split())
+    return " ".join(_words(strip_comments(source)))
 
 
 def remove_keywords(words: list[str]) -> list[str]:
@@ -100,7 +105,7 @@ def remove_keywords(words: list[str]) -> list[str]:
 def preprocess_contract(source: str) -> TokenDoc:
     """Produce the token sequence and comment-stripped line view of a contract."""
     stripped = strip_comments(source)
-    tokens = remove_keywords(normalize(source).split())
+    tokens = remove_keywords(_words(stripped))
     digest = source_hash(source) if source.strip() else _EMPTY_HASH
     return TokenDoc(
         contract_hash=digest,
@@ -112,3 +117,26 @@ def preprocess_contract(source: str) -> TokenDoc:
 # Hash slot used when the contract is empty/whitespace-only; source_hash
 # rejects empty input but preprocessing stays total.
 _EMPTY_HASH = "0" * 64
+
+
+# --- persistence -----------------------------------------------------------
+
+def save_tokendocs(docs: list[TokenDoc], path: str | Path) -> None:
+    """Write token documents as ``preprocess.json``, in corpus order."""
+    payload = [
+        {"contract_hash": d.contract_hash, "tokens": list(d.tokens), "lines": list(d.lines)}
+        for d in docs
+    ]
+    Path(path).write_text(json.dumps(payload, indent=1), "utf-8")
+
+
+def load_tokendocs(path: str | Path) -> list[TokenDoc]:
+    """Read token documents written by :func:`save_tokendocs`."""
+    try:
+        payload = json.loads(Path(path).read_text("utf-8"))
+        return [
+            TokenDoc(d["contract_hash"], tuple(d["tokens"]), tuple(d["lines"]))
+            for d in payload
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad token documents file: {exc}") from exc

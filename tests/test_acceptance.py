@@ -174,7 +174,7 @@ def test_criterion_5_embedding_gradients_and_reproducibility():
         assert rel < 1e-4
 
         docs = [["a", "b", "c", "a"], ["b", "d", "a"]] * 10
-        config = EmbeddingConfig(vector_size=4, workers=1, seed=1194, epochs=3)
+        config = EmbeddingConfig(vector_size=4, seed=1194, epochs=3)
         m1 = train_embedding(docs, config)
         m2 = train_embedding(docs, config)
         assert m1.vocab == m2.vocab

@@ -35,26 +35,26 @@ class TestStagewiseCli:
         assert len(dataset["entries"]) == 30
 
         assert main(["preprocess", "--in", str(root / "all"),
-                     "--out", str(root / "tokens")]) == 0
-        token_files = sorted(p.name for p in (root / "tokens").glob("*.txt"))
-        assert len(token_files) == 30
-        first = (root / "tokens" / token_files[0]).read_text("utf-8")
-        assert first.strip()  # one token per line
-        assert "contract" not in first.splitlines()
+                     "--out", str(root / "tokens.json")]) == 0
+        docs = json.loads((root / "tokens.json").read_text("utf-8"))
+        assert len(docs) == 30
+        first = docs[0]["tokens"]
+        assert first
+        assert "contract" not in first
 
-        assert main(["detect", "--kind", "reentrancy", "--in", str(root / "all"),
+        assert main(["detect", "--kind", "reentrancy", "--in", str(root / "tokens.json"),
                      "--out", str(root / "flags.json")]) == 0
         flags = json.loads((root / "flags.json").read_text("utf-8"))
         assert flags["kind"] == "reentrancy"
         assert flags["flags"][:9] == [1] * 9
         assert sum(flags["flags"][9:]) == 0
 
-        assert main(["train-embedding", "--in", str(root / "tokens"),
+        assert main(["train-embedding", "--in", str(root / "tokens.json"),
                      "--dim", "10", "--seed", "1194", "--epochs", "2",
                      "--out", str(root / "model.vec")]) == 0
         assert (root / "model.vec").exists()
 
-        assert main(["vectorize", "--in", str(root / "tokens"),
+        assert main(["vectorize", "--in", str(root / "tokens.json"),
                      "--embedding", str(root / "model.vec"),
                      "--flags", str(root / "flags.json"),
                      "--threshold", "0.7",
@@ -91,12 +91,64 @@ class TestStagewiseCli:
 
     def test_stage_isolation_rerun_identical(self, staged_corpus):
         root = staged_corpus
-        args = ["detect", "--kind", "timestamp", "--in", str(root / "all"),
+        assert main(["preprocess", "--in", str(root / "all"),
+                     "--out", str(root / "tokens.json")]) == 0
+        args = ["detect", "--kind", "timestamp", "--in", str(root / "tokens.json"),
                 "--out", str(root / "flags.json")]
         assert main(args) == 0
         first = (root / "flags.json").read_bytes()
         assert main(args) == 0
         assert (root / "flags.json").read_bytes() == first
+
+    def test_token_directory_is_a_path_error(self, staged_corpus, capsys):
+        # token documents are one file; a directory is not a tokens file
+        root = staged_corpus
+        assert main(["detect", "--kind", "reentrancy", "--in", str(root / "all"),
+                     "--out", str(root / "flags.json")]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "PathError"
+
+
+class TestStagesMatchRun:
+    """The stage subcommands chained by hand reproduce ``run``'s artifacts."""
+
+    def test_stage_chain_reproduces_run(self, staged_corpus):
+        root = staged_corpus
+        dataset = str(root / "dataset.json")
+        assert main(["build-dataset", "--vuln", str(root / "vuln"),
+                     "--clean", str(root / "clean"), "--fraction", "0.3",
+                     "--out", dataset]) == 0
+        config = root / "config.json"
+        config.write_text(json.dumps({
+            "vulnerability": "reentrancy", "dataset": dataset,
+            "workdir": str(root / "work"), "epochs": 2,
+        }), "utf-8")
+        assert main(["run", "--config", str(config)]) == 0
+        ran = root / "work" / "reentrancy"
+
+        staged = root / "staged"
+        staged.mkdir()
+        tokens, flags = str(staged / "preprocess.json"), str(staged / "detect.json")
+        vec, vectors = str(staged / "embedding.vec"), str(staged / "vectors.json")
+        assert main(["preprocess", "--in", str(root / "all"), "--out", tokens]) == 0
+        assert main(["detect", "--kind", "reentrancy", "--in", tokens, "--out", flags]) == 0
+        assert main(["train-embedding", "--in", tokens, "--dim", "10", "--epochs", "2",
+                     "--out", vec]) == 0
+        assert main(["vectorize", "--in", tokens, "--embedding", vec, "--flags", flags,
+                     "--threshold", "0.7", "--out", vectors]) == 0
+        assert main(["cluster", "--vectors", vectors, "--k", "5", "--dataset", dataset,
+                     "--out", str(staged / "model.json")]) == 0
+        assert main(["evaluate", "--model", str(staged / "model.json"), "--dataset", dataset,
+                     "--kind", "reentrancy", "--out", str(staged / "report.json")]) == 0
+
+        for name in ["preprocess.json", "detect.json", "embedding.vec",
+                     "keywords.json", "vectors.json"]:
+            assert (staged / name).read_bytes() == (ran / name).read_bytes(), name
+        for name, extra in [("model.json", "config"), ("report.json", "params")]:
+            run_payload = json.loads((ran / name).read_text("utf-8"))
+            staged_payload = json.loads((staged / name).read_text("utf-8"))
+            run_payload.pop(extra)
+            staged_payload.pop(extra, None)
+            assert staged_payload == run_payload, name
 
 
 class TestRunAndScanCli:
@@ -152,7 +204,9 @@ class TestRunAndScanCli:
 
     def test_unknown_kind_error_json(self, staged_corpus, capsys):
         root = staged_corpus
-        assert main(["detect", "--kind", "access_control", "--in", str(root / "all"),
+        assert main(["preprocess", "--in", str(root / "all"),
+                     "--out", str(root / "tokens.json")]) == 0
+        assert main(["detect", "--kind", "access_control", "--in", str(root / "tokens.json"),
                      "--out", str(root / "flags.json")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidKind"

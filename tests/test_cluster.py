@@ -5,7 +5,6 @@ import pytest
 
 from ethcluster.cluster import (
     ClusterModel,
-    euclidean,
     kmeans_fit,
     label_clusters,
     load_cluster_model,
@@ -165,24 +164,6 @@ class TestPca:
             pca_transform(basis, rng.standard_normal((3, 5)))
 
 
-class TestEuclidean:
-    def test_3_4_5(self):
-        assert euclidean([0, 0], [3, 4]) == 5.0
-
-    def test_zero_distance(self):
-        assert euclidean([1.5, -2.0], [1.5, -2.0]) == 0.0
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            p, q = rng.standard_normal(6), rng.standard_normal(6)
-            assert euclidean(p, q) == euclidean(q, p)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimError):
-            euclidean([1, 2], [1, 2, 3])
-
-
 class TestKmeans:
     def test_separated_clouds(self):
         rng = np.random.default_rng(10)
@@ -309,7 +290,7 @@ class TestPredict:
     def test_zero_vector_goes_to_nearest_origin_center(self):
         model = self._fitted()
         # hand-computed: distances from the origin to each center
-        dists = [euclidean([0, 0], model.centers[c]) for c in range(model.k)]
+        dists = [float(np.linalg.norm(model.centers[c])) for c in range(model.k)]
         expected = model.labels[int(np.argmin(dists))]
         assert predict(model, None, np.zeros(2)) == expected
 

@@ -10,7 +10,6 @@ import pytest
 
 from ethcluster.detect import (
     REGEX_KINDS,
-    contract_flags,
     detect_reentrancy,
     detect_timestamp,
     detect_tx_origin,
@@ -194,10 +193,3 @@ class TestProperties:
     def test_purity_same_lines_same_flag(self):
         lines = [CALL, PAD, BAL]
         assert detect_reentrancy(lines) == detect_reentrancy(list(lines)) == 1
-
-    def test_contract_flags_covers_all_kinds(self):
-        flags = contract_flags([CALL, BAL, "require(tx.origin == owner);"])
-        assert set(flags) == set(REGEX_KINDS)
-        assert flags["reentrancy"] == 1
-        assert flags["tx_origin"] == 1
-        assert flags["timestamp"] == 0

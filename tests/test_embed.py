@@ -162,11 +162,6 @@ class TestTraining:
         assert np.array_equal(m1.vectors, m2.vectors)
         assert np.all(np.isfinite(m1.vectors))
 
-    def test_multiworker_smoke(self):
-        docs = [["a", "b", "c"], ["c", "d", "e"]] * 10
-        model = train_embedding(docs, EmbeddingConfig(vector_size=4, workers=3, seed=6, epochs=2))
-        assert np.all(np.isfinite(model.vectors))
-
     def test_bad_config_rejected(self):
         with pytest.raises(InvalidInput):
             EmbeddingConfig(vector_size=0)
@@ -228,6 +223,18 @@ class TestPersistence:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.vocab == model.vocab
+        assert loaded.config == model.config
+        assert np.array_equal(loaded.vectors, model.vectors)
+
+    def test_header_with_workers_still_loads(self, tmp_path):
+        # files written before the Hogwild thread count was removed carry it
+        model = self._model()
+        path = tmp_path / "model.vec"
+        save_model(model, path)
+        text = path.read_text("utf-8")
+        assert '"window": 5' in text
+        path.write_text(text.replace('"window": 5', '"window": 5, "workers": 4', 1), "utf-8")
+        loaded = load_model(path)
         assert loaded.config == model.config
         assert np.array_equal(loaded.vectors, model.vectors)
 

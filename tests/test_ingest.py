@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ethcluster.errors import (
+    FormatError,
     InsufficientData,
     InvalidInput,
     NotVerified,
@@ -261,6 +262,22 @@ class TestBuildMixedDataset:
         dataset.save(path)
         loaded = Dataset.load(path)
         assert loaded == dataset
+
+    def test_load_entry_without_record_is_format_error(self, tmp_path):
+        dataset = build_mixed_dataset(self._records(3, "V"), self._records(10, "C"), 0.3)
+        path = tmp_path / "dataset.json"
+        dataset.save(path)
+        payload = json.loads(path.read_text("utf-8"))
+        del payload["entries"][1]["record"]
+        path.write_text(json.dumps(payload), "utf-8")
+        with pytest.raises(FormatError):
+            Dataset.load(path)
+
+    def test_load_bad_json_is_format_error(self, tmp_path):
+        path = tmp_path / "dataset.json"
+        path.write_text('{"entries": [', "utf-8")
+        with pytest.raises(FormatError):
+            Dataset.load(path)
 
 
 class TestRecordsFromDir:

@@ -13,7 +13,7 @@ from conftest import (
     write_corpus,
 )
 from ethcluster.errors import InvalidInput, ModelNotFound, PathError, PipelineStageError
-from ethcluster.ingest import build_mixed_dataset, records_from_dir
+from ethcluster.ingest import Dataset, build_mixed_dataset, records_from_dir
 from ethcluster.pipeline import (
     CLUSTERING_DEFAULTS,
     VULNERABILITIES,
@@ -240,6 +240,38 @@ class TestScan:
         dists = [float(np.sum(center ** 2)) for center in model.centers]
         expected = model.labels[int(np.argmin(dists))]
         assert scan_contract(config, "")["label"] == expected
+
+    def test_every_training_contract_scans_to_its_training_prediction(self, reentrancy_run):
+        config, _ = reentrancy_run
+        model = json.loads((config.stage_dir() / "model.json").read_text("utf-8"))
+        records = Dataset.load(config.dataset).records
+        assert len(records) == len(model["assignments"])
+        for record, cluster in zip(records, model["assignments"]):
+            expected = model["labels"][str(cluster)]
+            assert scan_contract(config, record.source)["label"] == expected
+
+    def test_vector_size_comes_from_the_trained_model(self, tmp_path):
+        dataset_path = make_dataset(
+            tmp_path,
+            [reentrant_source(i) for i in range(9)],
+            [clean_source(i) for i in range(30)],
+        )
+        trained = PipelineConfig.resolve({
+            "vulnerability": "reentrancy",
+            "dataset": str(dataset_path),
+            "workdir": str(tmp_path / "work"),
+            "vector_size": 12,
+            "epochs": 2,
+        })
+        run_pipeline(trained)
+        # resolved like ``scan`` without --config: vector_size falls back to 10
+        scanning = PipelineConfig.resolve({
+            "vulnerability": "reentrancy", "workdir": str(tmp_path / "work"),
+        })
+        assert scanning.vector_size == 10
+        # no token of this contract is a keyword, so it maps to the zero vector
+        result = scan_contract(scanning, "contract Zzyzx { }")
+        assert result["label"] in ("vulnerable", "clean")
 
     def test_missing_artifacts(self, tmp_path):
         config = PipelineConfig.resolve({

@@ -1,12 +1,17 @@
+import json
 import logging
 
+import pytest
 from hypothesis import given, strategies as st
 
+from ethcluster.errors import FormatError
 from ethcluster.preprocess import (
     SOLIDITY_KEYWORDS,
+    load_tokendocs,
     normalize,
     preprocess_contract,
     remove_keywords,
+    save_tokendocs,
     strip_comments,
 )
 
@@ -119,6 +124,10 @@ class TestPreprocessContract:
         assert preprocess_contract(source).contract_hash == source_hash(source)
 
     @given(st.text(max_size=300))
+    def test_tokens_are_the_normalized_words_minus_keywords(self, s):
+        assert list(preprocess_contract(s).tokens) == remove_keywords(normalize(s).split())
+
+    @given(st.text(max_size=300))
     def test_no_reserved_tokens_survive(self, s):
         doc = preprocess_contract(s)
         assert not set(doc.tokens) & SOLIDITY_KEYWORDS
@@ -130,3 +139,28 @@ class TestPreprocessContract:
         bad = set(string.punctuation) | set(string.whitespace)
         for token in preprocess_contract(s).tokens:
             assert not set(token) & bad
+
+
+class TestTokenDocsFile:
+    SOURCES = ["contract A { // x\n  uint b = 1;\n}\n", "", "contract B { address owner; }"]
+
+    def test_round_trip(self, tmp_path):
+        docs = [preprocess_contract(s) for s in self.SOURCES]
+        path = tmp_path / "tokens.json"
+        save_tokendocs(docs, path)
+        assert load_tokendocs(path) == docs
+
+    def test_missing_key_is_format_error(self, tmp_path):
+        path = tmp_path / "tokens.json"
+        save_tokendocs([preprocess_contract(s) for s in self.SOURCES], path)
+        payload = json.loads(path.read_text("utf-8"))
+        del payload[2]["lines"]
+        path.write_text(json.dumps(payload), "utf-8")
+        with pytest.raises(FormatError):
+            load_tokendocs(path)
+
+    def test_bad_json_is_format_error(self, tmp_path):
+        path = tmp_path / "tokens.json"
+        path.write_text('[{"contract_hash": ', "utf-8")
+        with pytest.raises(FormatError):
+            load_tokendocs(path)
