@@ -1,36 +1,24 @@
-"""Hot numeric loops, JIT-compiled when numba is usable.
+"""Hot numeric loops over numpy arrays.
 
-Each kernel is written once as a plain-Python function over numpy arrays;
-numba compiles that same function, so both paths execute the identical
-sequence of IEEE-754 operations and produce bit-identical results. The
-pure-Python path is selected by setting ``ETHCLUSTER_NO_NUMBA=1`` (or when
-numba is not installed); ``benchmarks/bench_kernels.py`` compares the two.
+There is one implementation of each kernel. The SGD kernels keep the word2vec
+update order, one (center, target) pair and one noise word at a time, and do
+the per-dimension arithmetic as numpy vector operations. A noise word drawn
+twice for one pair therefore sees the output row its first draw already moved.
 
 All pseudo-randomness (window sizes, negative samples) is drawn outside the
-kernels so the random stream never depends on the execution path.
+kernels, so the random stream never depends on how a kernel is written.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-    _HAS_NUMBA = False
-
 
 def numba_enabled() -> bool:
-    """True when the JIT path is active for this call."""
-    if os.environ.get("ETHCLUSTER_NO_NUMBA", "").strip().lower() in {"1", "true", "yes", "on"}:
-        return False
-    return _HAS_NUMBA
+    # There is no JIT path any more; perfbench/run.py still records this field.
+    return False
 
 
 # Sigmoid inputs are clamped so math.exp never overflows; sigma(30) is 1 to
@@ -38,7 +26,7 @@ def numba_enabled() -> bool:
 _MAX_SCORE = 30.0
 
 
-def _skipgram_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
+def skipgram_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
     """One skip-gram pass over a single document.
 
     doc: int64[n] vocabulary indices; win_lo/win_hi: inclusive context span
@@ -46,169 +34,93 @@ def _skipgram_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
     pair-enumeration order; alphas: float64[n] per-position learning rate.
     Updates w_in / w_out in place, returns the summed pair loss.
     """
-    dim = w_in.shape[1]
-    grad_in = np.zeros(dim)
+    words = doc.tolist()
+    noise = negatives.tolist()
+    exp, log = math.exp, math.log
     loss = 0.0
     pair = 0
-    for i in range(doc.shape[0]):
-        center = doc[i]
-        for j in range(win_lo[i], win_hi[i] + 1):
+    for i, center in enumerate(words):
+        v = w_in[center]
+        alpha = float(alphas[i])
+        for j in range(int(win_lo[i]), int(win_hi[i]) + 1):
             if j == i:
                 continue
-            target = doc[j]
-            alpha = alphas[i]
-            for d in range(dim):
-                grad_in[d] = 0.0
-            # positive target then the drawn negatives, in row order
-            for s in range(negatives.shape[1] + 1):
-                if s == 0:
-                    word = target
-                    label = 1.0
-                else:
-                    word = negatives[pair, s - 1]
-                    if word == target:
-                        continue
-                    label = 0.0
-                f = 0.0
-                for d in range(dim):
-                    f += w_in[center, d] * w_out[word, d]
-                if f > _MAX_SCORE:
-                    f = _MAX_SCORE
-                elif f < -_MAX_SCORE:
-                    f = -_MAX_SCORE
-                sig = 1.0 / (1.0 + math.exp(-f))
-                if label == 1.0:
-                    loss -= math.log(sig)
-                else:
-                    loss -= math.log(1.0 - sig)
+            target = words[j]
+            grad_in = np.zeros_like(v)
+            # positive target then the drawn negatives, in row order; the
+            # step is inlined because a call per word costs about a fifth
+            # of a dim-10 run
+            label = 1.0
+            for word in [target] + [w for w in noise[pair] if w != target]:
+                u = w_out[word]
+                f = min(max(float(u.dot(v)), -_MAX_SCORE), _MAX_SCORE)
+                sig = 1.0 / (1.0 + exp(-f))
+                loss -= log(sig) if label == 1.0 else log(1.0 - sig)
                 g = (label - sig) * alpha
-                for d in range(dim):
-                    grad_in[d] += g * w_out[word, d]
-                for d in range(dim):
-                    w_out[word, d] += g * w_in[center, d]
-            for d in range(dim):
-                w_in[center, d] += grad_in[d]
+                grad_in += g * u
+                u += g * v
+                label = 0.0
+            v += grad_in
             pair += 1
     return loss
 
 
-def _cbow_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
+def cbow_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
     """One CBOW pass over a single document.
 
     The context mean predicts the center word; negatives has one row per
     position. The input-side gradient is split evenly over the context words.
     """
-    dim = w_in.shape[1]
-    hidden = np.zeros(dim)
-    grad_h = np.zeros(dim)
+    words = doc.tolist()
+    noise = negatives.tolist()
+    exp, log = math.exp, math.log
     loss = 0.0
-    for i in range(doc.shape[0]):
-        center = doc[i]
-        n_ctx = (win_hi[i] - win_lo[i] + 1) - 1
+    for i, center in enumerate(words):
+        lo, hi = int(win_lo[i]), int(win_hi[i])
+        n_ctx = hi - lo
         if n_ctx <= 0:
             continue
-        alpha = alphas[i]
-        for d in range(dim):
-            hidden[d] = 0.0
-            grad_h[d] = 0.0
-        for j in range(win_lo[i], win_hi[i] + 1):
-            if j == i:
-                continue
-            for d in range(dim):
-                hidden[d] += w_in[doc[j], d]
-        for d in range(dim):
-            hidden[d] /= n_ctx
-        for s in range(negatives.shape[1] + 1):
-            if s == 0:
-                word = center
-                label = 1.0
-            else:
-                word = negatives[i, s - 1]
-                if word == center:
-                    continue
-                label = 0.0
-            f = 0.0
-            for d in range(dim):
-                f += hidden[d] * w_out[word, d]
-            if f > _MAX_SCORE:
-                f = _MAX_SCORE
-            elif f < -_MAX_SCORE:
-                f = -_MAX_SCORE
-            sig = 1.0 / (1.0 + math.exp(-f))
-            if label == 1.0:
-                loss -= math.log(sig)
-            else:
-                loss -= math.log(1.0 - sig)
+        alpha = float(alphas[i])
+        ctx = words[lo:i] + words[i + 1:hi + 1]
+        # an axis-0 sum adds the context rows one after another
+        hidden = w_in[ctx].sum(axis=0) / n_ctx
+        grad_h = np.zeros_like(hidden)
+        label = 1.0
+        for word in [center] + [w for w in noise[i] if w != center]:
+            u = w_out[word]
+            f = min(max(float(u.dot(hidden)), -_MAX_SCORE), _MAX_SCORE)
+            sig = 1.0 / (1.0 + exp(-f))
+            loss -= log(sig) if label == 1.0 else log(1.0 - sig)
             g = (label - sig) * alpha
-            for d in range(dim):
-                grad_h[d] += g * w_out[word, d]
-            for d in range(dim):
-                w_out[word, d] += g * hidden[d]
-        for j in range(win_lo[i], win_hi[i] + 1):
-            if j == i:
-                continue
-            for d in range(dim):
-                w_in[doc[j], d] += grad_h[d] / n_ctx
+            grad_h += g * u
+            u += g * hidden
+            label = 0.0
+        # unbuffered, so a context word that repeats gets each share in turn
+        np.add.at(w_in, ctx, grad_h / n_ctx)
     return loss
 
 
-def _kmeans_assign(X, centers, out):
+def kmeans_assign(X, centers, out):
     """Nearest-center assignment (squared-distance ties go to the lowest id).
 
     Writes cluster ids into ``out`` and returns the within-cluster sum of
     squared distances.
     """
-    n, dim = X.shape
-    k = centers.shape[0]
-    total = 0.0
-    for i in range(n):
-        best = 0
-        best_d = np.inf
-        for c in range(k):
-            s = 0.0
-            for d in range(dim):
-                diff = X[i, d] - centers[c, d]
-                s += diff * diff
-            if s < best_d:
-                best_d = s
-                best = c
-        out[i] = best
-        total += best_d
-    return total
+    best_d = np.full(X.shape[0], np.inf)
+    out[:] = 0
+    for c in range(centers.shape[0]):
+        diff = X - centers[c]
+        d = np.einsum("ij,ij->i", diff, diff)
+        closer = d < best_d
+        out[closer] = c
+        best_d[closer] = d[closer]
+    return float(best_d.sum())
 
 
-def _kmeans_update(X, assign, sums, counts):
-    """Accumulate per-cluster coordinate sums and member counts in place."""
-    n, dim = X.shape
-    for i in range(n):
-        c = assign[i]
-        counts[c] += 1
-        for d in range(dim):
-            sums[c, d] += X[i, d]
+def kmeans_update(X, assign, sums, counts):
+    """Accumulate per-cluster coordinate sums and member counts in place.
 
-
-if _HAS_NUMBA:
-    _skipgram_doc_jit = njit(cache=True, nogil=True)(_skipgram_doc)
-    _cbow_doc_jit = njit(cache=True, nogil=True)(_cbow_doc)
-    _kmeans_assign_jit = njit(cache=True, nogil=True)(_kmeans_assign)
-    _kmeans_update_jit = njit(cache=True, nogil=True)(_kmeans_update)
-
-
-def skipgram_doc(*args):
-    impl = _skipgram_doc_jit if numba_enabled() else _skipgram_doc
-    return impl(*args)
-
-
-def cbow_doc(*args):
-    impl = _cbow_doc_jit if numba_enabled() else _cbow_doc
-    return impl(*args)
-
-
-def kmeans_assign(*args):
-    impl = _kmeans_assign_jit if numba_enabled() else _kmeans_assign
-    return impl(*args)
-
-
-def kmeans_update(*args):
-    impl = _kmeans_update_jit if numba_enabled() else _kmeans_update
-    return impl(*args)
+    ``np.add.at`` adds the rows in index order, as a loop over them would.
+    """
+    counts += np.bincount(assign, minlength=counts.shape[0])
+    np.add.at(sums, assign, X)

@@ -35,13 +35,12 @@ RATE_LIMIT_RETRIES = 5
 
 
 def _read_sources(directory: str) -> list[str]:
-    """The source of every .sol under directory, sorted by path."""
-    root = Path(directory)
-    if not root.is_dir():
+    """The sources build-dataset reads: every non-blank .sol, sorted by path."""
+    if not Path(directory).is_dir():
         raise PathError(f"not a directory: {directory}")
-    sources = [p.read_text("utf-8", errors="replace") for p in sorted(root.rglob("*.sol"))]
+    sources = [record.source for record in records_from_dir(directory)]
     if not sources:
-        raise PathError(f"no .sol files under {directory}")
+        raise PathError(f"no non-empty .sol files under {directory}")
     return sources
 
 

@@ -152,16 +152,13 @@ def label_clusters(model: ClusterModel, dataset: Dataset) -> ClusterModel:
 
 
 def nearest_center(model: ClusterModel, v: np.ndarray) -> int:
-    """Index of the nearest center (lowest id on ties)."""
+    """Index of the nearest center, by the distance and tie rule of training."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (model.centers.shape[1],):
         raise DimError(f"expected dimension {model.centers.shape[1]}, got {v.shape}")
-    best, best_d = 0, np.inf
-    for c in range(model.k):
-        d = float(np.sum((v - model.centers[c]) ** 2))
-        if d < best_d:
-            best, best_d = c, d
-    return best
+    out = np.empty(1, dtype=np.int64)
+    _kernels.kmeans_assign(v[None, :], model.centers, out)
+    return int(out[0])
 
 
 def predict(model: ClusterModel, basis: PcaBasis | None, values: np.ndarray) -> str:

@@ -3,8 +3,7 @@
 Skip-gram or CBOW with negative sampling, trained by plain SGD with a linear
 learning-rate decay. All randomness (window shrinking, noise words) comes
 from one seeded numpy generator drawn outside the hot loops, so training is
-bit-reproducible and independent of whether the numba or the fallback kernel
-path runs.
+bit-reproducible. The per-document SGD loops live in ``_kernels``.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from conftest import clean_source, explorer_url, reentrant_source, write_corpus
-from ethcluster import _kernels
 from ethcluster.cluster import kmeans_fit, pca_fit, pca_transform
 from ethcluster.detect import REGEX_KINDS, detector_for
 from ethcluster.embed import (
@@ -63,14 +62,6 @@ def criterion(number: int, name: str, budget_seconds: float | None = None):
         assert elapsed < budget_seconds, (
             f"criterion {number} took {elapsed:.2f}s, budget {budget_seconds}s"
         )
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    """Trigger (cached) JIT compilation outside the timed budgets."""
-    docs = [["a", "b", "c"]] * 2
-    train_embedding(docs, EmbeddingConfig(vector_size=2, epochs=1, seed=0))
-    kmeans_fit(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]]), k=2, seed=0)
 
 
 def test_criterion_1_metric_reproduction():

@@ -100,6 +100,22 @@ class TestStagewiseCli:
         assert main(args) == 0
         assert (root / "flags.json").read_bytes() == first
 
+    def test_empty_source_skipped_like_build_dataset(self, tmp_path):
+        vuln_sources = [reentrant_source(i) for i in range(3)]
+        clean_sources = [clean_source(i) for i in range(7)]
+        write_corpus(tmp_path / "vuln", vuln_sources, prefix="v")
+        write_corpus(tmp_path / "clean", clean_sources + [" \n\t\n"], prefix="w")
+        write_corpus(tmp_path / "all", vuln_sources, prefix="av")
+        write_corpus(tmp_path / "all", clean_sources + [" \n\t\n"], prefix="cw")
+        assert main(["build-dataset", "--vuln", str(tmp_path / "vuln"),
+                     "--clean", str(tmp_path / "clean"), "--fraction", "0.3",
+                     "--out", str(tmp_path / "dataset.json")]) == 0
+        dataset = json.loads((tmp_path / "dataset.json").read_text("utf-8"))
+        assert main(["preprocess", "--in", str(tmp_path / "all"),
+                     "--out", str(tmp_path / "tokens.json")]) == 0
+        docs = json.loads((tmp_path / "tokens.json").read_text("utf-8"))
+        assert len(docs) == len(dataset["entries"]) == 10
+
     def test_token_directory_is_a_path_error(self, staged_corpus, capsys):
         # token documents are one file; a directory is not a tokens file
         root = staged_corpus

@@ -294,6 +294,19 @@ class TestPredict:
         expected = model.labels[int(np.argmin(dists))]
         assert predict(model, None, np.zeros(2)) == expected
 
+    def test_nearest_center_is_the_training_assignment(self):
+        X = np.random.default_rng(31).normal(size=(40, 5))
+        model = kmeans_fit(X, k=4, seed=3)
+        assert [nearest_center(model, x) for x in X] == model.assignments.tolist()
+
+    def test_nearest_center_tie_goes_to_lowest_id(self):
+        model = ClusterModel(centers=np.array([[2.0, 0.0], [0.0, 0.0], [2.0, 0.0]]), k=3,
+                             assignments=np.zeros(1, dtype=np.int64), seed=0,
+                             iterations_run=0)
+        assert nearest_center(model, np.array([1.0, 0.0])) == 0
+        assert nearest_center(model, np.array([2.0, 0.0])) == 0
+        assert nearest_center(model, np.array([-1.0, 0.0])) == 1
+
     def test_unlabeled_model_rejected(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         model = kmeans_fit(X, k=2, seed=0)

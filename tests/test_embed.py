@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ethcluster import _kernels
 from ethcluster.embed import (
     EmbeddingConfig,
     load_model,
@@ -169,24 +168,6 @@ class TestTraining:
             EmbeddingConfig(sg=2)
         with pytest.raises(InvalidInput):
             EmbeddingConfig(epochs=0)
-
-
-@pytest.mark.skipif(not _kernels._HAS_NUMBA, reason="numba not installed")
-class TestKernelPaths:
-    def test_jit_and_fallback_bit_identical(self, monkeypatch):
-        docs = [["a", "b", "c", "a", "d"], ["b", "d", "e"]] * 6
-        config = EmbeddingConfig(vector_size=5, seed=13, epochs=2)
-
-        monkeypatch.delenv("ETHCLUSTER_NO_NUMBA", raising=False)
-        assert _kernels.numba_enabled()
-        jit_model = train_embedding(docs, config)
-
-        monkeypatch.setenv("ETHCLUSTER_NO_NUMBA", "1")
-        assert not _kernels.numba_enabled()
-        py_model = train_embedding(docs, config)
-
-        assert jit_model.vocab == py_model.vocab
-        assert np.array_equal(jit_model.vectors, py_model.vectors)
 
 
 class TestLookup:
