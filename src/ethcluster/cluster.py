@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
+from ._artifact import write_json
 from .errors import (
     AlignmentError,
     DimError,
@@ -184,18 +185,18 @@ def save_cluster_model(model: ClusterModel, basis: PcaBasis | None,
         "k": model.k,
         "seed": model.seed,
         "iterations_run": model.iterations_run,
-        "centers": [[float(x) for x in row] for row in model.centers],
-        "assignments": [int(a) for a in model.assignments],
-        "labels": {str(c): label for c, label in sorted(model.labels.items())},
+        "centers": model.centers.tolist(),
+        "assignments": model.assignments.tolist(),
+        "labels": {str(c): label for c, label in model.labels.items()},
         "pca": None if basis is None else {
-            "mean": [float(x) for x in basis.mean],
-            "components": [[float(x) for x in row] for row in basis.components],
+            "mean": basis.mean.tolist(),
+            "components": basis.components.tolist(),
             "num_components": basis.num_components,
         },
     }
     if extra:
         payload["config"] = extra
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1), "utf-8")
+    write_json(payload, path)
 
 
 def load_cluster_model(path: str | Path) -> tuple[ClusterModel, PcaBasis | None, dict]:

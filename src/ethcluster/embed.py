@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _kernels
+from ._artifact import write_text
 from .errors import EmptyVocab, FormatError, InvalidInput, VersionError
 
 SKIP_GRAM = 1
@@ -204,8 +205,8 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
     lines = [f"{_FORMAT_NAME} {_FORMAT_VERSION} {model.config.vector_size} {len(model.vocab)} {cfg}"]
     for word in model.words():
         vec = model.vectors[model.vocab[word]]
-        lines.append(word + " " + " ".join(repr(float(x)) for x in vec))
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+        lines.append(word + " " + " ".join(map(repr, vec.tolist())))
+    write_text("\n".join(lines) + "\n", path)
 
 
 def load_model(path: str | Path) -> EmbeddingModel:

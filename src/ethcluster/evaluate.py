@@ -8,7 +8,6 @@ coerced to 0 or 100, so aggregate reports cannot silently absorb them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -16,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._artifact import write_json, write_text
 from .cluster import pca_fit, pca_transform
 from .errors import AlignmentError, EmptyEvaluation, InvalidInput
 from .ingest import CLEAN, VULNERABLE
@@ -138,7 +138,7 @@ def project2d(X: np.ndarray, assignments: Sequence[int],
 def write_points_csv(rows: Sequence[tuple[float, float, int, str]], path: str | Path) -> None:
     lines = ["x,y,cluster,label"]
     lines += [f"{x!r},{y!r},{cluster},{label}" for x, y, cluster, label in rows]
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+    write_text("\n".join(lines) + "\n", path)
 
 
 def render_table(kind: str, cm: ConfusionMatrix, report: MetricsReport) -> str:
@@ -165,4 +165,4 @@ def write_report(kind: str, cm: ConfusionMatrix, report: MetricsReport,
         "metrics": report.rounded(),
         "params": params,
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1), "utf-8")
+    write_json(payload, path)

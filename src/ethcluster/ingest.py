@@ -13,13 +13,14 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator
 
 import requests
 
+from ._artifact import write_json
 from .errors import (
     FormatError,
     InsufficientData,
@@ -95,18 +96,14 @@ class ContractRecord:
         )
 
     def to_json(self) -> str:
-        return json.dumps({
-            "chain": self.chain,
-            "address": self.address,
-            "source": self.source,
-            "source_hash": self.source_hash,
-            "compiler_version": self.compiler_version,
-            "fetched_at": self.fetched_at,
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "ContractRecord":
-        obj = json.loads(line)
+        return cls.from_dict(json.loads(line))
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "ContractRecord":
         return cls(
             chain=obj["chain"],
             address=obj["address"],
@@ -288,18 +285,18 @@ class Dataset:
         payload = {
             "vulnerable_fraction": self.vulnerable_fraction,
             "entries": [
-                {"truth_label": label, "record": json.loads(rec.to_json())}
+                {"truth_label": label, "record": asdict(rec)}
                 for rec, label in self.entries
             ],
         }
-        Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1), "utf-8")
+        write_json(payload, path)
 
     @classmethod
     def load(cls, path: str | Path) -> "Dataset":
         try:
             obj = json.loads(Path(path).read_text("utf-8"))
             entries = tuple(
-                (ContractRecord.from_json(json.dumps(e["record"])), e["truth_label"])
+                (ContractRecord.from_dict(e["record"]), e["truth_label"])
                 for e in obj["entries"]
             )
             return cls(entries=entries, vulnerable_fraction=obj["vulnerable_fraction"])

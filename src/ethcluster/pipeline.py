@@ -11,6 +11,7 @@ shared with the CLI stage subcommands.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from contextlib import contextmanager
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import cluster as cl
 from . import detect, embed, vectorize
+from ._artifact import write_json, write_text
 from .errors import FormatError, InvalidInput, ModelNotFound, PathError, PipelineStageError
 from .evaluate import ConfusionMatrix, MetricsReport, confusion, metrics, render_table, write_report
 from .ingest import Dataset
@@ -141,7 +143,7 @@ def detect_corpus(docs: Sequence[TokenDoc], kind: str | None) -> dict:
 
 
 def save_detection(payload: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(payload, indent=1), "utf-8")
+    write_json(payload, path)
 
 
 def load_detection(path: str | Path) -> dict:
@@ -237,28 +239,39 @@ def run_pipeline(config: PipelineConfig) -> MetricsReport:
     with stage("evaluate"):
         cm, report = evaluate_model(cmodel, dataset)
         write_report(config.vulnerability, cm, report, params, out / "report.json")
-        (out / "report.txt").write_text(
-            render_table(config.vulnerability, cm, report) + "\n", "utf-8"
-        )
+        write_text(render_table(config.vulnerability, cm, report) + "\n", out / "report.txt")
 
     return report
+
+
+@functools.lru_cache(maxsize=len(VULNERABILITIES))
+def _scan_artifacts(out: Path, model_stamp: tuple, keywords_stamp: tuple):
+    """The parsed keyword map and cluster model of one stage dir.
+
+    Cached under the (inode, mtime, size) stamps of both files: a retrain
+    replaces them, so its stamps differ and the next scan reloads.
+    """
+    keyword_map = vectorize.load_keyword_map(out / "keywords.json")
+    cmodel, basis, _ = cl.load_cluster_model(out / "model.json")
+    return keyword_map, cmodel, basis
 
 
 def scan_contract(config: PipelineConfig, source: str) -> dict:
     """Classify one contract against the persisted pipeline artifacts.
 
     Returns the predicted label plus, for vulnerabilities backed by a regex
-    pattern, that pattern's flag on this contract.
+    pattern, that pattern's flag on this contract. The parsed artifacts are
+    reused by later calls until their files change.
     """
     out = config.stage_dir()
-    model_path = out / "model.json"
-    keywords_path = out / "keywords.json"
-    if not model_path.exists() or not keywords_path.exists():
+    try:
+        stamps = [os.stat(out / name) for name in ("model.json", "keywords.json")]
+    except (FileNotFoundError, NotADirectoryError):
         raise ModelNotFound(
             f"no trained artifacts for {config.vulnerability!r} under {out}"
-        )
-    keyword_map = vectorize.load_keyword_map(keywords_path)
-    cmodel, basis, _ = cl.load_cluster_model(model_path)
+        ) from None
+    keyword_map, cmodel, basis = _scan_artifacts(
+        out, *((st.st_ino, st.st_mtime_ns, st.st_size) for st in stamps))
 
     # Size the vector from the trained model, not from the caller's config.
     dim = basis.mean.shape[0] if basis is not None else cmodel.centers.shape[1]

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import string
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._artifact import write_json
 from .errors import FormatError
 from .ingest import source_hash
 
@@ -48,6 +50,14 @@ class TokenDoc:
     lines: tuple[str, ...]
 
 
+# Matches are found left to right and alternatives tried in order, so an
+# opener inside an earlier comment starts nothing, ``/*/`` is unterminated
+# and a trailing ``/`` is kept. Group 1 is an unterminated block comment.
+# The shared leading ``/`` is factored out so the engine jumps from slash to
+# slash instead of trying every alternative at every character.
+_COMMENT_RE = re.compile(r"/(?:/[^\n]*|\*.*?\*/|(\*.*))", re.DOTALL)
+
+
 def strip_comments(source: str) -> str:
     """Remove ``//`` line comments and ``/* */`` block comments.
 
@@ -57,29 +67,11 @@ def strip_comments(source: str) -> str:
     logged as a warning rather than rejected, so malformed real-world
     contracts still flow through.
     """
-    out: list[str] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "/" and i + 1 < n:
-            nxt = source[i + 1]
-            if nxt == "/":
-                # line comment: drop up to (not including) the next newline
-                end = source.find("\n", i + 2)
-                i = n if end == -1 else end
-                continue
-            if nxt == "*":
-                end = source.find("*/", i + 2)
-                if end == -1:
-                    logger.warning("unterminated block comment; stripping to end of input")
-                    i = n
-                else:
-                    i = end + 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    # split() interleaves the kept text with group 1 of each match.
+    parts = _COMMENT_RE.split(source)
+    if len(parts) > 1 and parts[-2] is not None:
+        logger.warning("unterminated block comment; stripping to end of input")
+    return "".join(parts[::2])
 
 
 def _words(stripped: str) -> list[str]:
@@ -127,7 +119,7 @@ def save_tokendocs(docs: list[TokenDoc], path: str | Path) -> None:
         {"contract_hash": d.contract_hash, "tokens": list(d.tokens), "lines": list(d.lines)}
         for d in docs
     ]
-    Path(path).write_text(json.dumps(payload, indent=1), "utf-8")
+    write_json(payload, path)
 
 
 def load_tokendocs(path: str | Path) -> list[TokenDoc]:

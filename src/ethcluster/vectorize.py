@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._artifact import write_json
 from .detect import REENTRANCY, TIMESTAMP, TX_ORIGIN, UNCHECKED_CALL
 from .embed import EmbeddingModel
 from .errors import EmptyCorpus, FormatError, InvalidInput
@@ -173,9 +174,8 @@ def document_vectors(docs: Sequence[TokenDoc], keyword_map: Mapping[str, np.ndar
 # --- persistence -----------------------------------------------------------
 
 def save_vectors(vectors: Sequence[DocumentVector], path: str | Path) -> None:
-    payload = [{"contract_hash": v.contract_hash, "values": [float(x) for x in v.values]}
-               for v in vectors]
-    Path(path).write_text(json.dumps(payload, indent=1), "utf-8")
+    payload = [{"contract_hash": v.contract_hash, "values": v.values.tolist()} for v in vectors]
+    write_json(payload, path)
 
 
 def load_vectors(path: str | Path) -> list[DocumentVector]:
@@ -188,8 +188,7 @@ def load_vectors(path: str | Path) -> list[DocumentVector]:
 
 
 def save_keyword_map(keyword_map: Mapping[str, np.ndarray], path: str | Path) -> None:
-    payload = {word: [float(x) for x in vec] for word, vec in sorted(keyword_map.items())}
-    Path(path).write_text(json.dumps(payload, indent=1), "utf-8")
+    write_json({word: vec.tolist() for word, vec in keyword_map.items()}, path)
 
 
 def load_keyword_map(path: str | Path) -> dict[str, np.ndarray]:

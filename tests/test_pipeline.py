@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from conftest import (
     unchecked_source,
     write_corpus,
 )
+from ethcluster import _artifact, pipeline
+from ethcluster.cluster import load_cluster_model, save_cluster_model
 from ethcluster.errors import InvalidInput, ModelNotFound, PathError, PipelineStageError
 from ethcluster.ingest import Dataset, build_mixed_dataset, records_from_dir
 from ethcluster.pipeline import (
@@ -38,6 +41,19 @@ def make_dataset(tmp_path, vulnerable_sources, clean_sources, fraction=0.3):
     path = tmp_path / "dataset.json"
     dataset.save(path)
     return path
+
+
+def train_reentrancy(tmp_path, vulnerable_sources, clean_sources, **values):
+    """A two-epoch reentrancy run into ``tmp_path / "work"``; its config."""
+    config = PipelineConfig.resolve({
+        "vulnerability": "reentrancy",
+        "dataset": str(make_dataset(tmp_path, vulnerable_sources, clean_sources)),
+        "workdir": str(tmp_path / "work"),
+        "epochs": 2,
+        **values,
+    })
+    run_pipeline(config)
+    return config
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +297,28 @@ class TestScan:
         with pytest.raises(ModelNotFound):
             scan_contract(config, "contract A {}")
 
+    def test_retrain_into_the_same_workdir_is_not_served_stale(self, tmp_path):
+        vulnerable = [reentrant_source(i) for i in range(30)]
+        clean = [clean_source(i) for i in range(30)]
+        probes = vulnerable[:9] + clean[:9]
+        config = train_reentrancy(tmp_path, vulnerable[:9], clean)
+        first = [scan_contract(config, s) for s in probes]
+        # the same workdir, retrained with the roles of the two sets swapped
+        swapped = train_reentrancy(tmp_path, clean[:9], vulnerable, num_clusters=4)
+        assert swapped.stage_dir() == config.stage_dir()
+        second = [scan_contract(swapped, s) for s in probes]
+        assert second != first
+        pipeline._scan_artifacts.cache_clear()
+        assert second == [scan_contract(swapped, s) for s in probes]
+
+    def test_deleted_model_after_a_cached_scan_is_model_not_found(self, tmp_path):
+        config = train_reentrancy(tmp_path, [reentrant_source(i) for i in range(9)],
+                                  [clean_source(i) for i in range(30)])
+        scan_contract(config, reentrant_source(0))
+        (config.stage_dir() / "model.json").unlink()
+        with pytest.raises(ModelNotFound):
+            scan_contract(config, reentrant_source(0))
+
     def test_access_control_scan_has_no_flags_section(self, tmp_path):
         dataset_path = make_dataset(
             tmp_path,
@@ -297,3 +335,34 @@ class TestScan:
         result = scan_contract(config, access_control_source(0))
         assert "flags" not in result
         assert result["label"] in ("vulnerable", "clean")
+
+
+class TestAtomicWrites:
+    @pytest.fixture()
+    def trained(self, tmp_path):
+        stage_dir = train_reentrancy(tmp_path, [reentrant_source(i) for i in range(9)],
+                                     [clean_source(i) for i in range(30)]).stage_dir()
+        return stage_dir, {p.name: p.read_bytes() for p in stage_dir.iterdir()}
+
+    def test_unencodable_payload_leaves_the_previous_model(self, trained):
+        stage_dir, before = trained
+        cmodel, basis, params = load_cluster_model(stage_dir / "model.json")
+        with pytest.raises(TypeError):
+            save_cluster_model(cmodel, basis, stage_dir / "model.json",
+                               extra={**params, "seed": object()})
+        assert {p.name: p.read_bytes() for p in stage_dir.iterdir()} == before
+
+    def test_failed_replace_leaves_the_previous_model_and_no_temp_file(self, trained,
+                                                                        monkeypatch):
+        stage_dir, before = trained
+        cmodel, basis, params = load_cluster_model(stage_dir / "model.json")
+
+        def fail(src, dst):
+            # the temp file holds the whole new model
+            assert json.loads(Path(src).read_text("utf-8"))["k"] == cmodel.k
+            raise OSError("disk full")
+
+        monkeypatch.setattr(_artifact.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_cluster_model(cmodel, basis, stage_dir / "model.json", extra=params)
+        assert {p.name: p.read_bytes() for p in stage_dir.iterdir()} == before

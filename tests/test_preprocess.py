@@ -1,9 +1,11 @@
 import json
 import logging
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ethcluster import preprocess
 from ethcluster.errors import FormatError
 from ethcluster.preprocess import (
     SOLIDITY_KEYWORDS,
@@ -14,6 +16,71 @@ from ethcluster.preprocess import (
     save_tokendocs,
     strip_comments,
 )
+
+
+def oracle_strip_comments(source):
+    """The reference scanner: one character at a time, left to right.
+
+    Returns the stripped text and whether an unterminated block comment was
+    met, which is when ``strip_comments`` must log its warning.
+    """
+    out = []
+    unterminated = False
+    i = 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "/" and i + 1 < n:
+            nxt = source[i + 1]
+            if nxt == "/":
+                end = source.find("\n", i + 2)
+                i = n if end == -1 else end
+                continue
+            if nxt == "*":
+                end = source.find("*/", i + 2)
+                if end == -1:
+                    unterminated = True
+                    i = n
+                else:
+                    i = end + 2
+                continue
+        out.append(ch)
+        i += 1
+    return "".join(out), unterminated
+
+
+def strip_and_warned(source):
+    """``strip_comments`` output, and whether it logged a warning."""
+    with mock.patch.object(preprocess.logger, "warning") as warning:
+        out = strip_comments(source)
+    return out, warning.called
+
+
+# Text dense in comment markers, newlines and quotes.
+_marker_text = st.text(alphabet=st.sampled_from(list("/*/*\n\n \"'ab")), max_size=60)
+
+
+class TestStripCommentsAgainstOracle:
+    @pytest.mark.parametrize("source", [
+        "a /* b */ c",
+        "a /* b */ c /* d */ e",
+        "/*/",
+        "/*/ x */ y",
+        "a /",
+        "/",
+        "// a /* b",
+        "// a /* b\nc */ d",
+        "a /* b */ c /* unterminated",
+        "x /* never closed\n// still inside",
+        "a */ b",
+        "a ///* b\nc",
+    ])
+    def test_explicit_cases(self, source):
+        assert strip_and_warned(source) == oracle_strip_comments(source)
+
+    @given(_marker_text)
+    def test_matches_oracle_and_warns_when_it_meets_an_unterminated_block(self, source):
+        assert strip_and_warned(source) == oracle_strip_comments(source)
 
 
 class TestStripComments:
