@@ -1,9 +1,20 @@
 """Hot numeric loops over numpy arrays.
 
 There is one implementation of each kernel. The SGD kernels keep the word2vec
-update order, one (center, target) pair and one noise word at a time, and do
-the per-dimension arithmetic as numpy vector operations. A noise word drawn
-twice for one pair therefore sees the output row its first draw already moved.
+update order: one (center, target) pair per skip-gram step, one center word
+per CBOW step, and within a step the target first, then each noise word that
+differs from it, in row order, each scored against its output row as the
+words before it left that row.
+
+Both kernels hand a step to ``_negative_step``, which does it in one gather,
+one matrix-vector product and one scatter. That rests on two facts about the
+order. The input vector ``h`` is fixed within a step: skip-gram adds the
+input gradient only after the step, and CBOW's hidden vector is a fresh
+array. And an output row moves only through its own updates, ``u += g * h``.
+So a word seen earlier in the step with summed coefficient ``c`` now has the
+row ``u0 + c * h``: its score is ``u0 . h + c * (h . h)``, and it adds
+``g * u0 + g * c * h`` to the input gradient. Results match the one-word-at-
+a-time loop to rounding.
 
 All pseudo-randomness (window sizes, negative samples) is drawn outside the
 kernels, so the random stream never depends on how a kernel is written.
@@ -26,6 +37,51 @@ def numba_enabled() -> bool:
 _MAX_SCORE = 30.0
 
 
+def _negative_step(w_out, h, words, alpha):
+    """One negative-sampling step for the input vector ``h``.
+
+    words: the target, then the drawn noise words (those equal to the target
+    are skipped). Updates the rows of ``w_out`` in place and returns the
+    input-side gradient and the step loss.
+    """
+    target = words[0]
+    slots = {}
+    for word in words:
+        slots.setdefault(word, len(slots))
+    idx = list(slots)
+    rows = w_out.take(idx, axis=0)
+    scores = rows.dot(h).tolist()
+    coef = [0.0] * len(idx)
+    exp, log = math.exp, math.log
+    loss = repeat = 0.0
+    hh = None
+    label = 1.0
+    for word in words:
+        if label == 0.0 and word == target:
+            continue
+        s = slots[word]
+        prior = coef[s]
+        f = scores[s]
+        if prior:  # the row already moved by prior * h in this step
+            if hh is None:
+                hh = float(h.dot(h))
+            f += prior * hh
+        f = min(max(f, -_MAX_SCORE), _MAX_SCORE)
+        sig = 1.0 / (1.0 + exp(-f))
+        loss -= log(sig) if label == 1.0 else log(1.0 - sig)
+        g = (label - sig) * alpha
+        repeat += g * prior
+        coef[s] = prior + g
+        label = 0.0
+    c = np.array(coef)
+    grad = c.dot(rows)
+    if repeat:
+        grad += repeat * h
+    rows += np.multiply.outer(c, h)
+    w_out[idx] = rows
+    return grad, loss
+
+
 def skipgram_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
     """One skip-gram pass over a single document.
 
@@ -36,7 +92,6 @@ def skipgram_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
     """
     words = doc.tolist()
     noise = negatives.tolist()
-    exp, log = math.exp, math.log
     loss = 0.0
     pair = 0
     for i, center in enumerate(words):
@@ -45,22 +100,10 @@ def skipgram_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
         for j in range(int(win_lo[i]), int(win_hi[i]) + 1):
             if j == i:
                 continue
-            target = words[j]
-            grad_in = np.zeros_like(v)
-            # positive target then the drawn negatives, in row order; the
-            # step is inlined because a call per word costs about a fifth
-            # of a dim-10 run
-            label = 1.0
-            for word in [target] + [w for w in noise[pair] if w != target]:
-                u = w_out[word]
-                f = min(max(float(u.dot(v)), -_MAX_SCORE), _MAX_SCORE)
-                sig = 1.0 / (1.0 + exp(-f))
-                loss -= log(sig) if label == 1.0 else log(1.0 - sig)
-                g = (label - sig) * alpha
-                grad_in += g * u
-                u += g * v
-                label = 0.0
-            v += grad_in
+            # v moves only after the step, so the step sees it fixed
+            grad, step_loss = _negative_step(w_out, v, [words[j]] + noise[pair], alpha)
+            v += grad
+            loss += step_loss
             pair += 1
     return loss
 
@@ -73,28 +116,17 @@ def cbow_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
     """
     words = doc.tolist()
     noise = negatives.tolist()
-    exp, log = math.exp, math.log
     loss = 0.0
     for i, center in enumerate(words):
         lo, hi = int(win_lo[i]), int(win_hi[i])
         n_ctx = hi - lo
         if n_ctx <= 0:
             continue
-        alpha = float(alphas[i])
         ctx = words[lo:i] + words[i + 1:hi + 1]
         # an axis-0 sum adds the context rows one after another
         hidden = w_in[ctx].sum(axis=0) / n_ctx
-        grad_h = np.zeros_like(hidden)
-        label = 1.0
-        for word in [center] + [w for w in noise[i] if w != center]:
-            u = w_out[word]
-            f = min(max(float(u.dot(hidden)), -_MAX_SCORE), _MAX_SCORE)
-            sig = 1.0 / (1.0 + exp(-f))
-            loss -= log(sig) if label == 1.0 else log(1.0 - sig)
-            g = (label - sig) * alpha
-            grad_h += g * u
-            u += g * hidden
-            label = 0.0
+        grad_h, step_loss = _negative_step(w_out, hidden, [center] + noise[i], float(alphas[i]))
+        loss += step_loss
         # unbuffered, so a context word that repeats gets each share in turn
         np.add.at(w_in, ctx, grad_h / n_ctx)
     return loss

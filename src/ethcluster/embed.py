@@ -211,8 +211,10 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> EmbeddingModel:
     """Read a model written by :func:`save_model`; bit-exact round trip."""
-    text = Path(path).read_text("utf-8")
-    lines = text.splitlines()
+    try:
+        lines = Path(path).read_text("utf-8").splitlines()
+    except ValueError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines:
         raise FormatError(f"{path}: empty model file")
     head = lines[0].split(" ", 4)

@@ -183,7 +183,7 @@ def load_vectors(path: str | Path) -> list[DocumentVector]:
         payload = json.loads(Path(path).read_text("utf-8"))
         return [DocumentVector(item["contract_hash"], np.array(item["values"], dtype=np.float64))
                 for item in payload]
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad vectors file: {exc}") from exc
 
 
@@ -195,5 +195,5 @@ def load_keyword_map(path: str | Path) -> dict[str, np.ndarray]:
     try:
         payload = json.loads(Path(path).read_text("utf-8"))
         return {word: np.array(vec, dtype=np.float64) for word, vec in payload.items()}
-    except (AttributeError, TypeError, json.JSONDecodeError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad keyword map: {exc}") from exc

@@ -123,6 +123,14 @@ class TestStagewiseCli:
                      "--out", str(root / "flags.json")]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "PathError"
 
+    def test_non_numeric_vectors_are_a_format_error(self, tmp_path, capsys):
+        path = tmp_path / "vectors.json"
+        path.write_text('[{"contract_hash": "h", "values": ["x"]}]', "utf-8")
+        assert main(["cluster", "--vectors", str(path), "--k", "2",
+                     "--out", str(tmp_path / "model.json")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "FormatError"
+
 
 class TestStagesMatchRun:
     """The stage subcommands chained by hand reproduce ``run``'s artifacts."""

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from ethcluster import _kernels
+from ethcluster.embed import EmbeddingConfig, train_embedding
 
 _MAX_SCORE = 30.0
 
@@ -131,6 +132,28 @@ def _weights(seed, vocab, dim):
     return rng.normal(0.0, 0.5, size=(vocab, dim)), rng.normal(0.0, 0.5, size=(vocab, dim))
 
 
+def _skewed(rng, vocab, size):
+    """Word ids drawn like training noise: a Zipf vocabulary raised to 0.75,
+    so the frequent words recur within a step as often as they do there."""
+    p = np.arange(1, vocab + 1) ** -0.75
+    return rng.choice(vocab, size=size, p=p / p.sum()).astype(np.int64)
+
+
+def _training_case(seed, dim, rows_per_pair):
+    """A vocabulary of 40 at a training dimension, with five skewed noise
+    words per step; weights scaled so scores stay O(1) at any dim."""
+    rng = np.random.default_rng(300 + seed)
+    vocab = 40
+    w_in = rng.normal(0.0, dim ** -0.5, size=(vocab, dim))
+    w_out = rng.normal(0.0, dim ** -0.5, size=(vocab, dim))
+    doc = _skewed(rng, vocab, 24)
+    lo, hi = _spans(rng, len(doc), 5)
+    n_rows = int((hi - lo).sum()) if rows_per_pair else len(doc)
+    negatives = _skewed(rng, vocab, (n_rows, 5))
+    alphas = np.linspace(0.5, 0.05, len(doc))
+    return w_in, w_out, (doc, lo, hi, negatives, alphas)
+
+
 def _run_both(kernel, oracle, w_in, w_out, args):
     a_in, a_out = w_in.copy(), w_out.copy()
     b_in, b_out = w_in.copy(), w_out.copy()
@@ -174,6 +197,26 @@ class TestSkipgram:
         _run_both(_kernels.skipgram_doc, oracle_skipgram, w_in, w_out,
                   (doc, lo, hi, negatives, alphas))
 
+    @pytest.mark.parametrize("dim", [10, 300])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_training_shapes(self, seed, dim):
+        w_in, w_out, args = _training_case(seed, dim, rows_per_pair=True)
+        _run_both(_kernels.skipgram_doc, oracle_skipgram, w_in, w_out, args)
+
+    def test_one_noise_word_in_every_slot_and_target_alone(self):
+        w_in, w_out = _weights(5, 6, 10)
+        doc = np.array([1, 2, 3], dtype=np.int64)
+        lo = np.array([0, 0, 1], dtype=np.int64)
+        hi = np.array([1, 2, 2], dtype=np.int64)
+        negatives = np.array([
+            [4] * 5,  # pair (1, 2): one noise word five times
+            [1] * 5,  # pair (2, 1): every noise word is the target
+            [5] * 5,
+            [2] * 5,  # pair (3, 2): the target alone again
+        ], dtype=np.int64)
+        _run_both(_kernels.skipgram_doc, oracle_skipgram, w_in, w_out,
+                  (doc, lo, hi, negatives, np.array([0.5, 0.4, 0.3])))
+
     def test_no_negatives(self):
         w_in, w_out = _weights(3, 3, 4)
         doc = np.array([0, 1, 2, 1], dtype=np.int64)
@@ -213,6 +256,26 @@ class TestCbow:
         _run_both(_kernels.cbow_doc, oracle_cbow, w_in, w_out,
                   (doc, lo, hi, negatives, alphas))
 
+    @pytest.mark.parametrize("dim", [10, 300])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_training_shapes(self, seed, dim):
+        w_in, w_out, args = _training_case(seed, dim, rows_per_pair=False)
+        _run_both(_kernels.cbow_doc, oracle_cbow, w_in, w_out, args)
+
+    def test_one_noise_word_in_every_slot_and_center_alone(self):
+        w_in, w_out = _weights(6, 6, 10)
+        doc = np.array([1, 2, 3, 1], dtype=np.int64)
+        lo = np.array([0, 0, 1, 2], dtype=np.int64)
+        hi = np.array([1, 2, 3, 3], dtype=np.int64)
+        negatives = np.array([
+            [4] * 5,  # one noise word five times
+            [2] * 5,  # every noise word is the center
+            [5] * 5,
+            [1] * 5,
+        ], dtype=np.int64)
+        _run_both(_kernels.cbow_doc, oracle_cbow, w_in, w_out,
+                  (doc, lo, hi, negatives, np.array([0.5, 0.4, 0.3, 0.2])))
+
     def test_single_word_document_is_a_no_op(self):
         w_in, w_out = _weights(4, 2, 3)
         doc = np.array([1], dtype=np.int64)
@@ -222,6 +285,31 @@ class TestCbow:
                                  np.zeros((1, 2), dtype=np.int64), np.ones(1))
         assert loss == 0.0
         assert np.array_equal(a_in, w_in) and np.array_equal(a_out, w_out)
+
+
+class TestTrainingWithOracleKernels:
+    """``train_embedding`` run on the oracles gives the same vectors.
+
+    This pins the argument layout the two sides agree on (one noise row per
+    skip-gram pair or CBOW position, inclusive spans), which the per-kernel
+    cases above take as given.
+    """
+
+    @pytest.mark.parametrize("sg, name, oracle", [
+        (1, "skipgram_doc", oracle_skipgram),
+        (0, "cbow_doc", oracle_cbow),
+    ])
+    def test_same_vectors(self, monkeypatch, sg, name, oracle):
+        rng = np.random.default_rng(11)
+        words = ["call", "value", "balance", "msg", "sender", "send", "require",
+                 "now", "owner", "transfer", "amount", "mapping"]
+        docs = [[words[i] for i in _skewed(rng, len(words), n)] for n in (14, 9, 20, 12)]
+        config = EmbeddingConfig(vector_size=6, epochs=3, negative=5, sg=sg, seed=3)
+        expected = train_embedding(docs, config)
+        monkeypatch.setattr(_kernels, name, oracle)
+        got = train_embedding(docs, config)
+        assert got.vocab == expected.vocab
+        np.testing.assert_allclose(got.vectors, expected.vectors, rtol=0, atol=1e-12)
 
 
 class TestKmeans:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     access_control_source,
@@ -15,7 +16,14 @@ from conftest import (
 )
 from ethcluster import _artifact, pipeline
 from ethcluster.cluster import load_cluster_model, save_cluster_model
-from ethcluster.errors import InvalidInput, ModelNotFound, PathError, PipelineStageError
+from ethcluster.detect import REGEX_KINDS, detector_for
+from ethcluster.errors import (
+    EthClusterError,
+    InvalidInput,
+    ModelNotFound,
+    PathError,
+    PipelineStageError,
+)
 from ethcluster.ingest import Dataset, build_mixed_dataset, records_from_dir
 from ethcluster.pipeline import (
     CLUSTERING_DEFAULTS,
@@ -24,6 +32,7 @@ from ethcluster.pipeline import (
     run_pipeline,
     scan_contract,
 )
+from ethcluster.preprocess import preprocess_contract
 
 ARTIFACTS = ["preprocess.json", "detect.json", "embedding.vec",
              "keywords.json", "vectors.json", "model.json",
@@ -334,6 +343,40 @@ class TestScan:
         run_pipeline(config)
         result = scan_contract(config, access_control_source(0))
         assert "flags" not in result
+        assert result["label"] in ("vulnerable", "clean")
+
+
+# Pieces of Solidity-like text for the stages that read raw source: comment
+# markers, quotes and literal prefixes, call syntax, what the detectors match,
+# NUL bytes and carriage returns.
+_FRAGMENTS = ["//", "/*", "*/", "/", "*", '"', "'", "\\", 'unicode"', "hex'",
+              'call{value: msg.value}("")', ".call(", ".send(", ".value(", "now",
+              "tx.origin", "block.timestamp", "balance", "balances[msg.sender]",
+              "require(", "if (", "==", "!=", "success", "function f() public {",
+              "}", ";", "\x00", "\r", "\n", " "]
+_solidity_like = st.lists(st.sampled_from(_FRAGMENTS) | st.text(max_size=4),
+                          max_size=60).map("".join)
+
+
+@pytest.fixture(scope="module")
+def warm_reentrancy(reentrancy_run):
+    """The shared detector, its artifacts already parsed by one scan."""
+    config, _ = reentrancy_run
+    scan_contract(config, reentrant_source(0))
+    return config
+
+
+class TestFuzz:
+    @settings(deadline=None)
+    @given(source=_solidity_like)
+    def test_preprocess_detect_scan_raise_only_package_errors(self, warm_reentrancy, source):
+        try:
+            doc = preprocess_contract(source)
+            for kind in REGEX_KINDS:
+                assert detector_for(kind)(doc.lines) in (0, 1)
+            result = scan_contract(warm_reentrancy, source)
+        except EthClusterError:
+            return
         assert result["label"] in ("vulnerable", "clean")
 
 

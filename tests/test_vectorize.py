@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ethcluster.embed import EmbeddingConfig, EmbeddingModel
-from ethcluster.errors import EmptyCorpus, InvalidInput
+from ethcluster.embed import EmbeddingConfig, EmbeddingModel, load_model
+from ethcluster.errors import EmptyCorpus, FormatError, InvalidInput
 from ethcluster.preprocess import TokenDoc
 from ethcluster.vectorize import (
     FORCED_KEYWORDS,
@@ -273,3 +273,22 @@ class TestPersistence:
         assert set(loaded) == {"call", "now"}
         for word in loaded:
             assert np.array_equal(loaded[word], keyword_map[word])
+
+    # One artifact per loader with a non-numeric value where a float belongs;
+    # the model header is a valid one for a one-word, dim-1 model.
+    _NON_NUMERIC = {
+        load_vectors: '[{"contract_hash": "h", "values": ["x"]}]',
+        load_keyword_map: '{"call": ["x"]}',
+        load_model: 'ethcluster-embedding 1 1 1 {"vector_size": 1}\ncall x\n',
+    }
+
+    @pytest.mark.parametrize("loader", list(_NON_NUMERIC), ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("bad", ["non_numeric", "non_utf8"])
+    def test_malformed_artifact_is_a_format_error(self, tmp_path, loader, bad):
+        path = tmp_path / "artifact"
+        if bad == "non_numeric":
+            path.write_text(self._NON_NUMERIC[loader], "utf-8")
+        else:
+            path.write_bytes(b"\xff\xfe{\x80}")
+        with pytest.raises(FormatError):
+            loader(path)
