@@ -8,6 +8,7 @@ object to stderr and exit nonzero; success exits 0.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -16,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import cluster as cl
-from . import embed, pipeline, vectorize
-from .errors import EthClusterError, FormatError, PathError, PipelineStageError, RateLimited
+from . import _kernels, embed, pipeline, vectorize
+from ._artifact import read_json
+from .errors import DimError, EthClusterError, PathError, PipelineStageError, RateLimited
 # perfbench/spans.py wraps confusion, metrics, write_report and render_table on this module.
 from .evaluate import confusion, metrics, project2d, render_table, write_points_csv, write_report
 from .ingest import (
@@ -32,6 +34,9 @@ from .pipeline import PipelineConfig, run_pipeline, scan_contract
 from .preprocess import load_tokendocs, preprocess_contract, save_tokendocs
 
 RATE_LIMIT_RETRIES = 5
+
+# The stage subcommands default to the values ``run`` uses.
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
 
 
 def _read_sources(directory: str) -> list[str]:
@@ -155,8 +160,11 @@ def cmd_project(args) -> int:
     X = np.array([v.values for v in vectors])
     if basis is not None:
         X = cl.pca_transform(basis, X)
-    assignments = [cl.nearest_center(model, row) for row in X]
-    labels = [model.labels.get(a, "unlabeled") for a in assignments]
+    if X.shape[1] != model.centers.shape[1]:
+        raise DimError(f"expected dimension {model.centers.shape[1]}, got {X.shape[1]}")
+    assignments = np.empty(len(X), dtype=np.int64)
+    _kernels.kmeans_assign(X, model.centers, assignments)
+    labels = [model.labels.get(a, "unlabeled") for a in assignments.tolist()]
     rows = project2d(X, assignments, labels)
     write_points_csv(rows, args.out)
     print(f"{len(rows)} points -> {args.out}")
@@ -164,15 +172,7 @@ def cmd_project(args) -> int:
 
 
 def _resolved_config(args) -> PipelineConfig:
-    values = {}
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise PathError(f"config file not found: {args.config}")
-        try:
-            values = json.loads(path.read_text("utf-8"))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{args.config}: bad config file: {exc}") from exc
+    values = read_json(args.config, dict) if args.config else {}
     overrides = {
         "vulnerability": args.vulnerability,
         "dataset": getattr(args, "dataset", None),
@@ -236,12 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-embedding", help="train word vectors over a tokens file")
     p.add_argument("--in", dest="input", required=True, help="tokens file from preprocess")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--seed", type=int, default=pipeline.DEFAULT_SEED)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--sg", type=int, default=1, choices=(0, 1))
-    p.add_argument("--min-count", type=int, default=1)
-    p.add_argument("--negative", type=int, default=5)
+    p.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
+    p.add_argument("--window", type=int, default=_DEFAULTS["window"])
+    p.add_argument("--epochs", type=int, default=_DEFAULTS["epochs"])
+    p.add_argument("--sg", type=int, default=_DEFAULTS["sg"], choices=(0, 1))
+    p.add_argument("--min-count", type=int, default=_DEFAULTS["min_count"])
+    p.add_argument("--negative", type=int, default=_DEFAULTS["negative"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_embedding)
 
@@ -256,10 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="PCA (if high-dimensional) plus seeded k-means")
     p.add_argument("--vectors", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=pipeline.DEFAULT_SEED)
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--pca-threshold", type=int, default=50)
-    p.add_argument("--pca-components", type=int, default=50)
+    p.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
+    p.add_argument("--max-iter", type=int, default=_DEFAULTS["max_iterations"])
+    p.add_argument("--pca-threshold", type=int, default=_DEFAULTS["pca_activation_dim"])
+    p.add_argument("--pca-components", type=int, default=_DEFAULTS["pca_components"])
     p.add_argument("--dataset", default=None, help="label clusters from this dataset")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cluster)

@@ -9,14 +9,13 @@ ordering of the training dataset.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import _kernels
-from ._artifact import write_json
+from ._artifact import floats, read_json, write_json
 from .errors import (
     AlignmentError,
     DimError,
@@ -199,25 +198,25 @@ def save_cluster_model(model: ClusterModel, basis: PcaBasis | None,
     write_json(payload, path)
 
 
+def _cluster_model(payload: dict) -> tuple[ClusterModel, PcaBasis | None, dict]:
+    centers, pca = floats(payload["centers"], 2), payload["pca"]
+    model = ClusterModel(
+        centers=centers,
+        k=len(centers),
+        assignments=np.array(payload["assignments"], dtype=np.int64),
+        seed=payload["seed"],
+        iterations_run=payload["iterations_run"],
+        labels={int(c): label for c, label in payload["labels"].items()},
+    )
+    basis = None if pca is None else PcaBasis(
+        floats(pca["mean"], 1), floats(pca["components"], 2), pca["num_components"])
+    ids = model.assignments
+    if (ids.ndim != 1 or np.any((ids < 0) | (ids >= model.k))
+            or model.labels and sorted(model.labels) != list(range(model.k))
+            or basis is not None and basis.components.shape != (len(basis.mean), centers.shape[1])):
+        raise FormatError(f"assignments, labels or PCA basis disagree with {centers.shape} centers")
+    return model, basis, payload.get("config", {})
+
+
 def load_cluster_model(path: str | Path) -> tuple[ClusterModel, PcaBasis | None, dict]:
-    try:
-        payload = json.loads(Path(path).read_text("utf-8"))
-        model = ClusterModel(
-            centers=np.array(payload["centers"], dtype=np.float64),
-            k=payload["k"],
-            assignments=np.array(payload["assignments"], dtype=np.int64),
-            seed=payload["seed"],
-            iterations_run=payload["iterations_run"],
-            labels={int(c): label for c, label in payload["labels"].items()},
-        )
-        basis = None
-        if payload.get("pca") is not None:
-            pca = payload["pca"]
-            basis = PcaBasis(
-                mean=np.array(pca["mean"], dtype=np.float64),
-                components=np.array(pca["components"], dtype=np.float64),
-                num_components=pca["num_components"],
-            )
-        return model, basis, payload.get("config", {})
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: bad cluster model file: {exc}") from exc
+    return read_json(path, _cluster_model)

@@ -8,7 +8,6 @@ bit-reproducible. The per-document SGD loops live in ``_kernels``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -16,14 +15,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _kernels
-from ._artifact import write_text
+from ._artifact import floats, read_json, write_json
 from .errors import EmptyVocab, FormatError, InvalidInput, VersionError
 
 SKIP_GRAM = 1
 CBOW = 0
 
 _FORMAT_NAME = "ethcluster-embedding"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+_V1_TEXT_HEADER = b"ethcluster-embedding 1 "
 
 #: Floor of the linear learning-rate decay.
 MIN_LEARNING_RATE = 1e-4
@@ -81,10 +81,7 @@ class EmbeddingModel:
 
 
 def _clamped_sigmoid(x: float) -> float:
-    if x > 30.0:
-        x = 30.0
-    elif x < -30.0:
-        x = -30.0
+    x = min(max(x, -_kernels._MAX_SCORE), _kernels._MAX_SCORE)
     return 1.0 / (1.0 + np.exp(-x))
 
 
@@ -200,47 +197,29 @@ def train_embedding(docs: Sequence[Sequence[str]], config: EmbeddingConfig) -> E
 
 
 def save_model(model: EmbeddingModel, path: str | Path) -> None:
-    """Write the model as a versioned UTF-8 text file, losslessly."""
-    cfg = json.dumps(asdict(model.config), sort_keys=True)
-    lines = [f"{_FORMAT_NAME} {_FORMAT_VERSION} {model.config.vector_size} {len(model.vocab)} {cfg}"]
-    for word in model.words():
-        vec = model.vectors[model.vocab[word]]
-        lines.append(word + " " + " ".join(map(repr, vec.tolist())))
-    write_text("\n".join(lines) + "\n", path)
+    """Write the model as a JSON artifact; floats round-trip exactly."""
+    write_json({"format": _FORMAT_NAME, "version": _FORMAT_VERSION, "config": asdict(model.config),
+                "words": model.words(), "vectors": model.vectors.tolist()}, path)
+
+
+def _decode_model(payload: dict) -> EmbeddingModel:
+    if payload["format"] != _FORMAT_NAME:
+        raise FormatError("not an embedding model file")
+    if payload["version"] != _FORMAT_VERSION:
+        raise VersionError(f"unsupported format version {payload['version']!r}")
+    config = EmbeddingConfig(**payload["config"])
+    words = payload["words"]
+    vocab = {word: i for i, word in enumerate(words) if isinstance(word, str)}
+    vectors = floats(payload["vectors"], 2)
+    if len(vocab) != len(words) or vectors.shape != (len(words), config.vector_size):
+        raise FormatError(f"{len(words)} words, {len(vocab)} distinct; vectors {vectors.shape}")
+    return EmbeddingModel(vocab=vocab, vectors=vectors, config=config)
 
 
 def load_model(path: str | Path) -> EmbeddingModel:
     """Read a model written by :func:`save_model`; bit-exact round trip."""
-    try:
-        lines = Path(path).read_text("utf-8").splitlines()
-    except ValueError as exc:
-        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
-    if not lines:
-        raise FormatError(f"{path}: empty model file")
-    head = lines[0].split(" ", 4)
-    if len(head) != 5 or head[0] != _FORMAT_NAME:
-        raise FormatError(f"{path}: not an embedding model file")
-    if head[1] != str(_FORMAT_VERSION):
-        raise VersionError(f"{path}: unsupported format version {head[1]!r}")
-    try:
-        dim = int(head[2])
-        vocab_size = int(head[3])
-        fields = json.loads(head[4])
-        fields.pop("workers", None)  # older files carry the removed Hogwild thread count
-        config = EmbeddingConfig(**fields)
-    except (ValueError, TypeError, AttributeError) as exc:
-        raise FormatError(f"{path}: bad header: {exc}") from exc
-    if len(lines) - 1 < vocab_size:
-        raise FormatError(f"{path}: expected {vocab_size} vector lines, found {len(lines) - 1}")
-    vocab: dict[str, int] = {}
-    vectors = np.empty((vocab_size, dim))
-    for i in range(vocab_size):
-        parts = lines[1 + i].split(" ")
-        if len(parts) != dim + 1:
-            raise FormatError(f"{path}: line {i + 2} has {len(parts) - 1} components, expected {dim}")
-        vocab[parts[0]] = i
-        try:
-            vectors[i] = [float(x) for x in parts[1:]]
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {i + 2}: {exc}") from exc
-    return EmbeddingModel(vocab=vocab, vectors=vectors, config=config)
+    with open(path, "rb") as fh:
+        if fh.read(len(_V1_TEXT_HEADER)) == _V1_TEXT_HEADER:
+            raise VersionError(f"{path}: format version 1 is no longer read; "
+                               "rerun `ethcluster run` to rebuild it")
+    return read_json(path, _decode_model)

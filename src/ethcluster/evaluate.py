@@ -32,6 +32,16 @@ class ConfusionMatrix:
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
 
+    def ratios(self) -> dict[str, tuple[int, int]]:
+        """(numerator, denominator) of each metric: accuracy = (tp+tn)/total,
+        precision = tp/(tp+fp), recall = tp/(tp+fn), f = 2tp/(2tp+fn+fp)."""
+        return {
+            "accuracy": (self.tp + self.tn, self.total),
+            "precision": (self.tp, self.tp + self.fp),
+            "recall": (self.tp, self.tp + self.fn),
+            "f_measure": (2 * self.tp, 2 * self.tp + self.fn + self.fp),
+        }
+
 
 def confusion(predicted: Sequence[str], truth: Sequence[str]) -> ConfusionMatrix:
     """Count tp/fp/fn/tn over aligned label lists (vulnerable is positive)."""
@@ -76,40 +86,23 @@ class MetricsReport:
     f_measure: float | None
 
     def rounded(self) -> dict[str, float | None]:
-        cm = self.cm
-        ratios = {
-            "accuracy": (cm.tp + cm.tn, cm.total),
-            "precision": (cm.tp, cm.tp + cm.fp),
-            "recall": (cm.tp, cm.tp + cm.fn),
-            "f_measure": (2 * cm.tp, 2 * cm.tp + cm.fn + cm.fp),
-        }
         return {
             name: None if den == 0 else _round2(num, den)
-            for name, (num, den) in ratios.items()
+            for name, (num, den) in self.cm.ratios().items()
         }
 
 
 def metrics(cm: ConfusionMatrix) -> MetricsReport:
-    """The four detection metrics from one confusion matrix.
-
-    accuracy = (tp+tn)/total, precision = tp/(tp+fp), recall = tp/(tp+fn),
-    f = 2tp/(2tp+fn+fp); every value as a percentage. A zero denominator
-    leaves that metric undefined.
+    """The four detection metrics of :meth:`ConfusionMatrix.ratios` from one
+    confusion matrix, each as a percentage. A zero denominator leaves that
+    metric undefined.
     """
-    total = cm.total
-    if total == 0:
+    if cm.total == 0:
         raise EmptyEvaluation("confusion matrix is empty")
-
-    def ratio(numerator: int, denominator: int) -> float | None:
-        return None if denominator == 0 else 100.0 * numerator / denominator
-
-    return MetricsReport(
-        cm=cm,
-        accuracy=ratio(cm.tp + cm.tn, total),
-        precision=ratio(cm.tp, cm.tp + cm.fp),
-        recall=ratio(cm.tp, cm.tp + cm.fn),
-        f_measure=ratio(2 * cm.tp, 2 * cm.tp + cm.fn + cm.fp),
-    )
+    return MetricsReport(cm=cm, **{
+        name: None if den == 0 else 100.0 * num / den
+        for name, (num, den) in cm.ratios().items()
+    })
 
 
 def project2d(X: np.ndarray, assignments: Sequence[int],

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import re
 import threading
@@ -20,7 +21,7 @@ from typing import Iterator
 
 import requests
 
-from ._artifact import write_json
+from ._artifact import read_json, write_json
 from .errors import (
     FormatError,
     InsufficientData,
@@ -30,6 +31,8 @@ from .errors import (
     StoreError,
     TransportError,
 )
+
+logger = logging.getLogger(__name__)
 
 VULNERABLE = "vulnerable"
 CLEAN = "clean"
@@ -99,19 +102,8 @@ class ContractRecord:
         return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
-    def from_json(cls, line: str) -> "ContractRecord":
-        return cls.from_dict(json.loads(line))
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ContractRecord":
-        return cls(
-            chain=obj["chain"],
-            address=obj["address"],
-            source=obj["source"],
-            source_hash=obj["source_hash"],
-            compiler_version=obj.get("compiler_version", ""),
-            fetched_at=obj.get("fetched_at", ""),
-        )
+    def from_json(cls, line: str | bytes) -> "ContractRecord":
+        return cls(**json.loads(line))
 
 
 class TokenBucket:
@@ -206,28 +198,22 @@ DUPLICATE = "duplicate"
 
 
 class ContractStore:
-    """Append-only newline-delimited JSON store with a sidecar hash index.
+    """Append-only newline-delimited JSON store, one record per line.
 
-    ``<path>`` holds one record per line; ``<path>.idx`` holds one source
-    hash per line in insertion order. Writes are serialized through a single
-    lock; the in-memory hash index supports concurrent reads.
+    Opening it reads every record into the in-memory hash set. A last line
+    without its newline, left by a crash mid-append, is skipped with a warning
+    and cut off by the next append; any other malformed line is a
+    ``StoreError``. Writes are serialized through one lock.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.index_path = Path(str(path) + ".idx")
         self._lock = threading.Lock()
         self._hashes: set[str] = set()
-        try:
-            if self.index_path.exists():
-                self._hashes = {
-                    line.strip() for line in self.index_path.read_text("utf-8").splitlines()
-                    if line.strip()
-                }
-            elif self.path.exists():
-                self._hashes = {rec.source_hash for rec in self.iter_records()}
-        except OSError as exc:
-            raise StoreError(f"cannot read store at {self.path}: {exc}") from exc
+        end = 0
+        for record, end in self._scan():
+            self._hashes.add(record.source_hash)
+        self._torn_at = end if self.path.exists() and self.path.stat().st_size > end else None
 
     def __contains__(self, digest: str) -> bool:
         return digest in self._hashes
@@ -242,25 +228,37 @@ class ContractStore:
                 return DUPLICATE
             try:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                with self.path.open("a", encoding="utf-8") as fh:
-                    fh.write(record.to_json() + "\n")
-                with self.index_path.open("a", encoding="utf-8") as fh:
-                    fh.write(record.source_hash + "\n")
+                with self.path.open("ab") as fh:
+                    if self._torn_at is not None:
+                        fh.truncate(self._torn_at)
+                        self._torn_at = None
+                    fh.write((record.to_json() + "\n").encode("utf-8"))
             except OSError as exc:
                 raise StoreError(f"cannot append to store at {self.path}: {exc}") from exc
             self._hashes.add(record.source_hash)
             return STORED
 
-    def iter_records(self) -> Iterator[ContractRecord]:
-        if not self.path.exists():
-            return
+    def _scan(self) -> Iterator[tuple[ContractRecord, int]]:
+        """Each record with the byte offset just past its line."""
+        end = 0
         try:
-            with self.path.open("r", encoding="utf-8") as fh:
-                for line in fh:
+            with self.path.open("rb") as fh:
+                for number, line in enumerate(fh, 1):
+                    if not line.endswith(b"\n"):
+                        logger.warning("%s: skipping unfinished last line %d", self.path, number)
+                        return
+                    end += len(line)
                     if line.strip():
-                        yield ContractRecord.from_json(line)
+                        yield ContractRecord.from_json(line), end
+        except FileNotFoundError:
+            return
         except OSError as exc:
             raise StoreError(f"cannot read store at {self.path}: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StoreError(f"{self.path}: line {number} is not a record: {exc}") from exc
+
+    def iter_records(self) -> Iterator[ContractRecord]:
+        return (record for record, _ in self._scan())
 
     def records(self) -> list[ContractRecord]:
         return list(self.iter_records())
@@ -293,15 +291,14 @@ class Dataset:
 
     @classmethod
     def load(cls, path: str | Path) -> "Dataset":
-        try:
-            obj = json.loads(Path(path).read_text("utf-8"))
-            entries = tuple(
-                (ContractRecord.from_dict(e["record"]), e["truth_label"])
-                for e in obj["entries"]
-            )
-            return cls(entries=entries, vulnerable_fraction=obj["vulnerable_fraction"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: bad dataset file: {exc}") from exc
+        return read_json(path, cls._decode)
+
+    @classmethod
+    def _decode(cls, obj: dict) -> "Dataset":
+        entries = tuple((ContractRecord(**e["record"]), e["truth_label"]) for e in obj["entries"])
+        if not all(label in (VULNERABLE, CLEAN) for _, label in entries):
+            raise FormatError(f"truth labels must be {VULNERABLE!r} or {CLEAN!r}")
+        return cls(entries=entries, vulnerable_fraction=obj["vulnerable_fraction"])
 
 
 def build_mixed_dataset(vulnerable: list[ContractRecord],

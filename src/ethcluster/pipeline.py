@@ -12,10 +12,9 @@ shared with the CLI stage subcommands.
 from __future__ import annotations
 
 import functools
-import json
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import cluster as cl
 from . import detect, embed, vectorize
-from ._artifact import write_json, write_text
+from ._artifact import read_json, write_json, write_text
 from .errors import FormatError, InvalidInput, ModelNotFound, PathError, PipelineStageError
 from .evaluate import ConfusionMatrix, MetricsReport, confusion, metrics, render_table, write_report
 from .ingest import Dataset
@@ -103,16 +102,9 @@ class PipelineConfig:
         return Path(self.workdir) / self.vulnerability
 
     def embedding_config(self) -> embed.EmbeddingConfig:
-        return embed.EmbeddingConfig(
-            vector_size=self.vector_size,
-            window=self.window,
-            min_count=self.min_count,
-            sg=self.sg,
-            epochs=self.epochs,
-            seed=self.seed,
-            negative=self.negative,
-            initial_learning_rate=self.initial_learning_rate,
-        )
+        """The embedding fields, which this config shares by name."""
+        names = [f.name for f in fields(embed.EmbeddingConfig)]
+        return embed.EmbeddingConfig(**{name: getattr(self, name) for name in names})
 
 
 @contextmanager
@@ -146,12 +138,16 @@ def save_detection(payload: dict, path: str | Path) -> None:
     write_json(payload, path)
 
 
+def _detection(payload: dict) -> dict:
+    kind, flags = payload["kind"], payload["flags"]
+    if (kind, flags) != (None, None) and (kind not in detect.REGEX_KINDS
+                                          or not isinstance(flags, list) or not set(flags) <= {0, 1}):
+        raise FormatError("kind must be null or a regex kind, with flags a list of 0s and 1s")
+    return {"kind": kind, "flags": flags}
+
+
 def load_detection(path: str | Path) -> dict:
-    try:
-        payload = json.loads(Path(path).read_text("utf-8"))
-        return {"kind": payload["kind"], "flags": payload["flags"]}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: bad flags file: {exc}") from exc
+    return read_json(path, _detection)
 
 
 def vectorize_corpus(docs: Sequence[TokenDoc], model: embed.EmbeddingModel, threshold: float,

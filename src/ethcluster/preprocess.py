@@ -11,14 +11,13 @@ Turns raw contract source into two synchronized views:
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 import string
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._artifact import write_json
+from ._artifact import read_json, write_json
 from .errors import FormatError
 from .ingest import source_hash
 
@@ -122,13 +121,14 @@ def save_tokendocs(docs: list[TokenDoc], path: str | Path) -> None:
     write_json(payload, path)
 
 
+def _tokendoc(d: dict) -> TokenDoc:
+    tokens, lines = d["tokens"], d["lines"]
+    if not (isinstance(tokens, list) and isinstance(lines, list)
+            and all(isinstance(s, str) for s in tokens + lines)):
+        raise FormatError("tokens and lines must be lists of strings")
+    return TokenDoc(d["contract_hash"], tuple(tokens), tuple(lines))
+
+
 def load_tokendocs(path: str | Path) -> list[TokenDoc]:
     """Read token documents written by :func:`save_tokendocs`."""
-    try:
-        payload = json.loads(Path(path).read_text("utf-8"))
-        return [
-            TokenDoc(d["contract_hash"], tuple(d["tokens"]), tuple(d["lines"]))
-            for d in payload
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: bad token documents file: {exc}") from exc
+    return read_json(path, lambda payload: [_tokendoc(d) for d in payload])

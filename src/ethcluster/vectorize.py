@@ -9,7 +9,6 @@ become zero vectors.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,10 +16,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._artifact import write_json
+from ._artifact import floats, read_json, write_json
 from .detect import REENTRANCY, TIMESTAMP, TX_ORIGIN, UNCHECKED_CALL
 from .embed import EmbeddingModel
-from .errors import EmptyCorpus, FormatError, InvalidInput
+from .errors import EmptyCorpus, InvalidInput
 from .preprocess import TokenDoc
 
 # Tokens a regex flag force-includes, per kind: the words of each pattern as
@@ -178,22 +177,24 @@ def save_vectors(vectors: Sequence[DocumentVector], path: str | Path) -> None:
     write_json(payload, path)
 
 
+def _vectors(payload: list) -> list[DocumentVector]:
+    values = floats([item["values"] for item in payload], 2)
+    return [DocumentVector(item["contract_hash"], row) for item, row in zip(payload, values)]
+
+
 def load_vectors(path: str | Path) -> list[DocumentVector]:
-    try:
-        payload = json.loads(Path(path).read_text("utf-8"))
-        return [DocumentVector(item["contract_hash"], np.array(item["values"], dtype=np.float64))
-                for item in payload]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: bad vectors file: {exc}") from exc
+    return read_json(path, _vectors)
 
 
 def save_keyword_map(keyword_map: Mapping[str, np.ndarray], path: str | Path) -> None:
     write_json({word: vec.tolist() for word, vec in keyword_map.items()}, path)
 
 
+def _keyword_map(payload: dict) -> dict[str, np.ndarray]:
+    rows = list(payload.values())
+    return dict(zip(payload, floats(rows, 2))) if rows else {}
+
+
 def load_keyword_map(path: str | Path) -> dict[str, np.ndarray]:
-    try:
-        payload = json.loads(Path(path).read_text("utf-8"))
-        return {word: np.array(vec, dtype=np.float64) for word, vec in payload.items()}
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: bad keyword map: {exc}") from exc
+    """The keyword -> vector map; an empty map is valid (nothing was selected)."""
+    return read_json(path, _keyword_map)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from conftest import clean_source, explorer_url, reentrant_source, write_corpus
@@ -130,6 +131,34 @@ class TestStagewiseCli:
                      "--out", str(tmp_path / "model.json")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "FormatError"
+
+    @pytest.mark.parametrize("bad_row", [[1.0], [None, 1.0]], ids=["ragged", "null"])
+    def test_malformed_vector_rows_write_no_model(self, tmp_path, capsys, bad_row):
+        rows = [[float(i), float(i % 3)] for i in range(5)] + [bad_row]
+        path = tmp_path / "vectors.json"
+        path.write_text(json.dumps([{"contract_hash": f"h{i}", "values": row}
+                                    for i, row in enumerate(rows)]), "utf-8")
+        assert main(["cluster", "--vectors", str(path), "--k", "2",
+                     "--out", str(tmp_path / "model.json")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "FormatError"
+        assert not (tmp_path / "model.json").exists()
+
+    def test_project_assigns_training_rows_to_their_clusters(self, tmp_path):
+        rng = np.random.default_rng(8)
+        path = tmp_path / "vectors.json"
+        path.write_text(json.dumps([{"contract_hash": f"h{i}", "values": row}
+                                    for i, row in enumerate(rng.standard_normal((12, 6)).tolist())]),
+                        "utf-8")
+        model = tmp_path / "model.json"
+        assert main(["cluster", "--vectors", str(path), "--k", "3", "--pca-threshold", "4",
+                     "--pca-components", "3", "--out", str(model)]) == 0
+        saved = json.loads(model.read_text("utf-8"))
+        assert saved["pca"] is not None
+        assert main(["project", "--vectors", str(path), "--model", str(model),
+                     "--out", str(tmp_path / "points.csv")]) == 0
+        rows = (tmp_path / "points.csv").read_text("utf-8").splitlines()[1:]
+        assert [int(row.split(",")[2]) for row in rows] == saved["assignments"]
 
 
 class TestStagesMatchRun:

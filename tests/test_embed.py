@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -207,24 +209,12 @@ class TestPersistence:
         assert loaded.config == model.config
         assert np.array_equal(loaded.vectors, model.vectors)
 
-    def test_header_with_workers_still_loads(self, tmp_path):
-        # files written before the Hogwild thread count was removed carry it
-        model = self._model()
-        path = tmp_path / "model.vec"
-        save_model(model, path)
-        text = path.read_text("utf-8")
-        assert '"window": 5' in text
-        path.write_text(text.replace('"window": 5', '"window": 5, "workers": 4', 1), "utf-8")
-        loaded = load_model(path)
-        assert loaded.config == model.config
-        assert np.array_equal(loaded.vectors, model.vectors)
-
     def test_truncated_file(self, tmp_path):
         model = self._model()
         path = tmp_path / "model.vec"
         save_model(model, path)
-        lines = path.read_text("utf-8").splitlines()
-        path.write_text("\n".join(lines[:2]) + "\n", "utf-8")
+        text = path.read_text("utf-8")
+        path.write_text(text[: len(text) // 2], "utf-8")
         with pytest.raises(FormatError):
             load_model(path)
 
@@ -232,8 +222,9 @@ class TestPersistence:
         model = self._model()
         path = tmp_path / "model.vec"
         save_model(model, path)
-        text = path.read_text("utf-8")
-        path.write_text(text.replace("ethcluster-embedding 1 ", "ethcluster-embedding 9 ", 1), "utf-8")
+        payload = json.loads(path.read_text("utf-8"))
+        payload["version"] = 9
+        path.write_text(json.dumps(payload), "utf-8")
         with pytest.raises(VersionError):
             load_model(path)
 
@@ -247,8 +238,8 @@ class TestPersistence:
         model = self._model()
         path = tmp_path / "model.vec"
         save_model(model, path)
-        lines = path.read_text("utf-8").splitlines()
-        lines[1] = lines[1] + " 0.5"
-        path.write_text("\n".join(lines) + "\n", "utf-8")
+        payload = json.loads(path.read_text("utf-8"))
+        payload["vectors"][0].append(0.5)
+        path.write_text(json.dumps(payload), "utf-8")
         with pytest.raises(FormatError):
             load_model(path)

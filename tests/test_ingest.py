@@ -10,6 +10,7 @@ from ethcluster.errors import (
     InvalidInput,
     NotVerified,
     RateLimited,
+    StoreError,
     TransportError,
 )
 from ethcluster.ingest import (
@@ -200,9 +201,41 @@ class TestStore:
     def test_rebuild_index_from_records(self, tmp_path):
         path = tmp_path / "store.ndjson"
         ContractStore(path).put(_record("contract A{}"))
-        (tmp_path / "store.ndjson.idx").unlink()
         reopened = ContractStore(path)
         assert reopened.put(_record("contract A{}", address=ADDR_B)) == DUPLICATE
+
+    def test_leftover_idx_sidecar_is_ignored(self, tmp_path):
+        # an index listing a hash with no record once made put skip the record
+        path = tmp_path / "store.ndjson"
+        record = _record("contract A{}")
+        (tmp_path / "store.ndjson.idx").write_text(record.source_hash + "\n", "utf-8")
+        store = ContractStore(path)
+        assert record.source_hash not in store
+        assert store.put(record) == STORED
+        assert ContractStore(path).records() == [record]
+
+    def test_torn_last_line_is_dropped_and_overwritten(self, tmp_path, caplog):
+        path = tmp_path / "store.ndjson"
+        a, b = _record("contract A{}"), _record("contract B{}", address=ADDR_B)
+        ContractStore(path).put(a)
+        with path.open("ab") as fh:  # a crash mid-append leaves half a line
+            fh.write(b.to_json().encode("utf-8")[:40])
+        with caplog.at_level("WARNING", logger="ethcluster.ingest"):
+            store = ContractStore(path)
+        assert "unfinished last line 2" in caplog.text
+        assert store.records() == [a] and b.source_hash not in store
+        assert store.put(b) == STORED
+        lines = path.read_text("utf-8").splitlines()
+        assert [ContractRecord.from_json(line) for line in lines] == [a, b]
+        assert ContractStore(path).records() == [a, b]
+
+    def test_malformed_inner_line_is_a_store_error(self, tmp_path):
+        path = tmp_path / "store.ndjson"
+        ContractStore(path).put(_record("contract A{}"))
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"chain": "etherscan"\n' + _record("contract B{}", address=ADDR_B).to_json() + "\n")
+        with pytest.raises(StoreError, match="line 2"):
+            ContractStore(path)
 
 
 class TestBuildMixedDataset:

@@ -275,11 +275,12 @@ class TestPersistence:
             assert np.array_equal(loaded[word], keyword_map[word])
 
     # One artifact per loader with a non-numeric value where a float belongs;
-    # the model header is a valid one for a one-word, dim-1 model.
+    # the model is otherwise a valid one-word, dim-1 model.
     _NON_NUMERIC = {
         load_vectors: '[{"contract_hash": "h", "values": ["x"]}]',
         load_keyword_map: '{"call": ["x"]}',
-        load_model: 'ethcluster-embedding 1 1 1 {"vector_size": 1}\ncall x\n',
+        load_model: '{"config": {"vector_size": 1}, "format": "ethcluster-embedding", '
+                    '"vectors": [["x"]], "version": 2, "words": ["call"]}',
     }
 
     @pytest.mark.parametrize("loader", list(_NON_NUMERIC), ids=lambda f: f.__name__)
