@@ -54,33 +54,33 @@ def cmd_ingest(args) -> int:
     if args.endpoint:
         endpoints = dict(DEFAULT_ENDPOINTS)
         endpoints[args.chain] = args.endpoint
-    client = ExplorerClient(endpoints=endpoints, rate_per_second=args.rate)
     store = ContractStore(args.store)
     addresses = [
         line.strip() for line in Path(args.addresses).read_text("utf-8").splitlines()
         if line.strip() and not line.startswith("#")
     ]
     outcomes = {"stored": 0, "duplicate": 0, "failed": 0}
-    for address in addresses:
-        attempt = 0
-        while True:
-            try:
-                record = client.fetch_verified_source(args.chain, address)
-                result = store.put(record)
-                outcomes[result] += 1
-                print(f"{address} {result}")
-                break
-            except RateLimited:
-                attempt += 1
-                if attempt > RATE_LIMIT_RETRIES:
-                    outcomes["failed"] += 1
-                    print(f"{address} failed: rate limited after {attempt} tries")
+    with ExplorerClient(endpoints=endpoints, rate_per_second=args.rate) as client:
+        for address in addresses:
+            attempt = 0
+            while True:
+                try:
+                    record = client.fetch_verified_source(args.chain, address)
+                    result = store.put(record)
+                    outcomes[result] += 1
+                    print(f"{address} {result}")
                     break
-                time.sleep(min(2.0 ** attempt, 30.0))
-            except EthClusterError as exc:
-                outcomes["failed"] += 1
-                print(f"{address} failed: {exc}")
-                break
+                except RateLimited:
+                    attempt += 1
+                    if attempt > RATE_LIMIT_RETRIES:
+                        outcomes["failed"] += 1
+                        print(f"{address} failed: rate limited after {attempt} tries")
+                        break
+                    time.sleep(min(2.0 ** attempt, 30.0))
+                except EthClusterError as exc:
+                    outcomes["failed"] += 1
+                    print(f"{address} failed: {exc}")
+                    break
     print(f"stored={outcomes['stored']} duplicate={outcomes['duplicate']} "
           f"failed={outcomes['failed']} store={args.store}")
     return 0

@@ -1,7 +1,7 @@
-"""Regex vulnerability signatures.
+"""Regex vulnerability signatures and the table of vulnerability kinds.
 
-Four of the five vulnerability classes carry a pattern; access control is
-detected purely by clustering and has no entry here. Detectors run on the
+Four of the five vulnerability kinds carry a pattern; access control is
+detected purely by clustering and has no detector. Detectors run on the
 comment-stripped line view (never the normalized token stream: the patterns
 need dots, parentheses and line starts).
 """
@@ -9,18 +9,11 @@ need dots, parentheses and line starts).
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidKind
 from .preprocess import TokenDoc
-
-REENTRANCY = "reentrancy"
-TIMESTAMP = "timestamp"
-TX_ORIGIN = "tx_origin"
-UNCHECKED_CALL = "unchecked_call"
-
-#: Kinds with a regex signature, in canonical order.
-REGEX_KINDS = (REENTRANCY, TIMESTAMP, TX_ORIGIN, UNCHECKED_CALL)
 
 _CALL_TRIGGER = re.compile(r"\b(call)\b", re.IGNORECASE)
 _BALANCE = re.compile(r"\b(balance|balances)\b", re.IGNORECASE)
@@ -71,21 +64,41 @@ def detect_unchecked_call(lines: Sequence[str]) -> int:
     return 0
 
 
-_DETECTORS = {
-    REENTRANCY: detect_reentrancy,
-    TIMESTAMP: detect_timestamp,
-    TX_ORIGIN: detect_tx_origin,
-    UNCHECKED_CALL: detect_unchecked_call,
+@dataclass(frozen=True)
+class Kind:
+    """One vulnerability kind: its regex detector (None when clustering
+    alone detects it), the pattern words a flag forces into the keyword map,
+    and its (vector size, TF-IDF threshold, k) clustering defaults."""
+
+    detector: Callable[[Sequence[str]], int] | None
+    keywords: tuple[str, ...]
+    vector_size: int
+    tfidf_threshold: float
+    num_clusters: int
+
+
+# Every kind, in canonical order. The keywords are the words of each pattern
+# as they survive preprocessing (dotted names split at the dot).
+KINDS: dict[str, Kind] = {
+    "reentrancy": Kind(detect_reentrancy, ("call", "balance", "balances"), 10, 0.7, 5),
+    "access_control": Kind(None, (), 50, 0.3, 3),
+    "timestamp": Kind(detect_timestamp, ("now", "timestamp", "block"), 300, 0.7, 6),
+    "tx_origin": Kind(detect_tx_origin, ("tx", "origin"), 300, 0.7, 6),
+    "unchecked_call": Kind(detect_unchecked_call, (
+        "call", "send", "delegatecall", "callcode", "staticcall", "value"), 100, 0.7, 8),
 }
+
+#: Kinds with a regex signature, in canonical order.
+REGEX_KINDS = tuple(name for name, kind in KINDS.items() if kind.detector is not None)
 
 
 def detector_for(kind: str):
-    try:
-        return _DETECTORS[kind]
-    except KeyError:
+    detector = KINDS[kind].detector if kind in KINDS else None
+    if detector is None:
         raise InvalidKind(
             f"no regex pattern for kind {kind!r}; known kinds: {', '.join(REGEX_KINDS)}"
-        ) from None
+        )
+    return detector
 
 
 def scan_corpus(docs: Iterable[TokenDoc], kind: str) -> list[int]:

@@ -134,17 +134,26 @@ class ExplorerClient:
 
     API keys are read from ``ETHCLUSTER_APIKEY_<CHAIN>`` (chain upper-cased).
     Fetches for distinct addresses may run concurrently; the per-chain token
-    bucket bounds the request rate.
+    bucket bounds the request rate. ``close()``, or leaving a ``with`` block,
+    closes the pooled connections.
     """
 
     def __init__(self, endpoints: dict[str, str] | None = None,
                  rate_per_second: float = 4.0,
-                 session: requests.Session | None = None,
                  timeout: float = 30.0):
         self.endpoints = dict(DEFAULT_ENDPOINTS if endpoints is None else endpoints)
         self.timeout = timeout
-        self._session = session or requests.Session()
+        self._session = requests.Session()
         self._buckets = {chain: TokenBucket(rate_per_second) for chain in self.endpoints}
+
+    def close(self) -> None:
+        self._session.close()
+
+    def __enter__(self) -> "ExplorerClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def api_key(self, chain: str) -> str:
         return os.environ.get(APIKEY_ENV_PREFIX + chain.upper(), "")

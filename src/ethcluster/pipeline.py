@@ -23,30 +23,18 @@ import numpy as np
 from . import cluster as cl
 from . import detect, embed, vectorize
 from ._artifact import read_json, write_json, write_text
-from .errors import FormatError, InvalidInput, ModelNotFound, PathError, PipelineStageError
+from .errors import (
+    AlignmentError, FormatError, InvalidInput, ModelNotFound, PathError, PipelineStageError,
+)
 from .evaluate import ConfusionMatrix, MetricsReport, confusion, metrics, render_table, write_report
 from .ingest import Dataset
 from .preprocess import TokenDoc, preprocess_contract, save_tokendocs
 
-REENTRANCY = "reentrancy"
-ACCESS_CONTROL = "access_control"
-TIMESTAMP = "timestamp"
-TX_ORIGIN = "tx_origin"
-UNCHECKED_CALL = "unchecked_call"
-
-VULNERABILITIES = (REENTRANCY, ACCESS_CONTROL, TIMESTAMP, TX_ORIGIN, UNCHECKED_CALL)
-
-# Per-vulnerability (vector_size, tfidf_threshold, num_clusters) defaults.
-CLUSTERING_DEFAULTS: dict[str, tuple[int, float, int]] = {
-    REENTRANCY: (10, 0.7, 5),
-    ACCESS_CONTROL: (50, 0.3, 3),
-    TIMESTAMP: (300, 0.7, 6),
-    TX_ORIGIN: (300, 0.7, 6),
-    UNCHECKED_CALL: (100, 0.7, 8),
-}
-
 DEFAULT_SEED = 1194
 WORKDIR_ENV = "ETHCLUSTER_WORKDIR"
+
+# The values a config field of each annotated type accepts (never a bool).
+_FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -70,27 +58,31 @@ class PipelineConfig:
 
     @classmethod
     def resolve(cls, values: dict) -> "PipelineConfig":
-        """Fill omitted fields from the per-vulnerability defaults.
+        """Fill omitted fields from the vulnerability kind's defaults.
 
         ``values`` comes from a config file merged with CLI overrides; the
-        vulnerability name keys the clustering defaults.
+        vulnerability name keys ``detect.KINDS``. A value of the wrong type
+        is refused before any stage runs.
         """
         values = dict(values)
         vulnerability = values.get("vulnerability", "")
-        if vulnerability not in VULNERABILITIES:
+        if not isinstance(vulnerability, str) or vulnerability not in detect.KINDS:
             raise InvalidInput(
-                f"vulnerability must be one of {', '.join(VULNERABILITIES)}; got {vulnerability!r}"
+                f"vulnerability must be one of {', '.join(detect.KINDS)}; got {vulnerability!r}"
             )
-        dim, threshold, k = CLUSTERING_DEFAULTS[vulnerability]
-        values.setdefault("vector_size", dim)
-        values.setdefault("tfidf_threshold", threshold)
-        values.setdefault("num_clusters", k)
+        kind = detect.KINDS[vulnerability]
+        for name in ("vector_size", "tfidf_threshold", "num_clusters"):
+            values.setdefault(name, getattr(kind, name))
         if not values.get("workdir"):
             values["workdir"] = os.environ.get(WORKDIR_ENV, "ethcluster-work")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(values) - known
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(values) - set(types)
         if unknown:
             raise InvalidInput(f"unknown config fields: {sorted(unknown)}")
+        for name, value in values.items():
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[types[name]]):
+                raise InvalidInput(
+                    f"config field {name!r} must be of type {types[name]}; got {value!r}")
         return cls(**values)
 
     @property
@@ -139,11 +131,14 @@ def save_detection(payload: dict, path: str | Path) -> None:
 
 
 def _detection(payload: dict) -> dict:
-    kind, flags = payload["kind"], payload["flags"]
+    kind, flags, hashes = payload["kind"], payload["flags"], payload["hashes"]
     if (kind, flags) != (None, None) and (kind not in detect.REGEX_KINDS
                                           or not isinstance(flags, list) or not set(flags) <= {0, 1}):
         raise FormatError("kind must be null or a regex kind, with flags a list of 0s and 1s")
-    return {"kind": kind, "flags": flags}
+    if (not isinstance(hashes, list) or not all(isinstance(h, str) for h in hashes)
+            or (flags is not None and len(flags) != len(hashes))):
+        raise FormatError("hashes must be a list of strings, one per flag")
+    return {"kind": kind, "flags": flags, "hashes": hashes}
 
 
 def load_detection(path: str | Path) -> dict:
@@ -155,17 +150,21 @@ def vectorize_corpus(docs: Sequence[TokenDoc], model: embed.EmbeddingModel, thre
                      ) -> tuple[dict[str, np.ndarray], list[vectorize.DocumentVector]]:
     """Keyword map and one document vector per document.
 
-    Keywords score above ``threshold`` by TF-IDF; documents flagged in
-    ``detection`` force in their kind's pattern words.
+    Keywords score above ``threshold`` by TF-IDF; when ``detection``, which
+    must cover exactly ``docs``, flags any document, its kind's pattern words
+    are forced in.
     """
+    forced: Sequence[str] = ()
+    if detection is not None:
+        if detection["hashes"] != [d.contract_hash for d in docs]:
+            raise AlignmentError("the detection flags were computed over a different corpus")
+        if detection["kind"] is not None and 1 in detection["flags"]:
+            forced = detect.KINDS[detection["kind"]].keywords
     token_lists = [list(d.tokens) for d in docs]
     dictionary = vectorize.build_dictionary(token_lists)
     tfidf = vectorize.TfidfModel(dictionary)
     bags = [vectorize.doc2bow(dictionary, toks) for toks in token_lists]
-    flags = None
-    if detection is not None and detection["kind"] is not None:
-        flags = {detection["kind"]: detection["flags"]}
-    keyword_map = vectorize.select_keywords(bags, tfidf, model, threshold, flags)
+    keyword_map = vectorize.select_keywords(bags, tfidf, model, threshold, forced)
     vectors = vectorize.document_vectors(docs, keyword_map, model.config.vector_size)
     return keyword_map, vectors
 
@@ -240,7 +239,7 @@ def run_pipeline(config: PipelineConfig) -> MetricsReport:
     return report
 
 
-@functools.lru_cache(maxsize=len(VULNERABILITIES))
+@functools.lru_cache(maxsize=len(detect.KINDS))
 def _scan_artifacts(out: Path, model_stamp: tuple, keywords_stamp: tuple):
     """The parsed keyword map and cluster model of one stage dir.
 

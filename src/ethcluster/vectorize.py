@@ -2,7 +2,7 @@
 
 Scores every word per document (term frequency times log inverse document
 frequency, L2-normalized per document), keeps high scorers plus the keywords
-forced in by regex flags, and averages each document's unique selected
+a regex flag forces in, and averages each document's unique selected
 keyword vectors into one fixed-length row. Documents with nothing selected
 become zero vectors.
 """
@@ -17,19 +17,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._artifact import floats, read_json, write_json
-from .detect import REENTRANCY, TIMESTAMP, TX_ORIGIN, UNCHECKED_CALL
 from .embed import EmbeddingModel
 from .errors import EmptyCorpus, InvalidInput
 from .preprocess import TokenDoc
-
-# Tokens a regex flag force-includes, per kind: the words of each pattern as
-# they survive preprocessing (dotted names split at the dot).
-FORCED_KEYWORDS: dict[str, tuple[str, ...]] = {
-    REENTRANCY: ("call", "balance", "balances"),
-    TIMESTAMP: ("now", "timestamp", "block"),
-    TX_ORIGIN: ("tx", "origin"),
-    UNCHECKED_CALL: ("call", "send", "delegatecall", "callcode", "staticcall", "value"),
-}
 
 
 class Dictionary:
@@ -120,35 +110,23 @@ def select_keywords(bags: Sequence[Sequence[tuple[int, int]]],
                     tfidf: TfidfModel,
                     embedding: EmbeddingModel,
                     threshold: float,
-                    flags: Mapping[str, Sequence[int]] | None = None) -> dict[str, np.ndarray]:
+                    forced: Sequence[str] = ()) -> dict[str, np.ndarray]:
     """Build the keyword -> vector map driving document-vector assembly.
 
     A word enters when its normalized score strictly exceeds ``threshold`` in
-    some document and the embedding knows it. Each flagged document also
-    forces in its kind's keyword set (when in the embedding vocabulary),
-    regardless of score. Duplicates are stored once.
+    some document and the embedding knows it. Every word of ``forced`` enters
+    too (when in the embedding vocabulary), regardless of score. Duplicates
+    are stored once.
     """
+    scored = [tfidf.dictionary.id_to_word[idx]
+              for bag in bags
+              for idx, score in tfidf_scores(tfidf, bag, sum(count for _, count in bag))
+              if score > threshold]
     selected: dict[str, np.ndarray] = {}
-    flags = flags or {}
-    for kind, flag_array in flags.items():
-        if len(flag_array) != len(bags):
-            raise InvalidInput(
-                f"{kind} flag array has {len(flag_array)} entries for {len(bags)} documents"
-            )
-    for i, bag in enumerate(bags):
-        doc_length = sum(count for _, count in bag)
-        for idx, score in tfidf_scores(tfidf, bag, doc_length):
-            if score > threshold:
-                word = tfidf.dictionary.id_to_word[idx]
-                vec = embedding.vector(word)
-                if vec is not None:
-                    selected[word] = vec
-        for kind, flag_array in flags.items():
-            if flag_array[i] == 1:
-                for word in FORCED_KEYWORDS[kind]:
-                    vec = embedding.vector(word)
-                    if vec is not None:
-                        selected[word] = vec
+    for word in [*scored, *forced]:
+        vec = embedding.vector(word)
+        if vec is not None:
+            selected[word] = vec
     return selected
 
 

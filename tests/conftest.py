@@ -71,6 +71,7 @@ def mock_explorer():
     finally:
         server.shutdown()
         thread.join(timeout=5)
+        server.server_close()
 
 
 def explorer_url(server) -> str:

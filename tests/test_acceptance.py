@@ -254,13 +254,13 @@ def test_criterion_9_cross_chain_dedup(mock_explorer, tmp_path):
         mock_explorer.behaviors[addr_a] = ("ok", source)
         mock_explorer.behaviors[addr_b] = ("ok", source)
 
-        client = ExplorerClient(
+        store = ContractStore(tmp_path / "store.ndjson")
+        with ExplorerClient(
             endpoints={"etherscan": url, "bscscan": url},
             rate_per_second=1000.0,
-        )
-        store = ContractStore(tmp_path / "store.ndjson")
-        first = client.fetch_verified_source("etherscan", addr_a)
-        second = client.fetch_verified_source("bscscan", addr_b)
+        ) as client:
+            first = client.fetch_verified_source("etherscan", addr_a)
+            second = client.fetch_verified_source("bscscan", addr_b)
         # simulate differing explorer metadata for the same code
         second = ContractRecord(
             chain=second.chain, address=second.address, source=second.source,

@@ -79,6 +79,10 @@ CASES = [
     ("null-flag", pipeline.load_detection, _set("flags", 0, None), FormatError),
     ("scalar-flags", pipeline.load_detection, _set("flags", 1), FormatError),
     ("unknown-kind", pipeline.load_detection, _set("kind", "overflow"), FormatError),
+    ("null-hashes", pipeline.load_detection, _set("hashes", None), FormatError),
+    ("int-hash", pipeline.load_detection, _set("hashes", 0, 7), FormatError),
+    ("hash-per-flag", pipeline.load_detection, lambda p: _set("hashes", p["hashes"][1:])(p),
+     FormatError),
     ("v1-text", embed.load_model, V1_TEXT, VersionError),
     ("null-float", embed.load_model, _set("vectors", 0, 0, None), FormatError),
     ("scalar-vectors", embed.load_model, _set("vectors", 1.0), FormatError),

@@ -117,6 +117,25 @@ class TestStagewiseCli:
         docs = json.loads((tmp_path / "tokens.json").read_text("utf-8"))
         assert len(docs) == len(dataset["entries"]) == 10
 
+    def test_flags_of_another_corpus_are_an_alignment_error(self, tmp_path, capsys):
+        write_corpus(tmp_path / "a", [reentrant_source(i) for i in range(3)]
+                     + [clean_source(i) for i in range(3)])
+        write_corpus(tmp_path / "b", [clean_source(i) for i in range(3, 9)])
+        for name in ("a", "b"):
+            assert main(["preprocess", "--in", str(tmp_path / name),
+                         "--out", str(tmp_path / f"{name}.tokens")]) == 0
+        assert main(["detect", "--kind", "reentrancy", "--in", str(tmp_path / "a.tokens"),
+                     "--out", str(tmp_path / "a.flags")]) == 0
+        assert main(["train-embedding", "--in", str(tmp_path / "b.tokens"), "--dim", "4",
+                     "--epochs", "1", "--out", str(tmp_path / "b.vec")]) == 0
+        capsys.readouterr()
+        assert main(["vectorize", "--in", str(tmp_path / "b.tokens"),
+                     "--embedding", str(tmp_path / "b.vec"), "--flags", str(tmp_path / "a.flags"),
+                     "--out", str(tmp_path / "vectors.json")]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "AlignmentError"
+        assert not (tmp_path / "vectors.json").exists()
+
     def test_token_directory_is_a_path_error(self, staged_corpus, capsys):
         # token documents are one file; a directory is not a tokens file
         root = staged_corpus

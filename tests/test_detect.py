@@ -9,6 +9,7 @@ the whole buffer, then trim to 5). The acceptance suite re-runs this table.
 import pytest
 
 from ethcluster.detect import (
+    KINDS,
     REGEX_KINDS,
     detect_reentrancy,
     detect_timestamp,
@@ -146,6 +147,22 @@ def test_fixture(case_id, kind, lines, expected):
 def test_at_least_20_fixtures_per_kind():
     for kind in REGEX_KINDS:
         assert _COUNTS[kind] >= 20, f"{kind} has only {_COUNTS.get(kind, 0)} fixtures"
+
+
+class TestKinds:
+    @pytest.mark.parametrize("name", KINDS)
+    def test_detector_iff_keywords(self, name):
+        kind = KINDS[name]
+        assert (kind.detector is None) == (not kind.keywords)
+        if kind.detector is None:
+            with pytest.raises(InvalidKind):
+                detector_for(name)
+        else:
+            assert detector_for(name) is kind.detector
+
+    @pytest.mark.parametrize("word", sorted({w for kind in KINDS.values() for w in kind.keywords}))
+    def test_keyword_survives_preprocessing(self, word):
+        assert preprocess_contract(word).tokens == (word,)
 
 
 class TestScanCorpus:

@@ -90,59 +90,59 @@ class TestAddressValidation:
 
 
 class TestFetch:
-    def _client(self, server):
-        return ExplorerClient(endpoints={"etherscan": explorer_url(server)},
-                              rate_per_second=1000.0)
+    @pytest.fixture()
+    def client(self, mock_explorer):
+        with ExplorerClient(endpoints={"etherscan": explorer_url(mock_explorer)},
+                            rate_per_second=1000.0) as client:
+            yield client
 
-    def test_fixed_payload(self, mock_explorer):
+    def test_fixed_payload(self, mock_explorer, client):
         mock_explorer.behaviors[ADDR_A] = ("ok", "contract Fixed { uint x; }")
-        record = self._client(mock_explorer).fetch_verified_source("etherscan", ADDR_A)
+        record = client.fetch_verified_source("etherscan", ADDR_A)
         assert record.source == "contract Fixed { uint x; }"
         assert record.source_hash == source_hash("contract Fixed { uint x; }")
         assert record.compiler_version == "v0.8.19"
         assert record.chain == "etherscan"
 
-    def test_unverified_contract(self, mock_explorer):
+    def test_unverified_contract(self, mock_explorer, client):
         mock_explorer.behaviors[ADDR_A] = ("empty",)
         with pytest.raises(NotVerified):
-            self._client(mock_explorer).fetch_verified_source("etherscan", ADDR_A)
+            client.fetch_verified_source("etherscan", ADDR_A)
 
-    def test_rate_limited(self, mock_explorer):
+    def test_rate_limited(self, mock_explorer, client):
         mock_explorer.behaviors[ADDR_A] = ("http", 429)
         with pytest.raises(RateLimited):
-            self._client(mock_explorer).fetch_verified_source("etherscan", ADDR_A)
+            client.fetch_verified_source("etherscan", ADDR_A)
 
-    def test_rate_limit_message_payload(self, mock_explorer):
+    def test_rate_limit_message_payload(self, mock_explorer, client):
         # some explorers throttle with HTTP 200 and a result message string
         mock_explorer.behaviors[ADDR_A] = ("ratemsg",)
         with pytest.raises(RateLimited):
-            self._client(mock_explorer).fetch_verified_source("etherscan", ADDR_A)
+            client.fetch_verified_source("etherscan", ADDR_A)
 
-    def test_http_failure(self, mock_explorer):
+    def test_http_failure(self, mock_explorer, client):
         mock_explorer.behaviors[ADDR_A] = ("http", 500)
-        with pytest.raises(TransportError):
-            self._client(mock_explorer).fetch_verified_source("etherscan", ADDR_A)
-
-    def test_connection_refused(self):
-        client = ExplorerClient(endpoints={"etherscan": "http://127.0.0.1:1/api"},
-                                rate_per_second=1000.0)
         with pytest.raises(TransportError):
             client.fetch_verified_source("etherscan", ADDR_A)
 
-    def test_unknown_chain(self, mock_explorer):
+    def test_connection_refused(self):
+        with ExplorerClient(endpoints={"etherscan": "http://127.0.0.1:1/api"},
+                            rate_per_second=1000.0) as client, pytest.raises(TransportError):
+            client.fetch_verified_source("etherscan", ADDR_A)
+
+    def test_unknown_chain(self, client):
         with pytest.raises(InvalidInput):
-            self._client(mock_explorer).fetch_verified_source("nochain", ADDR_A)
+            client.fetch_verified_source("nochain", ADDR_A)
 
     def test_api_key_from_environment(self, monkeypatch):
         monkeypatch.setenv("ETHCLUSTER_APIKEY_ETHERSCAN", "sekrit")
-        client = ExplorerClient()
-        assert client.api_key("etherscan") == "sekrit"
-        assert client.api_key("bscscan") == ""
+        with ExplorerClient() as client:
+            assert client.api_key("etherscan") == "sekrit"
+            assert client.api_key("bscscan") == ""
 
-    def test_concurrent_fetches_into_one_store(self, mock_explorer, tmp_path):
+    def test_concurrent_fetches_into_one_store(self, mock_explorer, client, tmp_path):
         from concurrent.futures import ThreadPoolExecutor
 
-        client = self._client(mock_explorer)
         store = ContractStore(tmp_path / "store.ndjson")
         addresses = [f"0x{i:040x}" for i in range(1, 9)]
 

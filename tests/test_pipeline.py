@@ -16,7 +16,7 @@ from conftest import (
 )
 from ethcluster import _artifact, pipeline
 from ethcluster.cluster import load_cluster_model, save_cluster_model
-from ethcluster.detect import REGEX_KINDS, detector_for
+from ethcluster.detect import KINDS, REGEX_KINDS, detector_for
 from ethcluster.errors import (
     EthClusterError,
     InvalidInput,
@@ -25,13 +25,7 @@ from ethcluster.errors import (
     PipelineStageError,
 )
 from ethcluster.ingest import Dataset, build_mixed_dataset, records_from_dir
-from ethcluster.pipeline import (
-    CLUSTERING_DEFAULTS,
-    VULNERABILITIES,
-    PipelineConfig,
-    run_pipeline,
-    scan_contract,
-)
+from ethcluster.pipeline import PipelineConfig, run_pipeline, scan_contract
 from ethcluster.preprocess import preprocess_contract
 
 ARTIFACTS = ["preprocess.json", "detect.json", "embedding.vec",
@@ -90,13 +84,30 @@ class TestConfigResolution:
         assert config.seed == 1194
         assert config.max_iterations == 100
 
-    @pytest.mark.parametrize("vulnerability", VULNERABILITIES)
+    @pytest.mark.parametrize("vulnerability", KINDS)
     def test_every_vulnerability_has_defaults(self, vulnerability):
         config = PipelineConfig.resolve({"vulnerability": vulnerability})
-        dim, threshold, k = CLUSTERING_DEFAULTS[vulnerability]
-        assert config.vector_size == dim
-        assert config.tfidf_threshold == threshold
-        assert config.num_clusters == k
+        kind = KINDS[vulnerability]
+        assert config.vector_size == kind.vector_size
+        assert config.tfidf_threshold == kind.tfidf_threshold
+        assert config.num_clusters == kind.num_clusters
+
+    def test_readme_defaults_table_matches_kinds(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+        table = readme[readme.index("| vulnerability "):].split("\n\n")[0].splitlines()[2:]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table]
+        assert [(name, int(dim), float(threshold), int(k)) for name, dim, threshold, k in rows] == [
+            (name, kind.vector_size, kind.tfidf_threshold, kind.num_clusters)
+            for name, kind in KINDS.items()]
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_clusters", "5"), ("seed", "x"), ("vector_size", None), ("epochs", 1.5),
+        ("tfidf_threshold", "0.7"), ("sg", True), ("dataset", 3),
+        ("vulnerability", ["reentrancy"]),
+    ])
+    def test_wrong_typed_value_is_refused(self, field, value):
+        with pytest.raises(InvalidInput, match=field):
+            PipelineConfig.resolve({"vulnerability": "reentrancy", field: value})
 
     def test_explicit_values_win(self):
         config = PipelineConfig.resolve({

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from ethcluster.embed import EmbeddingConfig, EmbeddingModel, load_model
-from ethcluster.errors import EmptyCorpus, FormatError, InvalidInput
+from ethcluster.errors import AlignmentError, EmptyCorpus, FormatError
+from ethcluster.pipeline import vectorize_corpus
 from ethcluster.preprocess import TokenDoc
 from ethcluster.vectorize import (
-    FORCED_KEYWORDS,
     DocumentVector,
     TfidfModel,
     build_dictionary,
@@ -190,15 +190,13 @@ class TestSelectKeywords:
     def test_flag_forces_kind_keywords(self):
         bags, model, embedding = self._setup()
         selected = select_keywords(bags, model, embedding, 1.0,
-                                   {"reentrancy": [1, 0, 0]})
+                                   forced=("call", "balance", "balances"))
         # only the forced words present in the embedding vocabulary land
         assert set(selected) == {"call", "balances"}
 
     def test_no_flag_no_forcing(self):
         bags, model, embedding = self._setup()
-        selected = select_keywords(bags, model, embedding, 1.0,
-                                   {"reentrancy": [0, 0, 0]})
-        assert selected == {}
+        assert select_keywords(bags, model, embedding, 1.0, forced=()) == {}
 
     def test_out_of_vocab_selected_words_skipped(self):
         docs = [["onlyhere", "shared"], ["shared", "other"]]
@@ -209,14 +207,13 @@ class TestSelectKeywords:
         assert selected == {}  # shared scores 0 everywhere; others not in vocab
 
     def test_misaligned_flags_rejected(self):
-        bags, model, embedding = self._setup()
-        with pytest.raises(InvalidInput):
-            select_keywords(bags, model, embedding, 0.5, {"reentrancy": [1]})
+        docs = [TokenDoc(h, ("alpha", "beta"), ()) for h in ("h1", "h2", "h3")]
+        # too few flags, the same documents reordered, another corpus
+        for hashes in (["h1"], ["h1", "h3", "h2"], ["x1", "x2", "x3"]):
+            detection = {"kind": "reentrancy", "flags": [1] * len(hashes), "hashes": hashes}
+            with pytest.raises(AlignmentError):
+                vectorize_corpus(docs, _embedding(["alpha", "beta", "call"]), 0.5, detection)
 
-    def test_forced_sets_cover_every_regex_kind(self):
-        assert set(FORCED_KEYWORDS) == {"reentrancy", "timestamp", "tx_origin", "unchecked_call"}
-        assert "call" in FORCED_KEYWORDS["reentrancy"]
-        assert "call" in FORCED_KEYWORDS["unchecked_call"]
 
 
 class TestDocumentVectors:
