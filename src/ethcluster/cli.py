@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import cluster as cl
-from . import _kernels, embed, pipeline, vectorize
+from . import embed, pipeline, vectorize
 from ._artifact import read_json
-from .errors import DimError, EthClusterError, PathError, PipelineStageError, RateLimited
+from .errors import EthClusterError, PathError, PipelineStageError, RateLimited
 # perfbench/spans.py wraps confusion, metrics, write_report and render_table on this module.
 from .evaluate import confusion, metrics, project2d, render_table, write_points_csv, write_report
 from .ingest import (
@@ -136,17 +136,17 @@ def cmd_vectorize(args) -> int:
 
 def cmd_cluster(args) -> int:
     dataset = Dataset.load(args.dataset) if args.dataset else None
-    model, basis = pipeline.cluster_vectors(
+    model = pipeline.cluster_vectors(
         vectorize.load_vectors(args.vectors), args.k, args.max_iter, args.seed,
         args.pca_threshold, args.pca_components, dataset,
     )
-    cl.save_cluster_model(model, basis, args.out)
+    cl.save_cluster_model(model, args.out)
     print(f"k={args.k} iterations={model.iterations_run} -> {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    model, _, _ = cl.load_cluster_model(args.model)
+    model = cl.load_cluster_model(args.model)
     cm, report = pipeline.evaluate_model(model, Dataset.load(args.dataset))
     kind = args.kind or "unspecified"
     write_report(kind, cm, report, {}, args.out)
@@ -156,16 +156,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_project(args) -> int:
     vectors = vectorize.load_vectors(args.vectors)
-    model, basis, _ = cl.load_cluster_model(args.model)
-    X = np.array([v.values for v in vectors])
-    if basis is not None:
-        X = cl.pca_transform(basis, X)
-    if X.shape[1] != model.centers.shape[1]:
-        raise DimError(f"expected dimension {model.centers.shape[1]}, got {X.shape[1]}")
-    assignments = np.empty(len(X), dtype=np.int64)
-    _kernels.kmeans_assign(X, model.centers, assignments)
-    labels = [model.labels.get(a, "unlabeled") for a in assignments.tolist()]
-    rows = project2d(X, assignments, labels)
+    model = cl.load_cluster_model(args.model)
+    X, ids = cl.assign(model, np.array([v.values for v in vectors]))
+    rows = project2d(X, ids, [model.labels.get(a, "unlabeled") for a in ids.tolist()])
     write_points_csv(rows, args.out)
     print(f"{len(rows)} points -> {args.out}")
     return 0

@@ -33,7 +33,10 @@ class PcaBasis:
 
     mean: np.ndarray
     components: np.ndarray  # dim x num_components, orthonormal columns
-    num_components: int
+
+    @property
+    def num_components(self) -> int:
+        return self.components.shape[1]
 
 
 def pca_fit(X: np.ndarray, num_components: int) -> PcaBasis:
@@ -48,8 +51,7 @@ def pca_fit(X: np.ndarray, num_components: int) -> PcaBasis:
         )
     mean = X.mean(axis=0)
     _, _, vt = np.linalg.svd(X - mean, full_matrices=False)
-    return PcaBasis(mean=mean, components=vt[:num_components].T.copy(),
-                    num_components=num_components)
+    return PcaBasis(mean=mean, components=vt[:num_components].T.copy())
 
 
 def pca_transform(basis: PcaBasis, X: np.ndarray) -> np.ndarray:
@@ -64,13 +66,24 @@ def pca_transform(basis: PcaBasis, X: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ClusterModel:
+    """k-means centers in model space, which is PCA space when ``pca`` is set."""
+
     centers: np.ndarray  # k x d
-    k: int
     assignments: np.ndarray  # training row -> cluster id
     seed: int
     iterations_run: int
     labels: dict[int, str] = field(default_factory=dict)
     objective_history: list[float] = field(default_factory=list)
+    pca: PcaBasis | None = None
+
+    @property
+    def k(self) -> int:
+        return self.centers.shape[0]
+
+    @property
+    def input_dim(self) -> int:
+        """The width of the document vectors the model assigns."""
+        return self.centers.shape[1] if self.pca is None else self.pca.mean.shape[0]
 
 
 def kmeans_fit(X: np.ndarray, k: int, max_iterations: int = 100, seed: int = 0) -> ClusterModel:
@@ -120,7 +133,6 @@ def kmeans_fit(X: np.ndarray, k: int, max_iterations: int = 100, seed: int = 0) 
 
     return ClusterModel(
         centers=centers,
-        k=k,
         assignments=assignments,
         seed=seed,
         iterations_run=iterations_run,
@@ -135,51 +147,46 @@ def label_clusters(model: ClusterModel, dataset: Dataset) -> ClusterModel:
     (biasing toward recall); an empty cluster is clean.
     """
     truth = dataset.truth_labels
-    if len(truth) != len(model.assignments):
-        raise AlignmentError(
-            f"{len(model.assignments)} assignments vs {len(truth)} dataset entries"
-        )
-    labels: dict[int, str] = {}
-    for c in range(model.k):
-        members = [truth[i] for i in range(len(truth)) if model.assignments[i] == c]
-        if not members:
-            labels[c] = CLEAN
-            continue
-        vuln = sum(1 for label in members if label == VULNERABLE)
-        labels[c] = VULNERABLE if 2 * vuln >= len(members) else CLEAN
-    model.labels = labels
+    ids = model.assignments
+    if len(truth) != len(ids):
+        raise AlignmentError(f"{len(ids)} assignments vs {len(truth)} dataset entries")
+    members = np.bincount(ids, minlength=model.k)
+    vulnerable = np.bincount(ids[[label == VULNERABLE for label in truth]], minlength=model.k)
+    model.labels = {c: VULNERABLE if members[c] and 2 * vulnerable[c] >= members[c] else CLEAN
+                    for c in range(model.k)}
     return model
 
 
-def nearest_center(model: ClusterModel, v: np.ndarray) -> int:
-    """Index of the nearest center, by the distance and tie rule of training."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (model.centers.shape[1],):
-        raise DimError(f"expected dimension {model.centers.shape[1]}, got {v.shape}")
-    out = np.empty(1, dtype=np.int64)
-    _kernels.kmeans_assign(v[None, :], model.centers, out)
-    return int(out[0])
+def assign(model: ClusterModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``X`` in model space and the id of each one's nearest center,
+    by the distance and tie rule of training (ties go to the lowest id)."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.input_dim:
+        raise DimError(f"expected rows of dimension {model.input_dim}, got shape {X.shape}")
+    if model.pca is not None:
+        X = pca_transform(model.pca, X)
+    ids = np.empty(X.shape[0], dtype=np.int64)
+    _kernels.kmeans_assign(X, model.centers, ids)
+    return X, ids
 
 
-def predict(model: ClusterModel, basis: PcaBasis | None, values: np.ndarray) -> str:
+def predict(model: ClusterModel, values: np.ndarray) -> str:
     """Label one document vector with its nearest cluster's label."""
     if not model.labels:
         raise InvalidInput("cluster model has no labels; run label_clusters first")
-    v = np.asarray(values, dtype=np.float64)
-    if basis is not None:
-        v = pca_transform(basis, v)[0]
-    return model.labels[nearest_center(model, v)]
+    _, ids = assign(model, np.asarray(values, dtype=np.float64)[None])
+    return model.labels[int(ids[0])]
 
 
 # --- persistence -----------------------------------------------------------
 
-def save_cluster_model(model: ClusterModel, basis: PcaBasis | None,
-                       path: str | Path, extra: dict | None = None) -> None:
+def save_cluster_model(model: ClusterModel, path: str | Path, extra: dict | None = None) -> None:
     """Persist centers, labels, assignments and the optional PCA basis.
 
     Floats go through repr-style JSON serialization, so loading reproduces
-    them bit-exactly.
+    them bit-exactly; ``k`` and ``num_components`` restate the matrix shapes.
     """
+    pca = model.pca
     payload = {
         "k": model.k,
         "seed": model.seed,
@@ -187,10 +194,10 @@ def save_cluster_model(model: ClusterModel, basis: PcaBasis | None,
         "centers": model.centers.tolist(),
         "assignments": model.assignments.tolist(),
         "labels": {str(c): label for c, label in model.labels.items()},
-        "pca": None if basis is None else {
-            "mean": basis.mean.tolist(),
-            "components": basis.components.tolist(),
-            "num_components": basis.num_components,
+        "pca": None if pca is None else {
+            "mean": pca.mean.tolist(),
+            "components": pca.components.tolist(),
+            "num_components": pca.num_components,
         },
     }
     if extra:
@@ -198,25 +205,27 @@ def save_cluster_model(model: ClusterModel, basis: PcaBasis | None,
     write_json(payload, path)
 
 
-def _cluster_model(payload: dict) -> tuple[ClusterModel, PcaBasis | None, dict]:
-    centers, pca = floats(payload["centers"], 2), payload["pca"]
+def _cluster_model(payload: dict) -> ClusterModel:
+    pca = payload["pca"]
+    basis = None if pca is None else PcaBasis(floats(pca["mean"], 1), floats(pca["components"], 2))
     model = ClusterModel(
-        centers=centers,
-        k=len(centers),
+        centers=floats(payload["centers"], 2),
         assignments=np.array(payload["assignments"], dtype=np.int64),
         seed=payload["seed"],
         iterations_run=payload["iterations_run"],
         labels={int(c): label for c, label in payload["labels"].items()},
+        pca=basis,
     )
-    basis = None if pca is None else PcaBasis(
-        floats(pca["mean"], 1), floats(pca["components"], 2), pca["num_components"])
+    if payload["k"] != model.k or basis and pca["num_components"] != basis.num_components:
+        raise FormatError("k or pca.num_components disagrees with the shape of its matrix")
     ids = model.assignments
     if (ids.ndim != 1 or np.any((ids < 0) | (ids >= model.k))
             or model.labels and sorted(model.labels) != list(range(model.k))
-            or basis is not None and basis.components.shape != (len(basis.mean), centers.shape[1])):
-        raise FormatError(f"assignments, labels or PCA basis disagree with {centers.shape} centers")
-    return model, basis, payload.get("config", {})
+            or basis and basis.components.shape != (len(basis.mean), model.centers.shape[1])):
+        raise FormatError(
+            f"assignments, labels or PCA basis disagree with {model.centers.shape} centers")
+    return model
 
 
-def load_cluster_model(path: str | Path) -> tuple[ClusterModel, PcaBasis | None, dict]:
+def load_cluster_model(path: str | Path) -> ClusterModel:
     return read_json(path, _cluster_model)

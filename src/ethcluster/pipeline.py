@@ -171,7 +171,7 @@ def vectorize_corpus(docs: Sequence[TokenDoc], model: embed.EmbeddingModel, thre
 
 def cluster_vectors(vectors: Sequence[vectorize.DocumentVector], k: int, max_iterations: int,
                     seed: int, pca_activation_dim: int, pca_components: int,
-                    dataset: Dataset | None = None) -> tuple[cl.ClusterModel, cl.PcaBasis | None]:
+                    dataset: Dataset | None = None) -> cl.ClusterModel:
     """PCA when the vectors are wider than ``pca_activation_dim``, then
     seeded k-means; clusters are labeled when a dataset is given."""
     X = np.array([v.values for v in vectors])
@@ -180,9 +180,8 @@ def cluster_vectors(vectors: Sequence[vectorize.DocumentVector], k: int, max_ite
         basis = cl.pca_fit(X, min(pca_components, X.shape[0], X.shape[1]))
         X = cl.pca_transform(basis, X)
     cmodel = cl.kmeans_fit(X, k=k, max_iterations=max_iterations, seed=seed)
-    if dataset is not None:
-        cmodel = cl.label_clusters(cmodel, dataset)
-    return cmodel, basis
+    cmodel.pca = basis
+    return cmodel if dataset is None else cl.label_clusters(cmodel, dataset)
 
 
 def evaluate_model(cmodel: cl.ClusterModel,
@@ -225,11 +224,11 @@ def run_pipeline(config: PipelineConfig) -> MetricsReport:
         vectorize.save_vectors(vectors, out / "vectors.json")
 
     with stage("cluster"):
-        cmodel, basis = cluster_vectors(
+        cmodel = cluster_vectors(
             vectors, config.num_clusters, config.max_iterations, config.seed,
             config.pca_activation_dim, config.pca_components, dataset,
         )
-        cl.save_cluster_model(cmodel, basis, out / "model.json", extra=params)
+        cl.save_cluster_model(cmodel, out / "model.json", extra=params)
 
     with stage("evaluate"):
         cm, report = evaluate_model(cmodel, dataset)
@@ -247,8 +246,7 @@ def _scan_artifacts(out: Path, model_stamp: tuple, keywords_stamp: tuple):
     replaces them, so its stamps differ and the next scan reloads.
     """
     keyword_map = vectorize.load_keyword_map(out / "keywords.json")
-    cmodel, basis, _ = cl.load_cluster_model(out / "model.json")
-    return keyword_map, cmodel, basis
+    return keyword_map, cl.load_cluster_model(out / "model.json")
 
 
 def scan_contract(config: PipelineConfig, source: str) -> dict:
@@ -265,14 +263,13 @@ def scan_contract(config: PipelineConfig, source: str) -> dict:
         raise ModelNotFound(
             f"no trained artifacts for {config.vulnerability!r} under {out}"
         ) from None
-    keyword_map, cmodel, basis = _scan_artifacts(
+    keyword_map, cmodel = _scan_artifacts(
         out, *((st.st_ino, st.st_mtime_ns, st.st_size) for st in stamps))
 
-    # Size the vector from the trained model, not from the caller's config.
-    dim = basis.mean.shape[0] if basis is not None else cmodel.centers.shape[1]
     doc = preprocess_contract(source)
-    values = vectorize.doc_vector_values(doc.tokens, keyword_map, dim)
-    label = cl.predict(cmodel, basis, values)
+    # Size the vector from the trained model, not from the caller's config.
+    values = vectorize.doc_vector_values(doc.tokens, keyword_map, cmodel.input_dim)
+    label = cl.predict(cmodel, values)
 
     result: dict = {"vulnerability": config.vulnerability, "label": label}
     kind = config.regex_kind

@@ -30,8 +30,10 @@ def _model():
 
 
 def _cluster_model():
-    model = cl.kmeans_fit(np.random.default_rng(5).standard_normal((6, 2)), k=2, seed=1)
-    model.labels = {0: "vulnerable", 1: "clean"}
+    X = np.random.default_rng(5).standard_normal((6, 3))
+    basis = cl.pca_fit(X, 2)
+    model = cl.kmeans_fit(cl.pca_transform(basis, X), k=2, seed=1)
+    model.labels, model.pca = {0: "vulnerable", 1: "clean"}, basis
     return model
 
 
@@ -52,7 +54,7 @@ WRITERS = {
         [vectorize.DocumentVector(f"h{i}", np.full(3, i / 7)) for i in range(3)], path),
     vectorize.load_keyword_map: lambda path: vectorize.save_keyword_map(
         {"call": np.array([0.5, -1.0]), "now": np.array([2.0, 1 / 3])}, path),
-    cl.load_cluster_model: lambda path: cl.save_cluster_model(_cluster_model(), None, path),
+    cl.load_cluster_model: lambda path: cl.save_cluster_model(_cluster_model(), path),
     Dataset.load: lambda path: _dataset(path.parent).save(path),
 }
 
@@ -102,6 +104,9 @@ CASES = [
     ("null-float", cl.load_cluster_model, _set("centers", 0, 0, None), FormatError),
     ("scalar-centers", cl.load_cluster_model, _set("centers", 1.0), FormatError),
     ("label-out-of-range", cl.load_cluster_model, _set("labels", "5", "clean"), FormatError),
+    ("k-not-centers", cl.load_cluster_model, _set("k", 99), FormatError),
+    ("num-components-not-components", cl.load_cluster_model,
+     _set("pca", "num_components", "x"), FormatError),
     ("null-label", Dataset.load, _set("entries", 0, "truth_label", None), FormatError),
 ]
 

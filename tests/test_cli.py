@@ -179,6 +179,25 @@ class TestStagewiseCli:
         rows = (tmp_path / "points.csv").read_text("utf-8").splitlines()[1:]
         assert [int(row.split(",")[2]) for row in rows] == saved["assignments"]
 
+    @pytest.mark.parametrize("pca_threshold", [4, 50], ids=["pca", "plain"])
+    def test_project_vectors_of_another_width_write_no_points(self, tmp_path, capsys,
+                                                              pca_threshold):
+        rng = np.random.default_rng(9)
+        for name, width in (("train.json", 6), ("other.json", 5)):
+            (tmp_path / name).write_text(json.dumps(
+                [{"contract_hash": f"h{i}", "values": row}
+                 for i, row in enumerate(rng.standard_normal((12, width)).tolist())]), "utf-8")
+        model = tmp_path / "model.json"
+        assert main(["cluster", "--vectors", str(tmp_path / "train.json"), "--k", "3",
+                     "--pca-threshold", str(pca_threshold), "--pca-components", "3",
+                     "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["project", "--vectors", str(tmp_path / "other.json"), "--model", str(model),
+                     "--out", str(tmp_path / "points.csv")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "DimError"
+        assert not (tmp_path / "points.csv").exists()
+
 
 class TestStagesMatchRun:
     """The stage subcommands chained by hand reproduce ``run``'s artifacts."""

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 
 from ethcluster.cluster import (
     ClusterModel,
+    assign,
     kmeans_fit,
     label_clusters,
     load_cluster_model,
-    nearest_center,
     pca_fit,
     pca_transform,
     predict,
@@ -73,6 +74,14 @@ def _dataset_with_labels(labels):
                                    source=f"contract D{i} {{}}", fetched_at="")
         entries.append((rec, label))
     return Dataset(entries=tuple(entries), vulnerable_fraction=0.3)
+
+
+def _fitted_model(X, pca):
+    """k=4 k-means on ``X``, or on its 3-component PCA projection."""
+    basis = pca_fit(X, 3) if pca else None
+    model = kmeans_fit(X if basis is None else pca_transform(basis, X), k=4, seed=3)
+    model.pca = basis
+    return model
 
 
 class TestPca:
@@ -207,7 +216,7 @@ class TestKmeans:
         X = rng.standard_normal((25, 4))
         model = kmeans_fit(X, k=3, seed=5)
         for i, row in enumerate(X):
-            assert model.assignments[i] == nearest_center(model, row)
+            assert model.assignments[i] == assign(model, row[None])[1][0]
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(23)
@@ -239,7 +248,7 @@ class TestKmeans:
 class TestLabeling:
     def _model_with_assignments(self, assignments, k):
         return ClusterModel(
-            centers=np.zeros((k, 2)), k=k,
+            centers=np.zeros((k, 2)),
             assignments=np.array(assignments, dtype=np.int64),
             seed=0, iterations_run=1,
         )
@@ -285,38 +294,46 @@ class TestPredict:
     def test_vector_at_center(self):
         model = self._fitted()
         for c in range(model.k):
-            assert predict(model, None, model.centers[c]) == model.labels[c]
+            assert predict(model, model.centers[c]) == model.labels[c]
 
     def test_zero_vector_goes_to_nearest_origin_center(self):
         model = self._fitted()
         # hand-computed: distances from the origin to each center
         dists = [float(np.linalg.norm(model.centers[c])) for c in range(model.k)]
         expected = model.labels[int(np.argmin(dists))]
-        assert predict(model, None, np.zeros(2)) == expected
+        assert predict(model, np.zeros(2)) == expected
 
-    def test_nearest_center_is_the_training_assignment(self):
+    @pytest.mark.parametrize("pca", [False, True], ids=["plain", "pca"])
+    def test_nearest_center_is_the_training_assignment(self, pca):
         X = np.random.default_rng(31).normal(size=(40, 5))
-        model = kmeans_fit(X, k=4, seed=3)
-        assert [nearest_center(model, x) for x in X] == model.assignments.tolist()
+        model = _fitted_model(X, pca)
+        assert [assign(model, x[None])[1][0] for x in X] == model.assignments.tolist()
+        assert assign(model, X)[1].tolist() == model.assignments.tolist()
 
     def test_nearest_center_tie_goes_to_lowest_id(self):
-        model = ClusterModel(centers=np.array([[2.0, 0.0], [0.0, 0.0], [2.0, 0.0]]), k=3,
+        model = ClusterModel(centers=np.array([[2.0, 0.0], [0.0, 0.0], [2.0, 0.0]]),
                              assignments=np.zeros(1, dtype=np.int64), seed=0,
                              iterations_run=0)
-        assert nearest_center(model, np.array([1.0, 0.0])) == 0
-        assert nearest_center(model, np.array([2.0, 0.0])) == 0
-        assert nearest_center(model, np.array([-1.0, 0.0])) == 1
+        _, ids = assign(model, np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]]))
+        assert ids.tolist() == [0, 0, 1]
+
+    @pytest.mark.parametrize("pca", [False, True], ids=["plain", "pca"])
+    @pytest.mark.parametrize("shape", [(3, 4), (3, 6), (5,), (1, 1, 5)])
+    def test_assign_refuses_rows_of_another_width(self, pca, shape):
+        model = _fitted_model(np.random.default_rng(33).normal(size=(12, 5)), pca)
+        with pytest.raises(DimError):
+            assign(model, np.zeros(shape))
 
     def test_unlabeled_model_rejected(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         model = kmeans_fit(X, k=2, seed=0)
         with pytest.raises(InvalidInput):
-            predict(model, None, np.zeros(2))
+            predict(model, np.zeros(2))
 
     def test_dimension_mismatch(self):
         model = self._fitted()
         with pytest.raises(DimError):
-            predict(model, None, np.zeros(3))
+            predict(model, np.zeros(3))
 
     def test_predict_through_pca(self):
         rng = np.random.default_rng(30)
@@ -326,7 +343,8 @@ class TestPredict:
         model = kmeans_fit(Xp, k=2, seed=4)
         dataset = _dataset_with_labels([VULNERABLE] * 10 + [CLEAN] * 10)
         model = label_clusters(model, dataset)
-        assert predict(model, basis, X[0]) == model.labels[int(model.assignments[0])]
+        model.pca = basis
+        assert predict(model, X[0]) == model.labels[int(model.assignments[0])]
 
 
 class TestPersistence:
@@ -337,10 +355,12 @@ class TestPersistence:
         model = kmeans_fit(pca_transform(basis, X), k=3, seed=8)
         dataset = _dataset_with_labels([VULNERABLE] * 5 + [CLEAN] * 10)
         model = label_clusters(model, dataset)
+        model.pca = basis
 
         path = tmp_path / "model.json"
-        save_cluster_model(model, basis, path, extra={"vulnerability": "reentrancy"})
-        loaded, loaded_basis, config = load_cluster_model(path)
+        save_cluster_model(model, path, extra={"vulnerability": "reentrancy"})
+        loaded = load_cluster_model(path)
+        loaded_basis, config = loaded.pca, json.loads(path.read_text("utf-8"))["config"]
 
         assert np.array_equal(loaded.centers, model.centers)
         assert np.array_equal(loaded.assignments, model.assignments)
@@ -352,9 +372,8 @@ class TestPersistence:
     def test_no_pca_round_trip(self, tmp_path):
         model = kmeans_fit(np.random.default_rng(32).standard_normal((6, 2)), k=2, seed=1)
         path = tmp_path / "model.json"
-        save_cluster_model(model, None, path)
-        _, basis, _ = load_cluster_model(path)
-        assert basis is None
+        save_cluster_model(model, path)
+        assert load_cluster_model(path).pca is None
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "model.json"

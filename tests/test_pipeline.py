@@ -272,7 +272,7 @@ class TestScan:
         config, _ = reentrancy_run
         from ethcluster.cluster import load_cluster_model
 
-        model, _, _ = load_cluster_model(config.stage_dir() / "model.json")
+        model = load_cluster_model(config.stage_dir() / "model.json")
         dists = [float(np.sum(center ** 2)) for center in model.centers]
         expected = model.labels[int(np.argmin(dists))]
         assert scan_contract(config, "")["label"] == expected
@@ -391,6 +391,10 @@ class TestFuzz:
         assert result["label"] in ("vulnerable", "clean")
 
 
+def _model_and_config(path):
+    return load_cluster_model(path), json.loads(path.read_text("utf-8"))["config"]
+
+
 class TestAtomicWrites:
     @pytest.fixture()
     def trained(self, tmp_path):
@@ -400,16 +404,16 @@ class TestAtomicWrites:
 
     def test_unencodable_payload_leaves_the_previous_model(self, trained):
         stage_dir, before = trained
-        cmodel, basis, params = load_cluster_model(stage_dir / "model.json")
+        cmodel, params = _model_and_config(stage_dir / "model.json")
         with pytest.raises(TypeError):
-            save_cluster_model(cmodel, basis, stage_dir / "model.json",
+            save_cluster_model(cmodel, stage_dir / "model.json",
                                extra={**params, "seed": object()})
         assert {p.name: p.read_bytes() for p in stage_dir.iterdir()} == before
 
     def test_failed_replace_leaves_the_previous_model_and_no_temp_file(self, trained,
                                                                         monkeypatch):
         stage_dir, before = trained
-        cmodel, basis, params = load_cluster_model(stage_dir / "model.json")
+        cmodel, params = _model_and_config(stage_dir / "model.json")
 
         def fail(src, dst):
             # the temp file holds the whole new model
@@ -418,5 +422,5 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(_artifact.os, "replace", fail)
         with pytest.raises(OSError, match="disk full"):
-            save_cluster_model(cmodel, basis, stage_dir / "model.json", extra=params)
+            save_cluster_model(cmodel, stage_dir / "model.json", extra=params)
         assert {p.name: p.read_bytes() for p in stage_dir.iterdir()} == before

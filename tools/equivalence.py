@@ -1,0 +1,268 @@
+"""Parent-vs-change equivalence check: one workload, two source trees.
+
+Usage::
+
+    git worktree add ../parent HEAD~1
+    python tools/equivalence.py ../parent .
+
+The first tree generates the inputs once, so both trees see the same bytes:
+
+* the five vulnerability kinds at their defaults, each on 9 vulnerable
+  contracts from the kind's ``tests/conftest.py`` generator and 30 clean ones
+  (a 30/70 mix, as ``tests/test_pipeline.py`` builds it);
+* ``perfbench/corpus.build_mix`` runs at seeds 1..N: reentrancy (20
+  documents), timestamp at one epoch and unchecked_call (10 documents each);
+* contracts to scan per run: every training contract, plus for the conftest
+  runs 31 more of the kind and 60 more clean ones, plus 60 (conftest runs) or
+  64 (mixes) held-out contracts from ``perfbench/corpus.heldout`` for the
+  kinds it generates.
+
+Each tree then runs ``run_pipeline`` and ``scan_contract`` in its own
+subprocess with ``PYTHONPATH=<tree>/src``; only those two functions and
+``PipelineConfig.resolve`` are called, so any two trees with that API
+compare. Artifacts are compared by decoded value, not by bytes: JSON is
+parsed, every array of numbers becomes a float64 array (as does a
+``{"shape": [...], <key>: "<base64 of little-endian float64>"}`` payload),
+and the ``dataset`` and ``workdir`` paths are dropped. Other files are
+compared as text. The report counts, each separately: byte-identical files,
+files identical by value, the largest absolute float difference per artifact,
+identical training predictions, cluster labels and k-means partitions
+(cluster ids per training row), and identical scan results.
+
+Exit status: 0 when every count but the byte count is complete, 1
+otherwise. Needs only the standard library and numpy (the input phase
+imports ``tests/conftest.py``, which imports pytest); it is not part of the
+test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import base64
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+CONFTEST_GENERATORS = {
+    "reentrancy": "reentrant_source",
+    "access_control": "access_control_source",
+    "timestamp": "timestamp_source",
+    "tx_origin": "tx_origin_source",
+    "unchecked_call": "unchecked_source",
+}
+# kind -> ((vulnerable, near miss, clean) counts, config overrides), as in
+# the benchmark's training and scan set-ups
+MIXES = {
+    "reentrancy": ((6, 3, 11), {}),
+    "timestamp": ((3, 2, 5), {"epochs": 1}),
+    "unchecked_call": ((3, 2, 5), {}),
+}
+PATH_KEYS = ("dataset", "workdir")
+
+
+# --- phase 1: inputs, generated with the first tree -------------------------
+
+def prepare(tree: Path, inputs: Path, seeds: int) -> None:
+    sys.path[:0] = [str(tree / "src"), str(tree / "tests"), str(tree / "perfbench")]
+    import conftest
+    import corpus
+    from ethcluster.ingest import Dataset, build_mixed_dataset, records_from_dir
+
+    runs = []
+
+    def add(name: str, kind: str, dataset: Path, overrides: dict, extra: list[str]) -> None:
+        training = [rec.source for rec in Dataset.load(dataset).records]
+        (inputs / name / "scans.json").write_text(json.dumps(training + extra), "utf-8")
+        runs.append({"name": name, "config": {"vulnerability": kind,
+                                              "dataset": str(dataset), **overrides}})
+
+    for kind, generator in CONFTEST_GENERATORS.items():
+        source = getattr(conftest, generator)
+        root = inputs / f"conftest-{kind}"
+        conftest.write_corpus(root / "vuln", [source(i) for i in range(9)])
+        conftest.write_corpus(root / "clean", [conftest.clean_source(i) for i in range(30)])
+        dataset = build_mixed_dataset(records_from_dir(root / "vuln"),
+                                      records_from_dir(root / "clean"), 0.3)
+        dataset.save(root / "dataset.json")
+        extra = [source(i) for i in range(9, 40)]
+        extra += [conftest.clean_source(i) for i in range(30, 90)]
+        if kind in MIXES:
+            extra += [s for s, _ in corpus.heldout(kind, random.Random(f"heldout:{kind}"), 60)]
+        add(root.name, kind, root / "dataset.json", {}, extra)
+
+    for seed in range(1, seeds + 1):
+        for kind, (sizes, overrides) in MIXES.items():
+            name = f"mix-{kind}-{seed}"
+            mix = corpus.build_mix(kind, random.Random(f"{seed}:{kind}"), *sizes, inputs / name)
+            held = corpus.heldout(kind, random.Random(f"{seed}:heldout:{kind}"), 64)
+            add(name, kind, mix.dataset_path, overrides, [s for s, _ in held])
+    (inputs / "runs.json").write_text(json.dumps(runs), "utf-8")
+
+
+# --- phase 2: one tree's outputs ------------------------------------------
+
+def run(tree: Path, inputs: Path, out: Path) -> None:
+    """Train and scan every run; the relative workdir keeps paths equal."""
+    sys.path.insert(0, str(tree / "src"))
+    from ethcluster.pipeline import PipelineConfig, run_pipeline, scan_contract
+
+    out.mkdir(parents=True)
+    os.chdir(out)
+    for spec in json.loads((inputs / "runs.json").read_text("utf-8")):
+        config = PipelineConfig.resolve({**spec["config"], "workdir": spec["name"]})
+        run_pipeline(config)
+        sources = json.loads((inputs / spec["name"] / "scans.json").read_text("utf-8"))
+        scans = [scan_contract(config, source) for source in sources]
+        (out / f"{spec['name']}.scans.json").write_text(json.dumps(scans), "utf-8")
+
+
+# --- phase 3: comparison --------------------------------------------------
+
+def decode(value):
+    """JSON value with float arrays as numpy arrays and path keys dropped."""
+    if isinstance(value, dict):
+        payload = [v for k, v in value.items() if k != "shape" and isinstance(v, str)]
+        if "shape" in value and len(value) == 2 and len(payload) == 1:
+            raw = np.frombuffer(base64.b64decode(payload[0]), dtype="<f8")
+            return raw.reshape(value["shape"]).astype(np.float64)
+        return {k: decode(v) for k, v in value.items() if k not in PATH_KEYS}
+    if isinstance(value, list):
+        try:
+            arr = np.array(value)
+        except ValueError:  # ragged
+            arr = None
+        if arr is not None and arr.size and arr.dtype.kind in "fiu":
+            return arr.astype(np.float64)
+        return [decode(v) for v in value]
+    return value
+
+
+def read(path: Path):
+    text = path.read_text("utf-8")
+    try:
+        return decode(json.loads(text))
+    except json.JSONDecodeError:
+        return text
+
+
+def differences(a, b, where: str, floats: dict[str, float]) -> list[str]:
+    """Paths where ``a`` and ``b`` differ other than in float values; the
+    largest absolute difference of each float array goes into ``floats``."""
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        if a.shape != b.shape:
+            return [f"{where}: shape {a.shape} vs {b.shape}"]
+        floats[where] = float(np.max(np.abs(a - b))) if a.size else 0.0
+        return []
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return [f"{where}: keys {sorted(a.keys() ^ b.keys())}"]
+        return [d for k in a for d in differences(a[k], b[k], f"{where}.{k}", floats)]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [d for i, (x, y) in enumerate(zip(a, b))
+                for d in differences(x, y, f"{where}[{i}]", floats)]
+    return [] if type(a) is type(b) and a == b else [f"{where}: {a!r:.60} vs {b!r:.60}"]
+
+
+def _model_facts(model: dict) -> tuple[dict, list[int], list[str]]:
+    labels = {str(c): v for c, v in model["labels"].items()}
+    ids = [int(i) for i in np.asarray(model["assignments"]).ravel()]
+    return labels, ids, [labels.get(str(i)) for i in ids]
+
+
+def compare(out_a: Path, out_b: Path, runs: list[dict]) -> tuple[list[str], bool]:
+    counts = {key: [0, 0] for key in ("byte-identical files", "files identical by value",
+                                      "training predictions", "cluster labels",
+                                      "k-means partitions", "scan results")}
+    worst: dict[str, float] = {}
+    notes = []
+
+    def tally(key: str, same: int, total: int = 1) -> None:
+        counts[key][0] += same
+        counts[key][1] += total
+
+    for spec in runs:
+        name, kind = spec["name"], spec["config"]["vulnerability"]
+        family = name if name.startswith("conftest") else name.rsplit("-", 1)[0]
+        stage_a, stage_b = out_a / name / kind, out_b / name / kind
+        files = {p.name for p in stage_a.iterdir()} | {p.name for p in stage_b.iterdir()}
+        for file in sorted(files):
+            pa, pb = stage_a / file, stage_b / file
+            if not (pa.exists() and pb.exists()):
+                notes.append(f"{name}/{file}: only in one tree")
+                tally("byte-identical files", 0)
+                tally("files identical by value", 0)
+                continue
+            tally("byte-identical files", pa.read_bytes() == pb.read_bytes())
+            floats: dict[str, float] = {}
+            diffs = differences(read(pa), read(pb), file, floats)
+            tally("files identical by value", not diffs and not any(floats.values()))
+            notes += [f"{name}/{d}" for d in diffs[:5]]
+            if floats:
+                key = f"{family} {file}"
+                worst[key] = max(worst.get(key, 0.0), *floats.values())
+        facts_a = _model_facts(json.loads((stage_a / "model.json").read_text("utf-8")))
+        facts_b = _model_facts(json.loads((stage_b / "model.json").read_text("utf-8")))
+        tally("cluster labels", facts_a[0] == facts_b[0])
+        tally("k-means partitions", facts_a[1] == facts_b[1])
+        tally("training predictions", facts_a[2] == facts_b[2])
+        scans_a = json.loads((out_a / f"{name}.scans.json").read_text("utf-8"))
+        scans_b = json.loads((out_b / f"{name}.scans.json").read_text("utf-8"))
+        tally("scan results", sum(x == y for x, y in zip(scans_a, scans_b)),
+              max(len(scans_a), len(scans_b)))
+
+    lines = [f"{key}: {same}/{total} identical" for key, (same, total) in counts.items()]
+    lines.append("largest absolute float difference per artifact, over the runs of each family:")
+    families = sorted({key.split(" ")[0] for key in worst})
+    lines += [f"  {family}: " + ", ".join(f"{key.split(' ')[1]} {diff:.3g}" for key, diff
+                                          in sorted(worst.items()) if key.startswith(family + " "))
+              for family in families]
+    if notes:
+        lines += ["differences:"] + [f"  {n}" for n in notes[:40]]
+    ok = all(same == total for key, (same, total) in counts.items()
+             if key != "byte-identical files")
+    return lines, ok
+
+
+def _subprocess(tree: Path, *args: str) -> None:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    subprocess.run([sys.executable, str(Path(__file__).resolve()), *args], env=env, check=True)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="source tree of the parent commit")
+    parser.add_argument("change", type=Path, help="source tree of the change")
+    parser.add_argument("--seeds", type=int, default=8, help="build_mix seeds 1..N")
+    parser.add_argument("--work", type=Path, default=None,
+                        help="directory for inputs and outputs (default: a temporary one)")
+    args = parser.parse_args(argv)
+    trees = [args.parent.resolve(), args.change.resolve()]
+    with tempfile.TemporaryDirectory(prefix="equivalence-") as tmp:
+        work = (args.work or Path(tmp)).resolve()
+        inputs = work / "inputs"
+        inputs.mkdir(parents=True)
+        _subprocess(trees[0], "--phase", "prepare", str(trees[0]), str(inputs), str(args.seeds))
+        for side, tree in zip(("parent", "change"), trees):
+            _subprocess(tree, "--phase", "run", str(tree), str(inputs), str(work / side))
+        runs = json.loads((inputs / "runs.json").read_text("utf-8"))
+        lines, ok = compare(work / "parent", work / "change", runs)
+    print(f"{len(runs)} runs: parent {trees[0]} vs change {trees[1]}")
+    print("\n".join(lines))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--phase"]:
+        phase, tree, *rest = sys.argv[2:]
+        if phase == "prepare":
+            prepare(Path(tree), Path(rest[0]), int(rest[1]))
+        else:
+            run(Path(tree), Path(rest[0]), Path(rest[1]))
+    else:
+        raise SystemExit(main())
