@@ -8,7 +8,6 @@ object to stderr and exit nonzero; success exits 0.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -24,6 +23,7 @@ from .errors import EthClusterError, PathError, PipelineStageError, RateLimited
 from .evaluate import confusion, metrics, project2d, render_table, write_points_csv, write_report
 from .ingest import (
     DEFAULT_ENDPOINTS,
+    RATE_PER_SECOND,
     ContractStore,
     Dataset,
     ExplorerClient,
@@ -34,9 +34,6 @@ from .pipeline import PipelineConfig, run_pipeline, scan_contract
 from .preprocess import load_tokendocs, preprocess_contract, save_tokendocs
 
 RATE_LIMIT_RETRIES = 5
-
-# The stage subcommands default to the values ``run`` uses.
-_DEFAULTS = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
 
 
 def _read_sources(directory: str) -> list[str]:
@@ -112,10 +109,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_train_embedding(args) -> int:
-    config = embed.EmbeddingConfig(
-        vector_size=args.dim, window=args.window, min_count=args.min_count,
-        sg=args.sg, epochs=args.epochs, seed=args.seed, negative=args.negative,
-    )
+    config = embed.EmbeddingConfig(vector_size=args.dim, epochs=args.epochs, seed=args.seed)
     model = embed.train_embedding([d.tokens for d in load_tokendocs(args.input)], config)
     embed.save_model(model, args.out)
     print(f"vocab={len(model.vocab)} dim={args.dim} -> {args.out}")
@@ -137,9 +131,7 @@ def cmd_vectorize(args) -> int:
 def cmd_cluster(args) -> int:
     dataset = Dataset.load(args.dataset) if args.dataset else None
     model = pipeline.cluster_vectors(
-        vectorize.load_vectors(args.vectors), args.k, args.max_iter, args.seed,
-        args.pca_threshold, args.pca_components, dataset,
-    )
+        vectorize.load_vectors(args.vectors), args.k, args.max_iter, args.seed, dataset)
     cl.save_cluster_model(model, args.out)
     print(f"k={args.k} iterations={model.iterations_run} -> {args.out}")
     return 0
@@ -205,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--addresses", required=True, help="file with one 0x address per line")
     p.add_argument("--store", default="contracts.ndjson")
     p.add_argument("--endpoint", default=None, help="override the chain's API endpoint")
-    p.add_argument("--rate", type=float, default=4.0, help="requests per second")
+    p.add_argument("--rate", type=float, default=RATE_PER_SECOND, help="requests per second")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("build-dataset", help="mix vulnerable and clean dirs into a dataset")
@@ -229,12 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-embedding", help="train word vectors over a tokens file")
     p.add_argument("--in", dest="input", required=True, help="tokens file from preprocess")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
-    p.add_argument("--window", type=int, default=_DEFAULTS["window"])
-    p.add_argument("--epochs", type=int, default=_DEFAULTS["epochs"])
-    p.add_argument("--sg", type=int, default=_DEFAULTS["sg"], choices=(0, 1))
-    p.add_argument("--min-count", type=int, default=_DEFAULTS["min_count"])
-    p.add_argument("--negative", type=int, default=_DEFAULTS["negative"])
+    p.add_argument("--seed", type=int, default=pipeline.DEFAULT_SEED)
+    p.add_argument("--epochs", type=int, default=embed.EmbeddingConfig.epochs)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_embedding)
 
@@ -249,10 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="PCA (if high-dimensional) plus seeded k-means")
     p.add_argument("--vectors", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
-    p.add_argument("--max-iter", type=int, default=_DEFAULTS["max_iterations"])
-    p.add_argument("--pca-threshold", type=int, default=_DEFAULTS["pca_activation_dim"])
-    p.add_argument("--pca-components", type=int, default=_DEFAULTS["pca_components"])
+    p.add_argument("--seed", type=int, default=pipeline.DEFAULT_SEED)
+    p.add_argument("--max-iter", type=int, default=cl.MAX_ITERATIONS)
     p.add_argument("--dataset", default=None, help="label clusters from this dataset")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cluster)

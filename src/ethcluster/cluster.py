@@ -26,6 +26,11 @@ from .errors import (
 )
 from .ingest import CLEAN, VULNERABLE, Dataset
 
+#: PCA reduces vectors wider than PCA_DIM to PCA_DIM components, or one per row if fewer.
+PCA_DIM = 50
+#: Lloyd's iteration cap of every trained model.
+MAX_ITERATIONS = 100
+
 
 @dataclass(frozen=True)
 class PcaBasis:
@@ -86,7 +91,8 @@ class ClusterModel:
         return self.centers.shape[1] if self.pca is None else self.pca.mean.shape[0]
 
 
-def kmeans_fit(X: np.ndarray, k: int, max_iterations: int = 100, seed: int = 0) -> ClusterModel:
+def kmeans_fit(X: np.ndarray, k: int, max_iterations: int = MAX_ITERATIONS,
+               seed: int = 0) -> ClusterModel:
     """Lloyd's algorithm from k distinct seeded random rows.
 
     Iterates nearest-center assignment and mean update until assignments
@@ -100,6 +106,8 @@ def kmeans_fit(X: np.ndarray, k: int, max_iterations: int = 100, seed: int = 0) 
         raise InvalidInput(f"k must be >= 1, got {k}")
     if max_iterations < 1:
         raise InvalidInput(f"max_iterations must be >= 1, got {max_iterations}")
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
     if k > n:
         raise TooManyClusters(f"k={k} exceeds {n} data rows")
 
@@ -180,14 +188,14 @@ def predict(model: ClusterModel, values: np.ndarray) -> str:
 
 # --- persistence -----------------------------------------------------------
 
-def save_cluster_model(model: ClusterModel, path: str | Path, extra: dict | None = None) -> None:
+def save_cluster_model(model: ClusterModel, path: str | Path) -> None:
     """Persist centers, labels, assignments and the optional PCA basis.
 
     Floats go through repr-style JSON serialization, so loading reproduces
     them bit-exactly; ``k`` and ``num_components`` restate the matrix shapes.
     """
     pca = model.pca
-    payload = {
+    write_json({
         "k": model.k,
         "seed": model.seed,
         "iterations_run": model.iterations_run,
@@ -199,10 +207,7 @@ def save_cluster_model(model: ClusterModel, path: str | Path, extra: dict | None
             "components": pca.components.tolist(),
             "num_components": pca.num_components,
         },
-    }
-    if extra:
-        payload["config"] = extra
-    write_json(payload, path)
+    }, path)
 
 
 def _cluster_model(payload: dict) -> ClusterModel:

@@ -46,8 +46,8 @@ class EmbeddingConfig:
     def __post_init__(self):
         if self.vector_size < 1 or self.window < 1 or self.epochs < 1:
             raise InvalidInput("vector_size, window and epochs must all be >= 1")
-        if self.min_count < 0 or self.negative < 0:
-            raise InvalidInput("min_count and negative must be >= 0")
+        if self.min_count < 0 or self.negative < 0 or self.seed < 0:
+            raise InvalidInput("min_count, negative and seed must be >= 0")
         if self.sg not in (SKIP_GRAM, CBOW):
             raise InvalidInput("sg must be 0 (CBOW) or 1 (skip-gram)")
         if self.initial_learning_rate <= 0:

@@ -51,6 +51,10 @@ DEFAULT_ENDPOINTS = {
 
 APIKEY_ENV_PREFIX = "ETHCLUSTER_APIKEY_"
 
+#: Default request rate per chain, and the timeout of one request.
+RATE_PER_SECOND = 4.0
+TIMEOUT_S = 30.0
+
 _ADDRESS_RE = re.compile(r"^0x[0-9a-fA-F]{40}$")
 
 
@@ -107,12 +111,11 @@ class ContractRecord:
 
 
 class TokenBucket:
-    """Simple token-bucket rate limiter; default 4 requests/second."""
+    """Token-bucket rate limiter holding one second's worth of requests."""
 
-    def __init__(self, rate: float = 4.0, capacity: float | None = None):
+    def __init__(self, rate: float):
         self.rate = rate
-        self.capacity = capacity if capacity is not None else rate
-        self._tokens = self.capacity
+        self._tokens = rate
         self._last = time.monotonic()
         self._lock = threading.Lock()
 
@@ -120,7 +123,7 @@ class TokenBucket:
         while True:
             with self._lock:
                 now = time.monotonic()
-                self._tokens = min(self.capacity, self._tokens + (now - self._last) * self.rate)
+                self._tokens = min(self.rate, self._tokens + (now - self._last) * self.rate)
                 self._last = now
                 if self._tokens >= 1.0:
                     self._tokens -= 1.0
@@ -139,10 +142,8 @@ class ExplorerClient:
     """
 
     def __init__(self, endpoints: dict[str, str] | None = None,
-                 rate_per_second: float = 4.0,
-                 timeout: float = 30.0):
+                 rate_per_second: float = RATE_PER_SECOND):
         self.endpoints = dict(DEFAULT_ENDPOINTS if endpoints is None else endpoints)
-        self.timeout = timeout
         self._session = requests.Session()
         self._buckets = {chain: TokenBucket(rate_per_second) for chain in self.endpoints}
 
@@ -171,7 +172,7 @@ class ExplorerClient:
             "apikey": self.api_key(chain),
         }
         try:
-            resp = self._session.get(self.endpoints[chain], params=params, timeout=self.timeout)
+            resp = self._session.get(self.endpoints[chain], params=params, timeout=TIMEOUT_S)
         except requests.RequestException as exc:
             raise TransportError(f"{chain} request failed: {exc}") from exc
         if resp.status_code == 429:

@@ -46,23 +46,15 @@ class PipelineConfig:
     tfidf_threshold: float = -1.0
     num_clusters: int = 0
     seed: int = DEFAULT_SEED
-    max_iterations: int = 100
-    pca_components: int = 50
-    pca_activation_dim: int = 50
-    window: int = 5
-    epochs: int = 5
-    sg: int = 1
-    min_count: int = 1
-    negative: int = 5
-    initial_learning_rate: float = 0.025
+    epochs: int = embed.EmbeddingConfig.epochs
 
     @classmethod
     def resolve(cls, values: dict) -> "PipelineConfig":
         """Fill omitted fields from the vulnerability kind's defaults.
 
         ``values`` comes from a config file merged with CLI overrides; the
-        vulnerability name keys ``detect.KINDS``. A value of the wrong type
-        is refused before any stage runs.
+        vulnerability name keys ``detect.KINDS``. A value of the wrong type,
+        or an embedding setting out of range, is refused before any stage runs.
         """
         values = dict(values)
         vulnerability = values.get("vulnerability", "")
@@ -83,7 +75,9 @@ class PipelineConfig:
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[types[name]]):
                 raise InvalidInput(
                     f"config field {name!r} must be of type {types[name]}; got {value!r}")
-        return cls(**values)
+        config = cls(**values)
+        config.embedding_config()  # refuses a negative seed, or epochs or vector_size below 1
+        return config
 
     @property
     def regex_kind(self) -> str | None:
@@ -94,9 +88,8 @@ class PipelineConfig:
         return Path(self.workdir) / self.vulnerability
 
     def embedding_config(self) -> embed.EmbeddingConfig:
-        """The embedding fields, which this config shares by name."""
-        names = [f.name for f in fields(embed.EmbeddingConfig)]
-        return embed.EmbeddingConfig(**{name: getattr(self, name) for name in names})
+        """The embedding settings; the rest keep ``EmbeddingConfig``'s defaults."""
+        return embed.EmbeddingConfig(self.vector_size, epochs=self.epochs, seed=self.seed)
 
 
 @contextmanager
@@ -170,14 +163,13 @@ def vectorize_corpus(docs: Sequence[TokenDoc], model: embed.EmbeddingModel, thre
 
 
 def cluster_vectors(vectors: Sequence[vectorize.DocumentVector], k: int, max_iterations: int,
-                    seed: int, pca_activation_dim: int, pca_components: int,
-                    dataset: Dataset | None = None) -> cl.ClusterModel:
-    """PCA when the vectors are wider than ``pca_activation_dim``, then
+                    seed: int, dataset: Dataset | None = None) -> cl.ClusterModel:
+    """PCA to ``cl.PCA_DIM`` components when the vectors are wider, then
     seeded k-means; clusters are labeled when a dataset is given."""
     X = np.array([v.values for v in vectors])
     basis = None
-    if X.shape[1] > pca_activation_dim:
-        basis = cl.pca_fit(X, min(pca_components, X.shape[0], X.shape[1]))
+    if X.shape[1] > cl.PCA_DIM:
+        basis = cl.pca_fit(X, min(cl.PCA_DIM, X.shape[0]))
         X = cl.pca_transform(basis, X)
     cmodel = cl.kmeans_fit(X, k=k, max_iterations=max_iterations, seed=seed)
     cmodel.pca = basis
@@ -199,7 +191,6 @@ def run_pipeline(config: PipelineConfig) -> MetricsReport:
     """Train, label and evaluate one vulnerability detector end to end."""
     out = config.stage_dir()
     out.mkdir(parents=True, exist_ok=True)
-    params = asdict(config)
 
     with stage("dataset"):
         if not config.dataset or not Path(config.dataset).exists():
@@ -224,15 +215,13 @@ def run_pipeline(config: PipelineConfig) -> MetricsReport:
         vectorize.save_vectors(vectors, out / "vectors.json")
 
     with stage("cluster"):
-        cmodel = cluster_vectors(
-            vectors, config.num_clusters, config.max_iterations, config.seed,
-            config.pca_activation_dim, config.pca_components, dataset,
-        )
-        cl.save_cluster_model(cmodel, out / "model.json", extra=params)
+        cmodel = cluster_vectors(vectors, config.num_clusters, cl.MAX_ITERATIONS, config.seed,
+                                 dataset)
+        cl.save_cluster_model(cmodel, out / "model.json")
 
     with stage("evaluate"):
         cm, report = evaluate_model(cmodel, dataset)
-        write_report(config.vulnerability, cm, report, params, out / "report.json")
+        write_report(config.vulnerability, cm, report, asdict(config), out / "report.json")
         write_text(render_table(config.vulnerability, cm, report) + "\n", out / "report.txt")
 
     return report

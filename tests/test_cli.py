@@ -5,6 +5,7 @@ import pytest
 
 from conftest import clean_source, explorer_url, reentrant_source, write_corpus
 from ethcluster.cli import main
+from ethcluster.cluster import PCA_DIM
 from ethcluster.ingest import ContractStore
 
 ADDR_1 = "0x" + "1" * 40
@@ -67,7 +68,6 @@ class TestStagewiseCli:
 
         assert main(["cluster", "--vectors", str(root / "vectors.json"),
                      "--k", "5", "--seed", "1194", "--max-iter", "100",
-                     "--pca-threshold", "50",
                      "--dataset", str(root / "dataset.json"),
                      "--out", str(root / "model.json")]) == 0
         model = json.loads((root / "model.json").read_text("utf-8"))
@@ -163,15 +163,34 @@ class TestStagewiseCli:
         assert len(err) == 1 and json.loads(err[0])["error"] == "FormatError"
         assert not (tmp_path / "model.json").exists()
 
+    def test_negative_seed_is_one_invalid_input_line(self, tmp_path, capsys):
+        write_corpus(tmp_path / "src", [reentrant_source(0), clean_source(0)])
+        tokens, vectors = tmp_path / "tokens.json", tmp_path / "vectors.json"
+        assert main(["preprocess", "--in", str(tmp_path / "src"), "--out", str(tokens)]) == 0
+        vectors.write_text(json.dumps([{"contract_hash": f"h{i}", "values": [float(i), 0.0]}
+                                       for i in range(4)]), "utf-8")
+        capsys.readouterr()
+        for argv in (["train-embedding", "--in", str(tokens), "--dim", "4"],
+                     ["cluster", "--vectors", str(vectors), "--k", "2"]):
+            out = tmp_path / "out.json"
+            assert main([*argv, "--seed", "-1", "--out", str(out)]) == 1
+            [line] = capsys.readouterr().err.splitlines()
+            assert json.loads(line)["error"] == "InvalidInput"
+            assert not out.exists()
+        assert main(["run", "--vulnerability", "reentrancy", "--dataset", str(vectors),
+                     "--workdir", str(tmp_path / "work"), "--seed", "-1"]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "InvalidInput"
+        assert not (tmp_path / "work").exists()
+
     def test_project_assigns_training_rows_to_their_clusters(self, tmp_path):
         rng = np.random.default_rng(8)
         path = tmp_path / "vectors.json"
         path.write_text(json.dumps([{"contract_hash": f"h{i}", "values": row}
-                                    for i, row in enumerate(rng.standard_normal((12, 6)).tolist())]),
+                                    for i, row in enumerate(rng.standard_normal((12, 60)).tolist())]),
                         "utf-8")
         model = tmp_path / "model.json"
-        assert main(["cluster", "--vectors", str(path), "--k", "3", "--pca-threshold", "4",
-                     "--pca-components", "3", "--out", str(model)]) == 0
+        assert main(["cluster", "--vectors", str(path), "--k", "3", "--out", str(model)]) == 0
         saved = json.loads(model.read_text("utf-8"))
         assert saved["pca"] is not None
         assert main(["project", "--vectors", str(path), "--model", str(model),
@@ -179,18 +198,17 @@ class TestStagewiseCli:
         rows = (tmp_path / "points.csv").read_text("utf-8").splitlines()[1:]
         assert [int(row.split(",")[2]) for row in rows] == saved["assignments"]
 
-    @pytest.mark.parametrize("pca_threshold", [4, 50], ids=["pca", "plain"])
-    def test_project_vectors_of_another_width_write_no_points(self, tmp_path, capsys,
-                                                              pca_threshold):
+    @pytest.mark.parametrize("width", [60, 6], ids=["pca", "plain"])
+    def test_project_vectors_of_another_width_write_no_points(self, tmp_path, capsys, width):
         rng = np.random.default_rng(9)
-        for name, width in (("train.json", 6), ("other.json", 5)):
+        for name, cols in (("train.json", width), ("other.json", width - 1)):
             (tmp_path / name).write_text(json.dumps(
                 [{"contract_hash": f"h{i}", "values": row}
-                 for i, row in enumerate(rng.standard_normal((12, width)).tolist())]), "utf-8")
+                 for i, row in enumerate(rng.standard_normal((12, cols)).tolist())]), "utf-8")
         model = tmp_path / "model.json"
         assert main(["cluster", "--vectors", str(tmp_path / "train.json"), "--k", "3",
-                     "--pca-threshold", str(pca_threshold), "--pca-components", "3",
                      "--out", str(model)]) == 0
+        assert (json.loads(model.read_text("utf-8"))["pca"] is None) == (width <= PCA_DIM)
         capsys.readouterr()
         assert main(["project", "--vectors", str(tmp_path / "other.json"), "--model", str(model),
                      "--out", str(tmp_path / "points.csv")]) == 1
@@ -232,14 +250,13 @@ class TestStagesMatchRun:
                      "--kind", "reentrancy", "--out", str(staged / "report.json")]) == 0
 
         for name in ["preprocess.json", "detect.json", "embedding.vec",
-                     "keywords.json", "vectors.json"]:
+                     "keywords.json", "vectors.json", "model.json"]:
             assert (staged / name).read_bytes() == (ran / name).read_bytes(), name
-        for name, extra in [("model.json", "config"), ("report.json", "params")]:
-            run_payload = json.loads((ran / name).read_text("utf-8"))
-            staged_payload = json.loads((staged / name).read_text("utf-8"))
-            run_payload.pop(extra)
-            staged_payload.pop(extra, None)
-            assert staged_payload == run_payload, name
+        run_report = json.loads((ran / "report.json").read_text("utf-8"))
+        staged_report = json.loads((staged / "report.json").read_text("utf-8"))
+        run_report.pop("params")
+        staged_report.pop("params")
+        assert staged_report == run_report
 
 
 class TestRunAndScanCli:

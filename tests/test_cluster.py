@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -237,6 +236,8 @@ class TestKmeans:
             kmeans_fit(X, k=0, seed=0)
         with pytest.raises(InvalidInput):
             kmeans_fit(X, k=2, max_iterations=0, seed=0)
+        with pytest.raises(InvalidInput, match="seed"):
+            kmeans_fit(X, k=2, seed=-1)
 
     def test_duplicate_rows_handled(self):
         X = np.array([[0.0, 0.0]] * 5 + [[5.0, 5.0]] * 5)
@@ -358,16 +359,15 @@ class TestPersistence:
         model.pca = basis
 
         path = tmp_path / "model.json"
-        save_cluster_model(model, path, extra={"vulnerability": "reentrancy"})
+        save_cluster_model(model, path)
         loaded = load_cluster_model(path)
-        loaded_basis, config = loaded.pca, json.loads(path.read_text("utf-8"))["config"]
+        loaded_basis = loaded.pca
 
         assert np.array_equal(loaded.centers, model.centers)
         assert np.array_equal(loaded.assignments, model.assignments)
         assert loaded.labels == model.labels
         assert np.array_equal(loaded_basis.mean, basis.mean)
         assert np.array_equal(loaded_basis.components, basis.components)
-        assert config == {"vulnerability": "reentrancy"}
 
     def test_no_pca_round_trip(self, tmp_path):
         model = kmeans_fit(np.random.default_rng(32).standard_normal((6, 2)), k=2, seed=1)

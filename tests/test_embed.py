@@ -170,6 +170,8 @@ class TestTraining:
             EmbeddingConfig(sg=2)
         with pytest.raises(InvalidInput):
             EmbeddingConfig(epochs=0)
+        with pytest.raises(InvalidInput, match="seed"):
+            EmbeddingConfig(seed=-1)
 
 
 class TestLookup:

@@ -15,6 +15,7 @@ from conftest import (
     write_corpus,
 )
 from ethcluster import _artifact, pipeline
+from ethcluster import cluster as cl
 from ethcluster.cluster import load_cluster_model, save_cluster_model
 from ethcluster.detect import KINDS, REGEX_KINDS, detector_for
 from ethcluster.errors import (
@@ -82,7 +83,7 @@ class TestConfigResolution:
         config = PipelineConfig.resolve({"vulnerability": "reentrancy"})
         assert (config.vector_size, config.tfidf_threshold, config.num_clusters) == (10, 0.7, 5)
         assert config.seed == 1194
-        assert config.max_iterations == 100
+        assert cl.MAX_ITERATIONS == 100
 
     @pytest.mark.parametrize("vulnerability", KINDS)
     def test_every_vulnerability_has_defaults(self, vulnerability):
@@ -102,7 +103,7 @@ class TestConfigResolution:
 
     @pytest.mark.parametrize("field, value", [
         ("num_clusters", "5"), ("seed", "x"), ("vector_size", None), ("epochs", 1.5),
-        ("tfidf_threshold", "0.7"), ("sg", True), ("dataset", 3),
+        ("tfidf_threshold", "0.7"), ("epochs", True), ("dataset", 3),
         ("vulnerability", ["reentrancy"]),
     ])
     def test_wrong_typed_value_is_refused(self, field, value):
@@ -122,8 +123,14 @@ class TestConfigResolution:
             PipelineConfig.resolve({"vulnerability": "gas_griefing"})
 
     def test_unknown_field(self):
-        with pytest.raises(InvalidInput):
-            PipelineConfig.resolve({"vulnerability": "reentrancy", "bogus": 1})
+        for name in ("bogus", "window"):
+            with pytest.raises(InvalidInput, match="unknown config fields"):
+                PipelineConfig.resolve({"vulnerability": "reentrancy", name: 1})
+
+    @pytest.mark.parametrize("field, value", [("seed", -1), ("epochs", 0), ("vector_size", 0)])
+    def test_out_of_range_embedding_setting_is_refused(self, field, value):
+        with pytest.raises(InvalidInput, match=field):
+            PipelineConfig.resolve({"vulnerability": "reentrancy", field: value})
 
     def test_workdir_env_fallback(self, monkeypatch):
         monkeypatch.setenv("ETHCLUSTER_WORKDIR", "/tmp/elsewhere")
@@ -391,10 +398,6 @@ class TestFuzz:
         assert result["label"] in ("vulnerable", "clean")
 
 
-def _model_and_config(path):
-    return load_cluster_model(path), json.loads(path.read_text("utf-8"))["config"]
-
-
 class TestAtomicWrites:
     @pytest.fixture()
     def trained(self, tmp_path):
@@ -404,16 +407,16 @@ class TestAtomicWrites:
 
     def test_unencodable_payload_leaves_the_previous_model(self, trained):
         stage_dir, before = trained
-        cmodel, params = _model_and_config(stage_dir / "model.json")
+        cmodel = load_cluster_model(stage_dir / "model.json")
+        cmodel.labels[0] = object()
         with pytest.raises(TypeError):
-            save_cluster_model(cmodel, stage_dir / "model.json",
-                               extra={**params, "seed": object()})
+            save_cluster_model(cmodel, stage_dir / "model.json")
         assert {p.name: p.read_bytes() for p in stage_dir.iterdir()} == before
 
     def test_failed_replace_leaves_the_previous_model_and_no_temp_file(self, trained,
                                                                         monkeypatch):
         stage_dir, before = trained
-        cmodel, params = _model_and_config(stage_dir / "model.json")
+        cmodel = load_cluster_model(stage_dir / "model.json")
 
         def fail(src, dst):
             # the temp file holds the whole new model
@@ -422,5 +425,5 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(_artifact.os, "replace", fail)
         with pytest.raises(OSError, match="disk full"):
-            save_cluster_model(cmodel, stage_dir / "model.json", extra=params)
+            save_cluster_model(cmodel, stage_dir / "model.json")
         assert {p.name: p.read_bytes() for p in stage_dir.iterdir()} == before
