@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-embedding", help="train word vectors over a tokens file")
     p.add_argument("--in", dest="input", required=True, help="tokens file from preprocess")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--seed", type=int, default=pipeline.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=embed.DEFAULT_SEED)
     p.add_argument("--epochs", type=int, default=embed.EmbeddingConfig.epochs)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_embedding)
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="PCA (if high-dimensional) plus seeded k-means")
     p.add_argument("--vectors", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=pipeline.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=embed.DEFAULT_SEED)
     p.add_argument("--max-iter", type=int, default=cl.MAX_ITERATIONS)
     p.add_argument("--dataset", default=None, help="label clusters from this dataset")
     p.add_argument("--out", required=True)

@@ -91,8 +91,8 @@ class ClusterModel:
         return self.centers.shape[1] if self.pca is None else self.pca.mean.shape[0]
 
 
-def kmeans_fit(X: np.ndarray, k: int, max_iterations: int = MAX_ITERATIONS,
-               seed: int = 0) -> ClusterModel:
+def kmeans_fit(X: np.ndarray, k: int, max_iterations: int = MAX_ITERATIONS, *,
+               seed: int) -> ClusterModel:
     """Lloyd's algorithm from k distinct seeded random rows.
 
     Iterates nearest-center assignment and mean update until assignments

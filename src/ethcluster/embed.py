@@ -16,17 +16,26 @@ import numpy as np
 
 from . import _kernels
 from ._artifact import floats, read_json, write_json
-from .errors import EmptyVocab, FormatError, InvalidInput, VersionError
+from .errors import EmptyCorpus, FormatError, InvalidInput, VersionError
 
 SKIP_GRAM = 1
 CBOW = 0
 
 _FORMAT_NAME = "ethcluster-embedding"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 _V1_TEXT_HEADER = b"ethcluster-embedding 1 "
+
+#: word2vec's defaults (Mikolov et al. 2013, arXiv:1310.4546): the largest
+#: context window, noise words per pair and the initial learning rate.
+WINDOW = 5
+NEGATIVE = 5
+LEARNING_RATE = 0.025
 
 #: Floor of the linear learning-rate decay.
 MIN_LEARNING_RATE = 1e-4
+
+#: The seed of every seeded stage unless the caller gives one.
+DEFAULT_SEED = 1194
 
 #: Exponent flattening the unigram noise distribution.
 NOISE_POWER = 0.75
@@ -35,23 +44,15 @@ NOISE_POWER = 0.75
 @dataclass(frozen=True)
 class EmbeddingConfig:
     vector_size: int = 100
-    window: int = 5
-    min_count: int = 1
     sg: int = SKIP_GRAM
     epochs: int = 5
-    seed: int = 1
-    negative: int = 5
-    initial_learning_rate: float = 0.025
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if self.vector_size < 1 or self.window < 1 or self.epochs < 1:
-            raise InvalidInput("vector_size, window and epochs must all be >= 1")
-        if self.min_count < 0 or self.negative < 0 or self.seed < 0:
-            raise InvalidInput("min_count, negative and seed must be >= 0")
+        if self.vector_size < 1 or self.epochs < 1 or self.seed < 0:
+            raise InvalidInput("vector_size and epochs must be >= 1, and seed >= 0")
         if self.sg not in (SKIP_GRAM, CBOW):
             raise InvalidInput("sg must be 0 (CBOW) or 1 (skip-gram)")
-        if self.initial_learning_rate <= 0:
-            raise InvalidInput("initial_learning_rate must be positive")
 
 
 class EmbeddingModel:
@@ -122,16 +123,16 @@ def negative_sampling_gradients(w_in: np.ndarray, w_out: np.ndarray,
     return g_in, g_out
 
 
-def _build_vocab(docs: Sequence[Sequence[str]], min_count: int) -> tuple[dict[str, int], np.ndarray]:
+def _build_vocab(docs: Sequence[Sequence[str]]) -> tuple[dict[str, int], np.ndarray]:
+    """Every word of the corpus, with its count."""
     counts: dict[str, int] = {}
     for doc in docs:
         for word in doc:
             counts[word] = counts.get(word, 0) + 1
     # stable order: frequency descending, first-seen breaking ties
-    kept = [w for w in counts if counts[w] >= max(min_count, 1)]
-    kept.sort(key=lambda w: -counts[w])
-    vocab = {w: i for i, w in enumerate(kept)}
-    freqs = np.array([counts[w] for w in kept], dtype=np.float64)
+    words = sorted(counts, key=lambda w: -counts[w])
+    vocab = {w: i for i, w in enumerate(words)}
+    freqs = np.array([counts[w] for w in words], dtype=np.float64)
     return vocab, freqs
 
 
@@ -147,15 +148,11 @@ def train_embedding(docs: Sequence[Sequence[str]], config: EmbeddingConfig) -> E
     """
     if not docs:
         raise InvalidInput("document list is empty")
-    vocab, freqs = _build_vocab(docs, config.min_count)
+    vocab, freqs = _build_vocab(docs)
     if not vocab:
-        raise EmptyVocab(f"no word reaches min_count={config.min_count}")
+        raise EmptyCorpus("every document is empty")
 
-    encoded = []
-    for doc in docs:
-        idx = [vocab[w] for w in doc if w in vocab]
-        if idx:
-            encoded.append(np.array(idx, dtype=np.int64))
+    encoded = [np.array([vocab[w] for w in doc], dtype=np.int64) for doc in docs if doc]
     cdf = _noise_cdf(freqs)
     vocab_size = len(vocab)
     dim = config.vector_size
@@ -167,29 +164,22 @@ def train_embedding(docs: Sequence[Sequence[str]], config: EmbeddingConfig) -> E
 
     total_positions = config.epochs * sum(len(d) for d in encoded)
     kernel = _kernels.skipgram_doc if config.sg == SKIP_GRAM else _kernels.cbow_doc
-    a0 = config.initial_learning_rate
-    amin = min(MIN_LEARNING_RATE, a0)
 
     position = 0
     for _ in range(config.epochs):
         for doc in encoded:
             n = len(doc)
-            b = rng.integers(1, config.window + 1, size=n)
+            b = rng.integers(1, WINDOW + 1, size=n)
             pos = np.arange(n)
             lo = np.maximum(0, pos - b)
             hi = np.minimum(n - 1, pos + b)
-            if config.sg == SKIP_GRAM:
-                n_rows = int((hi - lo).sum())
-            else:
-                n_rows = n
-            if config.negative > 0 and n_rows > 0:
-                u = rng.random((n_rows, config.negative))
-                negs = np.minimum(np.searchsorted(cdf, u, side="right"), vocab_size - 1)
-                negs = negs.astype(np.int64)
-            else:
-                negs = np.zeros((n_rows, config.negative), dtype=np.int64)
-            alphas = a0 - (a0 - amin) * ((position + pos) / max(1, total_positions))
-            alphas = np.maximum(amin, alphas)
+            n_rows = int((hi - lo).sum()) if config.sg == SKIP_GRAM else n
+            u = rng.random((n_rows, NEGATIVE))
+            negs = np.minimum(np.searchsorted(cdf, u, side="right"), vocab_size - 1)
+            negs = negs.astype(np.int64)
+            decay = (position + pos) / max(1, total_positions)
+            alphas = LEARNING_RATE - (LEARNING_RATE - MIN_LEARNING_RATE) * decay
+            alphas = np.maximum(MIN_LEARNING_RATE, alphas)
             position += n
             kernel(w_in, w_out, doc, lo, hi, negs, alphas)
 

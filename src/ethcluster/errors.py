@@ -39,10 +39,6 @@ class InvalidKind(EthClusterError):
 
 # --- embed ----------------------------------------------------------------
 
-class EmptyVocab(EthClusterError):
-    """No word in the corpus survived the min_count floor."""
-
-
 class FormatError(EthClusterError):
     """A persisted file (model, dataset, tokens, flags) is malformed or truncated."""
 

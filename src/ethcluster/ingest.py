@@ -336,11 +336,11 @@ def build_mixed_dataset(vulnerable: list[ContractRecord],
     return Dataset(entries=tuple(entries), vulnerable_fraction=fraction)
 
 
-def records_from_dir(directory: str | Path, chain: str = "local") -> list[ContractRecord]:
+def records_from_dir(directory: str | Path) -> list[ContractRecord]:
     """Wrap every ``*.sol`` file under ``directory`` as a record.
 
-    Local corpora have no on-chain address; a deterministic pseudo-address is
-    derived from the source hash so record invariants still hold. Files are
+    Local corpora (chain ``"local"``) have no on-chain address; a pseudo-address
+    is derived from the source hash so record invariants still hold. Files are
     taken in sorted-name order, which fixes the dataset truncation order.
     """
     directory = Path(directory)
@@ -351,7 +351,7 @@ def records_from_dir(directory: str | Path, chain: str = "local") -> list[Contra
             continue
         digest = source_hash(source)
         records.append(ContractRecord.build(
-            chain=chain,
+            chain="local",
             address="0x" + digest[:40],
             source=source,
             fetched_at="",

@@ -30,7 +30,6 @@ from .evaluate import ConfusionMatrix, MetricsReport, confusion, metrics, render
 from .ingest import Dataset
 from .preprocess import TokenDoc, preprocess_contract, save_tokendocs
 
-DEFAULT_SEED = 1194
 WORKDIR_ENV = "ETHCLUSTER_WORKDIR"
 
 # The values a config field of each annotated type accepts (never a bool).
@@ -45,7 +44,7 @@ class PipelineConfig:
     vector_size: int = 0
     tfidf_threshold: float = -1.0
     num_clusters: int = 0
-    seed: int = DEFAULT_SEED
+    seed: int = embed.DEFAULT_SEED
     epochs: int = embed.EmbeddingConfig.epochs
 
     @classmethod
@@ -54,7 +53,7 @@ class PipelineConfig:
 
         ``values`` comes from a config file merged with CLI overrides; the
         vulnerability name keys ``detect.KINDS``. A value of the wrong type,
-        or an embedding setting out of range, is refused before any stage runs.
+        or one out of range, is refused before any stage runs.
         """
         values = dict(values)
         vulnerability = values.get("vulnerability", "")
@@ -75,6 +74,9 @@ class PipelineConfig:
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[types[name]]):
                 raise InvalidInput(
                     f"config field {name!r} must be of type {types[name]}; got {value!r}")
+        for name, least in (("num_clusters", 1), ("tfidf_threshold", 0)):
+            if values[name] < least:
+                raise InvalidInput(f"config field {name!r} must be >= {least}; got {values[name]!r}")
         config = cls(**values)
         config.embedding_config()  # refuses a negative seed, or epochs or vector_size below 1
         return config
@@ -165,7 +167,11 @@ def vectorize_corpus(docs: Sequence[TokenDoc], model: embed.EmbeddingModel, thre
 def cluster_vectors(vectors: Sequence[vectorize.DocumentVector], k: int, max_iterations: int,
                     seed: int, dataset: Dataset | None = None) -> cl.ClusterModel:
     """PCA to ``cl.PCA_DIM`` components when the vectors are wider, then
-    seeded k-means; clusters are labeled when a dataset is given."""
+    seeded k-means; clusters are labeled when a dataset is given, whose
+    records must be the vectors' documents in the same order."""
+    if dataset is not None and ([v.contract_hash for v in vectors]
+                                != [rec.source_hash for rec in dataset.records]):
+        raise AlignmentError("the vectors are not the dataset's documents in dataset order")
     X = np.array([v.values for v in vectors])
     basis = None
     if X.shape[1] > cl.PCA_DIM:
@@ -210,6 +216,9 @@ def run_pipeline(config: PipelineConfig) -> MetricsReport:
         embed.save_model(model, out / "embedding.vec")
 
     with stage("vectorize"):
+        # scan reads model.json with keywords.json: a failure from here on
+        # must leave no model beside a new keyword map
+        (out / "model.json").unlink(missing_ok=True)
         keyword_map, vectors = vectorize_corpus(docs, model, config.tfidf_threshold, detection)
         vectorize.save_keyword_map(keyword_map, out / "keywords.json")
         vectorize.save_vectors(vectors, out / "vectors.json")

@@ -183,6 +183,28 @@ class TestStagewiseCli:
         assert json.loads(line)["error"] == "InvalidInput"
         assert not (tmp_path / "work").exists()
 
+    def test_vectors_out_of_dataset_order_are_an_alignment_error(self, staged_corpus, capsys):
+        # a combined directory that sorts the clean files first yields vectors
+        # in another order than the vulnerable-first dataset
+        root = staged_corpus
+        write_corpus(root / "clean_first", [reentrant_source(i) for i in range(9)], prefix="zv")
+        write_corpus(root / "clean_first", [clean_source(i) for i in range(21)], prefix="ac")
+        dataset, tokens = str(root / "dataset.json"), str(root / "tokens.json")
+        vec, vectors = str(root / "model.vec"), str(root / "vectors.json")
+        assert main(["build-dataset", "--vuln", str(root / "vuln"), "--clean",
+                     str(root / "clean"), "--fraction", "0.3", "--out", dataset]) == 0
+        assert main(["preprocess", "--in", str(root / "clean_first"), "--out", tokens]) == 0
+        assert main(["train-embedding", "--in", tokens, "--dim", "10", "--epochs", "1",
+                     "--out", vec]) == 0
+        assert main(["vectorize", "--in", tokens, "--embedding", vec, "--out", vectors]) == 0
+        capsys.readouterr()
+        model = root / "model.json"
+        assert main(["cluster", "--vectors", vectors, "--k", "5", "--dataset", dataset,
+                     "--out", str(model)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "AlignmentError"
+        assert not model.exists()
+
     def test_project_assigns_training_rows_to_their_clusters(self, tmp_path):
         rng = np.random.default_rng(8)
         path = tmp_path / "vectors.json"
@@ -260,12 +282,13 @@ class TestStagesMatchRun:
 
 
 class TestRunAndScanCli:
-    def _config_file(self, root) -> str:
+    def _config_file(self, root, **overrides) -> str:
         config = {
             "vulnerability": "reentrancy",
             "dataset": str(root / "dataset.json"),
             "workdir": str(root / "work"),
             "epochs": 2,
+            **overrides,
         }
         path = root / "config.json"
         path.write_text(json.dumps(config), "utf-8")
@@ -289,6 +312,38 @@ class TestRunAndScanCli:
         result = json.loads(capsys.readouterr().out)
         assert result["label"] == "vulnerable"
         assert result["flags"] == {"reentrancy": 1}
+
+    def test_failed_rerun_leaves_no_model_for_scan(self, staged_corpus, capsys):
+        root = staged_corpus
+        assert main(["build-dataset", "--vuln", str(root / "vuln"),
+                     "--clean", str(root / "clean"), "--fraction", "0.3",
+                     "--out", str(root / "dataset.json")]) == 0
+        assert main(["run", "--config", self._config_file(root)]) == 0
+        # 31 clusters over 30 documents fails at the cluster stage, after
+        # vectorize has replaced keywords.json
+        config_path = self._config_file(root, num_clusters=31, tfidf_threshold=0.2)
+        capsys.readouterr()
+        assert main(["run", "--config", config_path]) == 1
+        assert json.loads(capsys.readouterr().err)["stage"] == "cluster"
+        assert (root / "work" / "reentrancy" / "keywords.json").exists()
+        assert not (root / "work" / "reentrancy" / "model.json").exists()
+
+        contract = root / "candidate.sol"
+        contract.write_text(reentrant_source(2), "utf-8")
+        assert main(["scan", str(contract), "--config", config_path]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ModelNotFound"
+
+    def test_out_of_range_config_value_writes_nothing(self, staged_corpus, capsys):
+        root = staged_corpus
+        assert main(["build-dataset", "--vuln", str(root / "vuln"),
+                     "--clean", str(root / "clean"), "--fraction", "0.3",
+                     "--out", str(root / "dataset.json")]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", self._config_file(root, num_clusters=0)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "InvalidInput" and "num_clusters" in error["message"]
+        assert not (root / "work" / "reentrancy" / "preprocess.json").exists()
 
     def test_run_missing_dataset_reports_stage(self, tmp_path, capsys):
         config = {"vulnerability": "reentrancy", "dataset": str(tmp_path / "nope.json"),

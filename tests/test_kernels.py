@@ -304,7 +304,7 @@ class TestTrainingWithOracleKernels:
         words = ["call", "value", "balance", "msg", "sender", "send", "require",
                  "now", "owner", "transfer", "amount", "mapping"]
         docs = [[words[i] for i in _skewed(rng, len(words), n)] for n in (14, 9, 20, 12)]
-        config = EmbeddingConfig(vector_size=6, epochs=3, negative=5, sg=sg, seed=3)
+        config = EmbeddingConfig(vector_size=6, epochs=3, sg=sg, seed=3)
         expected = train_embedding(docs, config)
         monkeypatch.setattr(_kernels, name, oracle)
         got = train_embedding(docs, config)

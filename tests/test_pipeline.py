@@ -14,7 +14,7 @@ from conftest import (
     unchecked_source,
     write_corpus,
 )
-from ethcluster import _artifact, pipeline
+from ethcluster import _artifact, embed, pipeline
 from ethcluster import cluster as cl
 from ethcluster.cluster import load_cluster_model, save_cluster_model
 from ethcluster.detect import KINDS, REGEX_KINDS, detector_for
@@ -101,6 +101,19 @@ class TestConfigResolution:
             (name, kind.vector_size, kind.tfidf_threshold, kind.num_clusters)
             for name, kind in KINDS.items()]
 
+    def test_readme_fixed_values_match_constants(self):
+        readme = " ".join((Path(__file__).parent.parent / "README.md").read_text("utf-8").split())
+        stated = [
+            f"Seed defaults to {embed.DEFAULT_SEED} everywhere (`ethcluster.embed.DEFAULT_SEED`)",
+            f"`epochs` to {embed.EmbeddingConfig.epochs}.",
+            f"window {embed.WINDOW} (`embed.WINDOW`)",
+            f"{embed.NEGATIVE} negative samples (`embed.NEGATIVE`)",
+            f"learning rate {embed.LEARNING_RATE} (`embed.LEARNING_RATE`)",
+            f"PCA to {cl.PCA_DIM} components when vectors are wider than {cl.PCA_DIM}",
+            f"at most {cl.MAX_ITERATIONS} k-means iterations",
+        ]
+        assert [phrase for phrase in stated if phrase not in readme] == []
+
     @pytest.mark.parametrize("field, value", [
         ("num_clusters", "5"), ("seed", "x"), ("vector_size", None), ("epochs", 1.5),
         ("tfidf_threshold", "0.7"), ("epochs", True), ("dataset", 3),
@@ -127,7 +140,8 @@ class TestConfigResolution:
             with pytest.raises(InvalidInput, match="unknown config fields"):
                 PipelineConfig.resolve({"vulnerability": "reentrancy", name: 1})
 
-    @pytest.mark.parametrize("field, value", [("seed", -1), ("epochs", 0), ("vector_size", 0)])
+    @pytest.mark.parametrize("field, value", [("seed", -1), ("epochs", 0), ("vector_size", 0),
+                                              ("num_clusters", 0), ("tfidf_threshold", -5.0)])
     def test_out_of_range_embedding_setting_is_refused(self, field, value):
         with pytest.raises(InvalidInput, match=field):
             PipelineConfig.resolve({"vulnerability": "reentrancy", field: value})

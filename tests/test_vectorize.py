@@ -277,7 +277,7 @@ class TestPersistence:
         load_vectors: '[{"contract_hash": "h", "values": ["x"]}]',
         load_keyword_map: '{"call": ["x"]}',
         load_model: '{"config": {"vector_size": 1}, "format": "ethcluster-embedding", '
-                    '"vectors": [["x"]], "version": 2, "words": ["call"]}',
+                    '"vectors": [["x"]], "version": 3, "words": ["call"]}',
     }
 
     @pytest.mark.parametrize("loader", list(_NON_NUMERIC), ids=lambda f: f.__name__)
