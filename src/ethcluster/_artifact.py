@@ -44,7 +44,8 @@ def read_json(path: str | Path, decode):
         return decode(json.loads(Path(path).read_text("utf-8")))
     except (FormatError, VersionError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
-    except (AttributeError, IndexError, InvalidInput, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, InvalidInput, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         raise FormatError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -80,6 +80,7 @@ class ClusterModel:
     labels: dict[int, str] = field(default_factory=dict)
     objective_history: list[float] = field(default_factory=list)
     pca: PcaBasis | None = None
+    hashes: list[str] = field(default_factory=list)  # training row -> contract_hash
 
     @property
     def k(self) -> int:
@@ -148,18 +149,22 @@ def kmeans_fit(X: np.ndarray, k: int, max_iterations: int = MAX_ITERATIONS, *,
     )
 
 
+def check_aligned(hashes: list[str], expected: list[str], what: str) -> None:
+    """Refuse ``what`` unless its contract hashes are ``expected``, in order."""
+    if hashes != expected:
+        raise AlignmentError(f"{what} does not cover the same {len(expected)} contracts in order")
+
+
 def label_clusters(model: ClusterModel, dataset: Dataset) -> ClusterModel:
     """Label each cluster from the dataset's vulnerable-first ordering.
 
     Majority vote over member truth labels; an exact tie goes to vulnerable
     (biasing toward recall); an empty cluster is clean.
     """
+    check_aligned(model.hashes, [rec.source_hash for rec in dataset.records], "the cluster model")
     truth = dataset.truth_labels
-    ids = model.assignments
-    if len(truth) != len(ids):
-        raise AlignmentError(f"{len(ids)} assignments vs {len(truth)} dataset entries")
-    members = np.bincount(ids, minlength=model.k)
-    vulnerable = np.bincount(ids[[label == VULNERABLE for label in truth]], minlength=model.k)
+    members = np.bincount(model.assignments, minlength=model.k)
+    vulnerable = np.bincount(model.assignments[[t == VULNERABLE for t in truth]], minlength=model.k)
     model.labels = {c: VULNERABLE if members[c] and 2 * vulnerable[c] >= members[c] else CLEAN
                     for c in range(model.k)}
     return model
@@ -189,7 +194,7 @@ def predict(model: ClusterModel, values: np.ndarray) -> str:
 # --- persistence -----------------------------------------------------------
 
 def save_cluster_model(model: ClusterModel, path: str | Path) -> None:
-    """Persist centers, labels, assignments and the optional PCA basis.
+    """Persist centers, labels, assignments, hashes and the optional PCA basis.
 
     Floats go through repr-style JSON serialization, so loading reproduces
     them bit-exactly; ``k`` and ``num_components`` restate the matrix shapes.
@@ -201,6 +206,7 @@ def save_cluster_model(model: ClusterModel, path: str | Path) -> None:
         "iterations_run": model.iterations_run,
         "centers": model.centers.tolist(),
         "assignments": model.assignments.tolist(),
+        "hashes": model.hashes,
         "labels": {str(c): label for c, label in model.labels.items()},
         "pca": None if pca is None else {
             "mean": pca.mean.tolist(),
@@ -211,21 +217,28 @@ def save_cluster_model(model: ClusterModel, path: str | Path) -> None:
 
 
 def _cluster_model(payload: dict) -> ClusterModel:
-    pca = payload["pca"]
+    pca, ids, hashes = payload["pca"], payload["assignments"], payload["hashes"]
+    if (not all(type(n) is int for n in (payload["seed"], payload["iterations_run"], *ids))
+            or not isinstance(hashes, list) or len(hashes) != len(ids)
+            or not all(isinstance(h, str) for h in hashes)):
+        raise FormatError("seed, iterations_run and assignments must be integers, "
+                          "with one string hash per assignment")
     basis = None if pca is None else PcaBasis(floats(pca["mean"], 1), floats(pca["components"], 2))
     model = ClusterModel(
         centers=floats(payload["centers"], 2),
-        assignments=np.array(payload["assignments"], dtype=np.int64),
+        assignments=np.array(ids, dtype=np.int64),
         seed=payload["seed"],
         iterations_run=payload["iterations_run"],
         labels={int(c): label for c, label in payload["labels"].items()},
         pca=basis,
+        hashes=hashes,
     )
     if payload["k"] != model.k or basis and pca["num_components"] != basis.num_components:
         raise FormatError("k or pca.num_components disagrees with the shape of its matrix")
     ids = model.assignments
-    if (ids.ndim != 1 or np.any((ids < 0) | (ids >= model.k))
+    if (np.any((ids < 0) | (ids >= model.k))
             or model.labels and sorted(model.labels) != list(range(model.k))
+            or not set(model.labels.values()) <= {VULNERABLE, CLEAN}
             or basis and basis.components.shape != (len(basis.mean), model.centers.shape[1])):
         raise FormatError(
             f"assignments, labels or PCA basis disagree with {model.centers.shape} centers")

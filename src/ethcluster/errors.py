@@ -68,7 +68,7 @@ class TooManyClusters(EthClusterError):
 
 
 class AlignmentError(EthClusterError):
-    """Two sequences that must align by position have different lengths."""
+    """An artifact or sequence does not cover the same contracts in the same order."""
 
 
 # --- evaluate -------------------------------------------------------------

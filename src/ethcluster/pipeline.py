@@ -23,9 +23,7 @@ import numpy as np
 from . import cluster as cl
 from . import detect, embed, vectorize
 from ._artifact import read_json, write_json, write_text
-from .errors import (
-    AlignmentError, FormatError, InvalidInput, ModelNotFound, PathError, PipelineStageError,
-)
+from .errors import FormatError, InvalidInput, ModelNotFound, PathError, PipelineStageError
 from .evaluate import ConfusionMatrix, MetricsReport, confusion, metrics, render_table, write_report
 from .ingest import Dataset
 from .preprocess import TokenDoc, preprocess_contract, save_tokendocs
@@ -34,52 +32,51 @@ WORKDIR_ENV = "ETHCLUSTER_WORKDIR"
 
 # The values a config field of each annotated type accepts (never a bool).
 _FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}
+_LEAST = {"num_clusters": 1, "tfidf_threshold": 0}  # the bounds EmbeddingConfig does not check
+
+
+def _kind(vulnerability) -> detect.Kind:
+    if isinstance(vulnerability, str) and vulnerability in detect.KINDS:
+        return detect.KINDS[vulnerability]
+    raise InvalidInput(f"vulnerability {vulnerability!r} is not one of {', '.join(detect.KINDS)}")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """One detector's settings; a wrong-typed or out-of-range value is refused when built."""
+
     vulnerability: str
+    vector_size: int
+    tfidf_threshold: float
+    num_clusters: int
     dataset: str = ""
     workdir: str = ""
-    vector_size: int = 0
-    tfidf_threshold: float = -1.0
-    num_clusters: int = 0
     seed: int = embed.DEFAULT_SEED
     epochs: int = embed.EmbeddingConfig.epochs
 
+    def __post_init__(self):
+        _kind(self.vulnerability)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise InvalidInput(f"config field {f.name!r} must be {f.type}; got {value!r}")
+            if value < (least := _LEAST.get(f.name, value)):
+                raise InvalidInput(f"config field {f.name!r} must be >= {least}; got {value!r}")
+        self.embedding_config()  # refuses a negative seed, or epochs or vector_size below 1
+
     @classmethod
     def resolve(cls, values: dict) -> "PipelineConfig":
-        """Fill omitted fields from the vulnerability kind's defaults.
-
-        ``values`` comes from a config file merged with CLI overrides; the
-        vulnerability name keys ``detect.KINDS``. A value of the wrong type,
-        or one out of range, is refused before any stage runs.
-        """
-        values = dict(values)
-        vulnerability = values.get("vulnerability", "")
-        if not isinstance(vulnerability, str) or vulnerability not in detect.KINDS:
-            raise InvalidInput(
-                f"vulnerability must be one of {', '.join(detect.KINDS)}; got {vulnerability!r}"
-            )
-        kind = detect.KINDS[vulnerability]
-        for name in ("vector_size", "tfidf_threshold", "num_clusters"):
-            values.setdefault(name, getattr(kind, name))
+        """The config of ``values``, a config file merged with CLI overrides,
+        with omitted fields filled from the vulnerability's ``detect.KINDS`` defaults."""
+        kind = _kind(values.get("vulnerability", ""))
+        values = {"vector_size": kind.vector_size, "tfidf_threshold": kind.tfidf_threshold,
+                  "num_clusters": kind.num_clusters, **values}
         if not values.get("workdir"):
             values["workdir"] = os.environ.get(WORKDIR_ENV, "ethcluster-work")
-        types = {f.name: f.type for f in fields(cls)}
-        unknown = set(values) - set(types)
+        unknown = set(values) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidInput(f"unknown config fields: {sorted(unknown)}")
-        for name, value in values.items():
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[types[name]]):
-                raise InvalidInput(
-                    f"config field {name!r} must be of type {types[name]}; got {value!r}")
-        for name, least in (("num_clusters", 1), ("tfidf_threshold", 0)):
-            if values[name] < least:
-                raise InvalidInput(f"config field {name!r} must be >= {least}; got {values[name]!r}")
-        config = cls(**values)
-        config.embedding_config()  # refuses a negative seed, or epochs or vector_size below 1
-        return config
+        return cls(**values)
 
     @property
     def regex_kind(self) -> str | None:
@@ -151,8 +148,7 @@ def vectorize_corpus(docs: Sequence[TokenDoc], model: embed.EmbeddingModel, thre
     """
     forced: Sequence[str] = ()
     if detection is not None:
-        if detection["hashes"] != [d.contract_hash for d in docs]:
-            raise AlignmentError("the detection flags were computed over a different corpus")
+        cl.check_aligned(detection["hashes"], [d.contract_hash for d in docs], "the flags")
         if detection["kind"] is not None and 1 in detection["flags"]:
             forced = detect.KINDS[detection["kind"]].keywords
     token_lists = [list(d.tokens) for d in docs]
@@ -169,25 +165,22 @@ def cluster_vectors(vectors: Sequence[vectorize.DocumentVector], k: int, max_ite
     """PCA to ``cl.PCA_DIM`` components when the vectors are wider, then
     seeded k-means; clusters are labeled when a dataset is given, whose
     records must be the vectors' documents in the same order."""
-    if dataset is not None and ([v.contract_hash for v in vectors]
-                                != [rec.source_hash for rec in dataset.records]):
-        raise AlignmentError("the vectors are not the dataset's documents in dataset order")
     X = np.array([v.values for v in vectors])
     basis = None
     if X.shape[1] > cl.PCA_DIM:
         basis = cl.pca_fit(X, min(cl.PCA_DIM, X.shape[0]))
         X = cl.pca_transform(basis, X)
     cmodel = cl.kmeans_fit(X, k=k, max_iterations=max_iterations, seed=seed)
-    cmodel.pca = basis
+    cmodel.pca, cmodel.hashes = basis, [v.contract_hash for v in vectors]
     return cmodel if dataset is None else cl.label_clusters(cmodel, dataset)
 
 
 def evaluate_model(cmodel: cl.ClusterModel,
                    dataset: Dataset) -> tuple[ConfusionMatrix, MetricsReport]:
-    """Confusion matrix and metrics of the training predictions; an
-    unlabeled model is labeled from the dataset first."""
-    if not cmodel.labels:
-        cmodel = cl.label_clusters(cmodel, dataset)
+    """Confusion matrix and metrics of the training predictions over their
+    dataset; an unlabeled model is labeled from it first."""
+    cl.check_aligned(cmodel.hashes, [r.source_hash for r in dataset.records], "the cluster model")
+    cmodel = cmodel if cmodel.labels else cl.label_clusters(cmodel, dataset)
     predicted = [cmodel.labels[int(a)] for a in cmodel.assignments]
     cm = confusion(predicted, dataset.truth_labels)
     return cm, metrics(cm)
@@ -195,13 +188,12 @@ def evaluate_model(cmodel: cl.ClusterModel,
 
 def run_pipeline(config: PipelineConfig) -> MetricsReport:
     """Train, label and evaluate one vulnerability detector end to end."""
-    out = config.stage_dir()
-    out.mkdir(parents=True, exist_ok=True)
-
     with stage("dataset"):
         if not config.dataset or not Path(config.dataset).exists():
             raise PathError(f"dataset file not found: {config.dataset!r}")
         dataset = Dataset.load(config.dataset)
+    out = config.stage_dir()
+    out.mkdir(parents=True, exist_ok=True)
 
     with stage("preprocess"):
         docs = [preprocess_contract(rec.source) for rec in dataset.records]

@@ -34,6 +34,7 @@ def _cluster_model():
     basis = cl.pca_fit(X, 2)
     model = cl.kmeans_fit(cl.pca_transform(basis, X), k=2, seed=1)
     model.labels, model.pca = {0: "vulnerable", 1: "clean"}, basis
+    model.hashes = [f"h{i}" for i in range(6)]
     return model
 
 
@@ -107,6 +108,16 @@ CASES = [
     ("k-not-centers", cl.load_cluster_model, _set("k", 99), FormatError),
     ("num-components-not-components", cl.load_cluster_model,
      _set("pca", "num_components", "x"), FormatError),
+    ("float-assignment", cl.load_cluster_model, _set("assignments", 0, 0.5), FormatError),
+    ("bool-assignment", cl.load_cluster_model, _set("assignments", 0, True), FormatError),
+    ("string-assignment", cl.load_cluster_model, _set("assignments", 0, "1"), FormatError),
+    ("huge-assignment", cl.load_cluster_model, _set("assignments", 0, 10**30), FormatError),
+    ("string-seed", cl.load_cluster_model, _set("seed", "x"), FormatError),
+    ("null-iterations", cl.load_cluster_model, _set("iterations_run", None), FormatError),
+    ("unknown-label", cl.load_cluster_model, _set("labels", "0", "banana"), FormatError),
+    ("int-hash", cl.load_cluster_model, _set("hashes", 0, 7), FormatError),
+    ("hash-per-assignment", cl.load_cluster_model, lambda p: _set("hashes", p["hashes"][1:])(p),
+     FormatError),
     ("null-label", Dataset.load, _set("entries", 0, "truth_label", None), FormatError),
 ]
 

@@ -177,16 +177,18 @@ class TestStagewiseCli:
             [line] = capsys.readouterr().err.splitlines()
             assert json.loads(line)["error"] == "InvalidInput"
             assert not out.exists()
-        assert main(["run", "--vulnerability", "reentrancy", "--dataset", str(vectors),
-                     "--workdir", str(tmp_path / "work"), "--seed", "-1"]) == 1
-        [line] = capsys.readouterr().err.splitlines()
-        assert json.loads(line)["error"] == "InvalidInput"
-        assert not (tmp_path / "work").exists()
+        run = ["run", "--vulnerability", "reentrancy", "--workdir", str(tmp_path / "work")]
+        for argv, error in ((["--dataset", str(vectors), "--seed", "-1"], "InvalidInput"),
+                            (["--dataset", str(tmp_path / "missing.json")], "PathError")):
+            assert main([*run, *argv]) == 1
+            [line] = capsys.readouterr().err.splitlines()
+            assert json.loads(line)["error"] == error
+            assert not (tmp_path / "work").exists()
 
-    def test_vectors_out_of_dataset_order_are_an_alignment_error(self, staged_corpus, capsys):
-        # a combined directory that sorts the clean files first yields vectors
-        # in another order than the vulnerable-first dataset
-        root = staged_corpus
+    @staticmethod
+    def _clean_first_vectors(root):
+        """The dataset and vectors of a combined directory that sorts the clean
+        files first, so the vectors are in another order than the dataset."""
         write_corpus(root / "clean_first", [reentrant_source(i) for i in range(9)], prefix="zv")
         write_corpus(root / "clean_first", [clean_source(i) for i in range(21)], prefix="ac")
         dataset, tokens = str(root / "dataset.json"), str(root / "tokens.json")
@@ -197,13 +199,49 @@ class TestStagewiseCli:
         assert main(["train-embedding", "--in", tokens, "--dim", "10", "--epochs", "1",
                      "--out", vec]) == 0
         assert main(["vectorize", "--in", tokens, "--embedding", vec, "--out", vectors]) == 0
+        return dataset, vectors
+
+    def test_vectors_out_of_dataset_order_are_an_alignment_error(self, staged_corpus, capsys):
+        dataset, vectors = self._clean_first_vectors(staged_corpus)
         capsys.readouterr()
-        model = root / "model.json"
+        model = staged_corpus / "model.json"
         assert main(["cluster", "--vectors", vectors, "--k", "5", "--dataset", dataset,
                      "--out", str(model)]) == 1
         [line] = capsys.readouterr().err.splitlines()
         assert json.loads(line)["error"] == "AlignmentError"
         assert not model.exists()
+
+    def test_unlabeled_model_out_of_dataset_order_is_an_alignment_error(self, staged_corpus,
+                                                                         capsys):
+        dataset, vectors = self._clean_first_vectors(staged_corpus)
+        model, report = str(staged_corpus / "model.json"), staged_corpus / "report.json"
+        assert main(["cluster", "--vectors", vectors, "--k", "5", "--out", model]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--model", model, "--dataset", dataset,
+                     "--out", str(report)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "AlignmentError"
+        assert not report.exists()
+
+    def test_labeled_model_against_another_dataset_is_an_alignment_error(self, staged_corpus,
+                                                                          capsys):
+        root = staged_corpus
+        write_corpus(root / "vuln2", [reentrant_source(i) for i in range(9, 18)])
+        for name, vuln in (("dataset.json", "vuln"), ("other.json", "vuln2")):
+            assert main(["build-dataset", "--vuln", str(root / vuln), "--clean",
+                         str(root / "clean"), "--fraction", "0.3", "--out", str(root / name)]) == 0
+        assert main(["run", "--vulnerability", "reentrancy", "--workdir", str(root / "work"),
+                     "--dataset", str(root / "dataset.json")]) == 0
+        model_path, report = root / "work" / "reentrancy" / "model.json", root / "report.json"
+        model = json.loads(model_path.read_text("utf-8"))
+        other = json.loads((root / "other.json").read_text("utf-8"))
+        assert model["labels"] and len(other["entries"]) == len(model["assignments"])
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model_path), "--dataset", str(root / "other.json"),
+                     "--out", str(report)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "AlignmentError"
+        assert not report.exists()
 
     def test_project_assigns_training_rows_to_their_clusters(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -75,6 +75,11 @@ def _dataset_with_labels(labels):
     return Dataset(entries=tuple(entries), vulnerable_fraction=0.3)
 
 
+def _hashes(n):
+    """The contracts, in order, of ``_dataset_with_labels`` over ``n`` labels."""
+    return [rec.source_hash for rec in _dataset_with_labels([CLEAN] * n).records]
+
+
 def _fitted_model(X, pca):
     """k=4 k-means on ``X``, or on its 3-component PCA projection."""
     basis = pca_fit(X, 3) if pca else None
@@ -251,7 +256,7 @@ class TestLabeling:
         return ClusterModel(
             centers=np.zeros((k, 2)),
             assignments=np.array(assignments, dtype=np.int64),
-            seed=0, iterations_run=1,
+            seed=0, iterations_run=1, hashes=_hashes(len(assignments)),
         )
 
     def test_unanimous_vulnerable(self):
@@ -281,6 +286,12 @@ class TestLabeling:
         with pytest.raises(AlignmentError):
             label_clusters(model, dataset)
 
+    def test_same_length_in_another_order_is_refused(self):
+        model = self._model_with_assignments([0, 0, 1, 1], k=2)
+        model.hashes.reverse()
+        with pytest.raises(AlignmentError, match="does not cover the same 4 contracts"):
+            label_clusters(model, _dataset_with_labels([VULNERABLE, VULNERABLE, CLEAN, CLEAN]))
+
 
 class TestPredict:
     def _fitted(self):
@@ -290,6 +301,7 @@ class TestPredict:
             [VULNERABLE if model.assignments[i] == model.assignments[0] else CLEAN
              for i in range(4)]
         )
+        model.hashes = _hashes(4)
         return label_clusters(model, dataset)
 
     def test_vector_at_center(self):
@@ -343,6 +355,7 @@ class TestPredict:
         Xp = pca_transform(basis, X)
         model = kmeans_fit(Xp, k=2, seed=4)
         dataset = _dataset_with_labels([VULNERABLE] * 10 + [CLEAN] * 10)
+        model.hashes = _hashes(20)
         model = label_clusters(model, dataset)
         model.pca = basis
         assert predict(model, X[0]) == model.labels[int(model.assignments[0])]
@@ -355,6 +368,7 @@ class TestPersistence:
         basis = pca_fit(X, 3)
         model = kmeans_fit(pca_transform(basis, X), k=3, seed=8)
         dataset = _dataset_with_labels([VULNERABLE] * 5 + [CLEAN] * 10)
+        model.hashes = _hashes(15)
         model = label_clusters(model, dataset)
         model.pca = basis
 
@@ -366,11 +380,13 @@ class TestPersistence:
         assert np.array_equal(loaded.centers, model.centers)
         assert np.array_equal(loaded.assignments, model.assignments)
         assert loaded.labels == model.labels
+        assert loaded.hashes == model.hashes
         assert np.array_equal(loaded_basis.mean, basis.mean)
         assert np.array_equal(loaded_basis.components, basis.components)
 
     def test_no_pca_round_trip(self, tmp_path):
         model = kmeans_fit(np.random.default_rng(32).standard_normal((6, 2)), k=2, seed=1)
+        model.hashes = [f"h{i}" for i in range(6)]
         path = tmp_path / "model.json"
         save_cluster_model(model, path)
         assert load_cluster_model(path).pca is None

@@ -60,6 +60,26 @@ def train_reentrancy(tmp_path, vulnerable_sources, clean_sources, **values):
     return config
 
 
+def _resolved(values):
+    return PipelineConfig.resolve({"vulnerability": "reentrancy", **values})
+
+
+def _built(values):
+    """A directly built config: the reentrancy defaults, with ``values`` over them."""
+    kind = KINDS["reentrancy"]
+    return PipelineConfig(**{"vulnerability": "reentrancy", "vector_size": kind.vector_size,
+                             "tfidf_threshold": kind.tfidf_threshold,
+                             "num_clusters": kind.num_clusters, **values})
+
+
+def _both_ways(cases):
+    """Each ``(id, field, value)`` case once through ``resolve``, under its id,
+    and once through direct construction, under ``direct-<id>``."""
+    return [pytest.param(build, field, value, id=prefix + case_id)
+            for prefix, build in (("", _resolved), ("direct-", _built))
+            for case_id, field, value in cases]
+
+
 @pytest.fixture(scope="module")
 def reentrancy_run(tmp_path_factory):
     """One trained reentrancy pipeline shared by the read-only assertions."""
@@ -114,14 +134,15 @@ class TestConfigResolution:
         ]
         assert [phrase for phrase in stated if phrase not in readme] == []
 
-    @pytest.mark.parametrize("field, value", [
-        ("num_clusters", "5"), ("seed", "x"), ("vector_size", None), ("epochs", 1.5),
-        ("tfidf_threshold", "0.7"), ("epochs", True), ("dataset", 3),
-        ("vulnerability", ["reentrancy"]),
-    ])
-    def test_wrong_typed_value_is_refused(self, field, value):
+    @pytest.mark.parametrize("build, field, value", _both_ways([
+        ("num_clusters-5", "num_clusters", "5"), ("seed-x", "seed", "x"),
+        ("vector_size-None", "vector_size", None), ("epochs-1.5", "epochs", 1.5),
+        ("tfidf_threshold-0.7", "tfidf_threshold", "0.7"), ("epochs-True", "epochs", True),
+        ("dataset-3", "dataset", 3), ("vulnerability-value7", "vulnerability", ["reentrancy"]),
+    ]))
+    def test_wrong_typed_value_is_refused(self, build, field, value):
         with pytest.raises(InvalidInput, match=field):
-            PipelineConfig.resolve({"vulnerability": "reentrancy", field: value})
+            build({field: value})
 
     def test_explicit_values_win(self):
         config = PipelineConfig.resolve({
@@ -140,11 +161,13 @@ class TestConfigResolution:
             with pytest.raises(InvalidInput, match="unknown config fields"):
                 PipelineConfig.resolve({"vulnerability": "reentrancy", name: 1})
 
-    @pytest.mark.parametrize("field, value", [("seed", -1), ("epochs", 0), ("vector_size", 0),
-                                              ("num_clusters", 0), ("tfidf_threshold", -5.0)])
-    def test_out_of_range_embedding_setting_is_refused(self, field, value):
+    @pytest.mark.parametrize("build, field, value", _both_ways([
+        ("seed--1", "seed", -1), ("epochs-0", "epochs", 0), ("vector_size-0", "vector_size", 0),
+        ("num_clusters-0", "num_clusters", 0), ("tfidf_threshold--5.0", "tfidf_threshold", -5.0),
+    ]))
+    def test_out_of_range_embedding_setting_is_refused(self, build, field, value):
         with pytest.raises(InvalidInput, match=field):
-            PipelineConfig.resolve({"vulnerability": "reentrancy", field: value})
+            build({field: value})
 
     def test_workdir_env_fallback(self, monkeypatch):
         monkeypatch.setenv("ETHCLUSTER_WORKDIR", "/tmp/elsewhere")

@@ -27,7 +27,10 @@ and the ``dataset`` and ``workdir`` paths are dropped. Other files are
 compared as text. The report counts, each separately: byte-identical files,
 files identical by value, the largest absolute float difference per artifact,
 identical training predictions, cluster labels and k-means partitions
-(cluster ids per training row), and identical scan results.
+(cluster ids per training row), and identical scan results. It then lists
+every difference other than in float values: first one count per kind (the
+path with list indices dropped, and what differs: its keys, its shape or its
+value), then each entry.
 
 Exit status: 0 when every count but the byte count is complete, 1
 otherwise. Needs only the standard library and numpy (the input phase
@@ -42,9 +45,11 @@ import base64
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +69,7 @@ MIXES = {
     "unchecked_call": ((3, 2, 5), {}),
 }
 PATH_KEYS = ("dataset", "workdir")
+LIST_INDEX = re.compile(r"\[\d+\]")
 
 
 # --- phase 1: inputs, generated with the first tree -------------------------
@@ -151,22 +157,27 @@ def read(path: Path):
         return text
 
 
-def differences(a, b, where: str, floats: dict[str, float]) -> list[str]:
-    """Paths where ``a`` and ``b`` differ other than in float values; the
-    largest absolute difference of each float array goes into ``floats``."""
+def differences(a, b, where: str, floats: dict[str, float]) -> list[tuple[str, str, str]]:
+    """(path, kind, detail) where ``a`` and ``b`` differ other than in float
+    values; dicts with different keys are still compared on the keys they
+    share. The largest absolute difference of each float array goes into
+    ``floats``."""
     if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
         if a.shape != b.shape:
-            return [f"{where}: shape {a.shape} vs {b.shape}"]
+            return [(where, "shape", f"shape {a.shape} vs {b.shape}")]
         floats[where] = float(np.max(np.abs(a - b))) if a.size else 0.0
         return []
     if isinstance(a, dict) and isinstance(b, dict):
-        if a.keys() != b.keys():
-            return [f"{where}: keys {sorted(a.keys() ^ b.keys())}"]
-        return [d for k in a for d in differences(a[k], b[k], f"{where}.{k}", floats)]
+        keys = sorted(a.keys() ^ b.keys())
+        found = [(where, f"keys {keys}", f"keys {keys}")] if keys else []
+        return found + [d for k in a if k in b
+                        for d in differences(a[k], b[k], f"{where}.{k}", floats)]
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         return [d for i, (x, y) in enumerate(zip(a, b))
                 for d in differences(x, y, f"{where}[{i}]", floats)]
-    return [] if type(a) is type(b) and a == b else [f"{where}: {a!r:.60} vs {b!r:.60}"]
+    if type(a) is type(b) and a == b:
+        return []
+    return [(where, "value", f"{a!r:.60} vs {b!r:.60}")]
 
 
 def _model_facts(model: dict) -> tuple[dict, list[int], list[str]]:
@@ -181,10 +192,15 @@ def compare(out_a: Path, out_b: Path, runs: list[dict]) -> tuple[list[str], bool
                                       "k-means partitions", "scan results")}
     worst: dict[str, float] = {}
     notes = []
+    kinds: Counter[str] = Counter()
 
     def tally(key: str, same: int, total: int = 1) -> None:
         counts[key][0] += same
         counts[key][1] += total
+
+    def note(name: str, where: str, kind: str, detail: str) -> None:
+        notes.append(f"{name}/{where}: {detail}")
+        kinds[f"{LIST_INDEX.sub('[]', where)}: {kind}"] += 1
 
     for spec in runs:
         name, kind = spec["name"], spec["config"]["vulnerability"]
@@ -194,7 +210,7 @@ def compare(out_a: Path, out_b: Path, runs: list[dict]) -> tuple[list[str], bool
         for file in sorted(files):
             pa, pb = stage_a / file, stage_b / file
             if not (pa.exists() and pb.exists()):
-                notes.append(f"{name}/{file}: only in one tree")
+                note(name, file, "only in one tree", "only in one tree")
                 tally("byte-identical files", 0)
                 tally("files identical by value", 0)
                 continue
@@ -202,7 +218,8 @@ def compare(out_a: Path, out_b: Path, runs: list[dict]) -> tuple[list[str], bool
             floats: dict[str, float] = {}
             diffs = differences(read(pa), read(pb), file, floats)
             tally("files identical by value", not diffs and not any(floats.values()))
-            notes += [f"{name}/{d}" for d in diffs[:5]]
+            for diff in diffs:
+                note(name, *diff)
             if floats:
                 key = f"{family} {file}"
                 worst[key] = max(worst.get(key, 0.0), *floats.values())
@@ -223,7 +240,9 @@ def compare(out_a: Path, out_b: Path, runs: list[dict]) -> tuple[list[str], bool
                                           in sorted(worst.items()) if key.startswith(family + " "))
               for family in families]
     if notes:
-        lines += ["differences:"] + [f"  {n}" for n in notes[:40]]
+        lines.append(f"differences: {len(notes)}, by kind:")
+        lines += [f"  {count} x {kind}" for kind, count in sorted(kinds.items())]
+        lines += ["every difference:"] + [f"  {n}" for n in notes]
     ok = all(same == total for key, (same, total) in counts.items()
              if key != "byte-identical files")
     return lines, ok
