@@ -1,4 +1,7 @@
-"""The artifact format: atomic writes, one JSON reader and one float decoder.
+"""The artifact format: atomic writes, one JSON reader and three item decoders.
+
+Every loader reads the items of its JSON lists through ``strings``, ``ints``
+or ``floats``, which refuse any other JSON type with a ``FormatError``.
 
 A write lands in a temporary file that ``os.replace`` swaps in: a failed
 write leaves the previous artifact whole, and every write gets a new inode,
@@ -63,3 +66,19 @@ def floats(value, ndim: int) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise FormatError("non-finite value")
     return arr
+
+
+def strings(value, n: int | None = None) -> list[str]:
+    """``value`` when it is a JSON list of strings, of length ``n`` unless None."""
+    if (not isinstance(value, list) or n not in (None, len(value))
+            or not all(type(s) is str for s in value)):
+        raise FormatError(f"expected a list of {'' if n is None else f'{n} '}strings")
+    return value
+
+
+def ints(value, lo: int, hi: float) -> list[int]:
+    """``value`` when it is a JSON list of integers in ``[lo, hi)``, where ``hi``
+    may be infinite; a boolean or a float is never an integer here."""
+    if not isinstance(value, list) or not all(type(i) is int and lo <= i < hi for i in value):
+        raise FormatError(f"expected a list of integers in [{lo}, {hi})")
+    return value

@@ -132,27 +132,28 @@ def cbow_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
     return loss
 
 
-def kmeans_assign(X, centers, out):
+def kmeans_assign(X, centers):
     """Nearest-center assignment (squared-distance ties go to the lowest id).
 
-    Writes cluster ids into ``out`` and returns the within-cluster sum of
+    Returns the int64 cluster id of each row and the within-cluster sum of
     squared distances.
     """
     best_d = np.full(X.shape[0], np.inf)
-    out[:] = 0
+    ids = np.zeros(X.shape[0], dtype=np.int64)
     for c in range(centers.shape[0]):
         diff = X - centers[c]
         d = np.einsum("ij,ij->i", diff, diff)
         closer = d < best_d
-        out[closer] = c
+        ids[closer] = c
         best_d[closer] = d[closer]
-    return float(best_d.sum())
+    return ids, float(best_d.sum())
 
 
-def kmeans_update(X, assign, sums, counts):
-    """Accumulate per-cluster coordinate sums and member counts in place.
+def kmeans_update(X, ids, k):
+    """Per-cluster coordinate sums and member counts of the ``k`` clusters.
 
     ``np.add.at`` adds the rows in index order, as a loop over them would.
     """
-    counts += np.bincount(assign, minlength=counts.shape[0])
-    np.add.at(sums, assign, X)
+    sums = np.zeros((k, X.shape[1]))
+    np.add.at(sums, ids, X)
+    return sums, np.bincount(ids, minlength=k)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from ._artifact import floats, read_json, write_json
+from ._artifact import floats, ints, read_json, strings, write_json
 from .errors import (
     AlignmentError,
     DimError,
@@ -102,7 +102,7 @@ def kmeans_fit(X: np.ndarray, k: int, max_iterations: int = MAX_ITERATIONS, *,
     members is re-seeded with the row farthest from its former center.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
-    n, dim = X.shape
+    n, _ = X.shape
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
     if max_iterations < 1:
@@ -115,16 +115,11 @@ def kmeans_fit(X: np.ndarray, k: int, max_iterations: int = MAX_ITERATIONS, *,
     rng = np.random.default_rng(seed)
     centers = X[rng.choice(n, size=k, replace=False)].copy()
 
-    assignments = np.empty(n, dtype=np.int64)
-    objective = _kernels.kmeans_assign(X, centers, assignments)
-    history = [float(objective)]
-    iterations_run = 0
+    assignments, objective = _kernels.kmeans_assign(X, centers)
+    history = [objective]
 
-    for _ in range(max_iterations):
-        iterations_run += 1
-        sums = np.zeros((k, dim))
-        counts = np.zeros(k, dtype=np.int64)
-        _kernels.kmeans_update(X, assignments, sums, counts)
+    for iterations_run in range(1, max_iterations + 1):
+        sums, counts = _kernels.kmeans_update(X, assignments, k)
         for c in range(k):
             if counts[c] == 0:
                 # re-seed the empty cluster on the row farthest from its old center
@@ -132,12 +127,10 @@ def kmeans_fit(X: np.ndarray, k: int, max_iterations: int = MAX_ITERATIONS, *,
                 centers[c] = X[int(np.argmax(dist))]
             else:
                 centers[c] = sums[c] / counts[c]
-        new_assignments = np.empty(n, dtype=np.int64)
-        objective = _kernels.kmeans_assign(X, centers, new_assignments)
-        history.append(float(objective))
-        converged = bool(np.array_equal(new_assignments, assignments))
-        assignments = new_assignments
-        if converged:
+        previous = assignments
+        assignments, objective = _kernels.kmeans_assign(X, centers)
+        history.append(objective)
+        if np.array_equal(assignments, previous):
             break
 
     return ClusterModel(
@@ -178,9 +171,7 @@ def assign(model: ClusterModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DimError(f"expected rows of dimension {model.input_dim}, got shape {X.shape}")
     if model.pca is not None:
         X = pca_transform(model.pca, X)
-    ids = np.empty(X.shape[0], dtype=np.int64)
-    _kernels.kmeans_assign(X, model.centers, ids)
-    return X, ids
+    return X, _kernels.kmeans_assign(X, model.centers)[0]
 
 
 def predict(model: ClusterModel, values: np.ndarray) -> str:
@@ -217,31 +208,18 @@ def save_cluster_model(model: ClusterModel, path: str | Path) -> None:
 
 
 def _cluster_model(payload: dict) -> ClusterModel:
-    pca, ids, hashes = payload["pca"], payload["assignments"], payload["hashes"]
-    if (not all(type(n) is int for n in (payload["seed"], payload["iterations_run"], *ids))
-            or not isinstance(hashes, list) or len(hashes) != len(ids)
-            or not all(isinstance(h, str) for h in hashes)):
-        raise FormatError("seed, iterations_run and assignments must be integers, "
-                          "with one string hash per assignment")
+    pca, centers = payload["pca"], floats(payload["centers"], 2)
     basis = None if pca is None else PcaBasis(floats(pca["mean"], 1), floats(pca["components"], 2))
-    model = ClusterModel(
-        centers=floats(payload["centers"], 2),
-        assignments=np.array(ids, dtype=np.int64),
-        seed=payload["seed"],
-        iterations_run=payload["iterations_run"],
-        labels={int(c): label for c, label in payload["labels"].items()},
-        pca=basis,
-        hashes=hashes,
-    )
-    if payload["k"] != model.k or basis and pca["num_components"] != basis.num_components:
-        raise FormatError("k or pca.num_components disagrees with the shape of its matrix")
-    ids = model.assignments
-    if (np.any((ids < 0) | (ids >= model.k))
+    ids = ints(payload["assignments"], 0, len(centers))
+    seed, iterations_run = ints([payload["seed"], payload["iterations_run"]], 0, float("inf"))
+    model = ClusterModel(centers, np.array(ids, dtype=np.int64), seed, iterations_run,
+                         labels={int(c): label for c, label in payload["labels"].items()},
+                         pca=basis, hashes=strings(payload["hashes"], len(ids)))
+    if (payload["k"] != model.k or basis and pca["num_components"] != basis.num_components
             or model.labels and sorted(model.labels) != list(range(model.k))
             or not set(model.labels.values()) <= {VULNERABLE, CLEAN}
             or basis and basis.components.shape != (len(basis.mean), model.centers.shape[1])):
-        raise FormatError(
-            f"assignments, labels or PCA basis disagree with {model.centers.shape} centers")
+        raise FormatError(f"k, labels or PCA basis disagree with {model.centers.shape} centers")
     return model
 
 

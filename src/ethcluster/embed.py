@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _kernels
-from ._artifact import floats, read_json, write_json
+from ._artifact import floats, read_json, strings, write_json
 from .errors import EmptyCorpus, FormatError, InvalidInput, VersionError
 
 SKIP_GRAM = 1
@@ -66,9 +66,6 @@ class EmbeddingModel:
         self._words = [None] * len(vocab)
         for word, idx in vocab.items():
             self._words[idx] = word
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.vocab
 
     def vector(self, word: str) -> np.ndarray | None:
         """The trained vector for ``word``, or None when out of vocabulary."""
@@ -198,8 +195,8 @@ def _decode_model(payload: dict) -> EmbeddingModel:
     if payload["version"] != _FORMAT_VERSION:
         raise VersionError(f"unsupported format version {payload['version']!r}")
     config = EmbeddingConfig(**payload["config"])
-    words = payload["words"]
-    vocab = {word: i for i, word in enumerate(words) if isinstance(word, str)}
+    words = strings(payload["words"])
+    vocab = {word: i for i, word in enumerate(words)}
     vectors = floats(payload["vectors"], 2)
     if len(vocab) != len(words) or vectors.shape != (len(words), config.vector_size):
         raise FormatError(f"{len(words)} words, {len(vocab)} distinct; vectors {vectors.shape}")

@@ -21,7 +21,7 @@ from typing import Iterator
 
 import requests
 
-from ._artifact import read_json, write_json
+from ._artifact import read_json, strings, write_json
 from .errors import (
     FormatError,
     InsufficientData,
@@ -107,7 +107,14 @@ class ContractRecord:
 
     @classmethod
     def from_json(cls, line: str | bytes) -> "ContractRecord":
-        return cls(**json.loads(line))
+        return cls.decode([json.loads(line)])[0]
+
+    @classmethod
+    def decode(cls, objs: list) -> list["ContractRecord"]:
+        """The records of decoded JSON objects; every field must be a string."""
+        records = [cls(**obj) for obj in objs]
+        strings([value for record in records for value in vars(record).values()])
+        return records
 
 
 class TokenBucket:
@@ -264,7 +271,7 @@ class ContractStore:
             return
         except OSError as exc:
             raise StoreError(f"cannot read store at {self.path}: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:
+        except (FormatError, TypeError, ValueError) as exc:
             raise StoreError(f"{self.path}: line {number} is not a record: {exc}") from exc
 
     def iter_records(self) -> Iterator[ContractRecord]:
@@ -305,10 +312,11 @@ class Dataset:
 
     @classmethod
     def _decode(cls, obj: dict) -> "Dataset":
-        entries = tuple((ContractRecord(**e["record"]), e["truth_label"]) for e in obj["entries"])
-        if not all(label in (VULNERABLE, CLEAN) for _, label in entries):
+        records = ContractRecord.decode([e["record"] for e in obj["entries"]])
+        labels = [e["truth_label"] for e in obj["entries"]]
+        if not all(label in (VULNERABLE, CLEAN) for label in labels):
             raise FormatError(f"truth labels must be {VULNERABLE!r} or {CLEAN!r}")
-        return cls(entries=entries, vulnerable_fraction=obj["vulnerable_fraction"])
+        return cls(tuple(zip(records, labels)), obj["vulnerable_fraction"])
 
 
 def build_mixed_dataset(vulnerable: list[ContractRecord],

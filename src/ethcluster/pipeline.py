@@ -22,7 +22,7 @@ import numpy as np
 
 from . import cluster as cl
 from . import detect, embed, vectorize
-from ._artifact import read_json, write_json, write_text
+from ._artifact import ints, read_json, strings, write_json, write_text
 from .errors import FormatError, InvalidInput, ModelNotFound, PathError, PipelineStageError
 from .evaluate import ConfusionMatrix, MetricsReport, confusion, metrics, render_table, write_report
 from .ingest import Dataset
@@ -96,8 +96,6 @@ def stage(name: str):
     """Tag any failure inside the block with the stage that raised it."""
     try:
         yield
-    except PipelineStageError:
-        raise
     except Exception as exc:
         raise PipelineStageError(name, exc) from exc
 
@@ -123,14 +121,12 @@ def save_detection(payload: dict, path: str | Path) -> None:
 
 
 def _detection(payload: dict) -> dict:
-    kind, flags, hashes = payload["kind"], payload["flags"], payload["hashes"]
-    if (kind, flags) != (None, None) and (kind not in detect.REGEX_KINDS
-                                          or not isinstance(flags, list) or not set(flags) <= {0, 1}):
-        raise FormatError("kind must be null or a regex kind, with flags a list of 0s and 1s")
-    if (not isinstance(hashes, list) or not all(isinstance(h, str) for h in hashes)
-            or (flags is not None and len(flags) != len(hashes))):
-        raise FormatError("hashes must be a list of strings, one per flag")
-    return {"kind": kind, "flags": flags, "hashes": hashes}
+    kind, flags = payload["kind"], payload["flags"]
+    if (kind, flags) != (None, None) and kind not in detect.REGEX_KINDS:
+        raise FormatError("kind must be null, or a regex kind with flags")
+    flags = None if kind is None else ints(flags, 0, 2)
+    return {"kind": kind, "flags": flags,
+            "hashes": strings(payload["hashes"], None if flags is None else len(flags))}
 
 
 def load_detection(path: str | Path) -> dict:

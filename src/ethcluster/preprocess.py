@@ -17,8 +17,7 @@ import string
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._artifact import read_json, write_json
-from .errors import FormatError
+from ._artifact import read_json, strings, write_json
 from .ingest import source_hash
 
 logger = logging.getLogger(__name__)
@@ -121,14 +120,12 @@ def save_tokendocs(docs: list[TokenDoc], path: str | Path) -> None:
     write_json(payload, path)
 
 
-def _tokendoc(d: dict) -> TokenDoc:
-    tokens, lines = d["tokens"], d["lines"]
-    if not (isinstance(tokens, list) and isinstance(lines, list)
-            and all(isinstance(s, str) for s in tokens + lines)):
-        raise FormatError("tokens and lines must be lists of strings")
-    return TokenDoc(d["contract_hash"], tuple(tokens), tuple(lines))
+def _tokendocs(payload: list) -> list[TokenDoc]:
+    hashes = strings([d["contract_hash"] for d in payload])
+    return [TokenDoc(h, tuple(strings(d["tokens"])), tuple(strings(d["lines"])))
+            for h, d in zip(hashes, payload)]
 
 
 def load_tokendocs(path: str | Path) -> list[TokenDoc]:
     """Read token documents written by :func:`save_tokendocs`."""
-    return read_json(path, lambda payload: [_tokendoc(d) for d in payload])
+    return read_json(path, _tokendocs)

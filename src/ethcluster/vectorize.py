@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._artifact import floats, read_json, write_json
+from ._artifact import floats, read_json, strings, write_json
 from .embed import EmbeddingModel
 from .errors import EmptyCorpus, InvalidInput
 from .preprocess import TokenDoc
@@ -35,9 +35,6 @@ class Dictionary:
 
     def __len__(self) -> int:
         return len(self.word_to_id)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.word_to_id
 
 
 def build_dictionary(docs: Sequence[Sequence[str]]) -> Dictionary:
@@ -156,8 +153,8 @@ def save_vectors(vectors: Sequence[DocumentVector], path: str | Path) -> None:
 
 
 def _vectors(payload: list) -> list[DocumentVector]:
-    values = floats([item["values"] for item in payload], 2)
-    return [DocumentVector(item["contract_hash"], row) for item, row in zip(payload, values)]
+    return list(map(DocumentVector, strings([item["contract_hash"] for item in payload]),
+                    floats([item["values"] for item in payload], 2)))
 
 
 def load_vectors(path: str | Path) -> list[DocumentVector]:

@@ -79,7 +79,10 @@ V1_TEXT = 'ethcluster-embedding 1 1 1 {"vector_size": 1}\ncall 0.5\n'
 CASES = [
     ("null-token", load_tokendocs, _set(0, "tokens", [None]), FormatError),
     ("scalar-tokens", load_tokendocs, _set(0, "tokens", "call"), FormatError),
+    ("int-hash", load_tokendocs, _set(0, "contract_hash", 7), FormatError),
     ("null-flag", pipeline.load_detection, _set("flags", 0, None), FormatError),
+    ("bool-flag", pipeline.load_detection, _set("flags", 0, True), FormatError),
+    ("float-flag", pipeline.load_detection, _set("flags", 0, 1.0), FormatError),
     ("scalar-flags", pipeline.load_detection, _set("flags", 1), FormatError),
     ("unknown-kind", pipeline.load_detection, _set("kind", "overflow"), FormatError),
     ("null-hashes", pipeline.load_detection, _set("hashes", None), FormatError),
@@ -88,6 +91,7 @@ CASES = [
      FormatError),
     ("v1-text", embed.load_model, V1_TEXT, VersionError),
     ("null-float", embed.load_model, _set("vectors", 0, 0, None), FormatError),
+    ("nan-float", embed.load_model, _set("vectors", 0, 0, float("nan")), FormatError),
     ("scalar-vectors", embed.load_model, _set("vectors", 1.0), FormatError),
     ("ragged", embed.load_model, _set("vectors", 0, [0.5]), FormatError),
     ("non-dict-top", embed.load_model, lambda payload: [payload], FormatError),
@@ -98,6 +102,8 @@ CASES = [
     ("scalar-values", vectorize.load_vectors, _set(0, "values", 1.0), FormatError),
     ("ragged", vectorize.load_vectors, _set(1, "values", [0.5]), FormatError),
     ("dict-top", vectorize.load_vectors, lambda payload: {}, FormatError),
+    ("int-hash", vectorize.load_vectors, _set(0, "contract_hash", 7), FormatError),
+    ("infinite-float", vectorize.load_vectors, _set(0, "values", 0, float("inf")), FormatError),
     ("null-float", vectorize.load_keyword_map, _set("call", None), FormatError),
     ("scalar-vector", vectorize.load_keyword_map, _set("call", 1.0), FormatError),
     ("ragged", vectorize.load_keyword_map, _set("now", [0.5]), FormatError),
@@ -119,6 +125,7 @@ CASES = [
     ("hash-per-assignment", cl.load_cluster_model, lambda p: _set("hashes", p["hashes"][1:])(p),
      FormatError),
     ("null-label", Dataset.load, _set("entries", 0, "truth_label", None), FormatError),
+    ("int-source", Dataset.load, _set("entries", 0, "record", "source", 5), FormatError),
 ]
 
 

@@ -163,6 +163,30 @@ class TestStagewiseCli:
         assert len(err) == 1 and json.loads(err[0])["error"] == "FormatError"
         assert not (tmp_path / "model.json").exists()
 
+    def test_integer_hash_writes_no_model(self, tmp_path, capsys):
+        path, model = tmp_path / "vectors.json", tmp_path / "model.json"
+        path.write_text(json.dumps([{"contract_hash": h, "values": [float(i), 0.0]}
+                                    for i, h in enumerate(["h0", 1, "h2", "h3"])]), "utf-8")
+        assert main(["cluster", "--vectors", str(path), "--k", "2", "--out", str(model)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "FormatError"
+        assert not model.exists()
+
+    @pytest.mark.parametrize("name, message", [("file.sol", "not a directory"),
+                                               ("empty", "no non-empty .sol files")],
+                             ids=["file", "no-sol-files"])
+    def test_preprocess_input_without_sources_is_a_path_error(self, tmp_path, capsys, name,
+                                                              message):
+        (tmp_path / "file.sol").write_text(reentrant_source(0), "utf-8")
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "empty" / "notes.txt").write_text("no contracts here", "utf-8")
+        out = tmp_path / "tokens.json"
+        assert main(["preprocess", "--in", str(tmp_path / name), "--out", str(out)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "PathError" and message in error["message"]
+        assert not out.exists()
+
     def test_negative_seed_is_one_invalid_input_line(self, tmp_path, capsys):
         write_corpus(tmp_path / "src", [reentrant_source(0), clean_source(0)])
         tokens, vectors = tmp_path / "tokens.json", tmp_path / "vectors.json"
@@ -392,6 +416,21 @@ class TestRunAndScanCli:
         err = json.loads(capsys.readouterr().err)
         assert err["stage"] == "dataset"
         assert err["error"] == "PathError"
+
+    def test_run_on_integer_source_fails_at_dataset(self, staged_corpus, capsys):
+        root = staged_corpus
+        assert main(["build-dataset", "--vuln", str(root / "vuln"),
+                     "--clean", str(root / "clean"), "--fraction", "0.3",
+                     "--out", str(root / "dataset.json")]) == 0
+        dataset = json.loads((root / "dataset.json").read_text("utf-8"))
+        dataset["entries"][3]["record"]["source"] = 5
+        (root / "dataset.json").write_text(json.dumps(dataset), "utf-8")
+        capsys.readouterr()
+        assert main(["run", "--config", self._config_file(root)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert (err["error"], err["stage"]) == ("FormatError", "dataset")
+        assert not (root / "work" / "reentrancy").exists()
 
     def test_cli_overrides_beat_config_file(self, staged_corpus, capsys):
         root = staged_corpus

@@ -230,12 +230,14 @@ class TestStore:
         assert ContractStore(path).records() == [a, b]
 
     def test_malformed_inner_line_is_a_store_error(self, tmp_path):
-        path = tmp_path / "store.ndjson"
-        ContractStore(path).put(_record("contract A{}"))
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write('{"chain": "etherscan"\n' + _record("contract B{}", address=ADDR_B).to_json() + "\n")
-        with pytest.raises(StoreError, match="line 2"):
-            ContractStore(path)
+        int_source = json.dumps({**json.loads(_record("contract C{}").to_json()), "source": 3})
+        for i, bad in enumerate(['{"chain": "etherscan"', int_source]):
+            path = tmp_path / f"store{i}.ndjson"
+            ContractStore(path).put(_record("contract A{}"))
+            with path.open("a", encoding="utf-8") as fh:
+                fh.write(bad + "\n" + _record("contract B{}", address=ADDR_B).to_json() + "\n")
+            with pytest.raises(StoreError, match="line 2"):
+                ContractStore(path)
 
 
 class TestBuildMixedDataset:

@@ -319,11 +319,8 @@ class TestKmeans:
         n, k, dim = 40, 5, int(rng.integers(1, 9))
         X = rng.normal(size=(n, dim))
         assign = rng.integers(0, k, size=n).astype(np.int64)
-        # start from non-zero accumulators: the kernel adds to what is there
-        sums = rng.normal(size=(k, dim))
-        counts = rng.integers(0, 3, size=k).astype(np.int64)
-        got_sums, got_counts = sums.copy(), counts.copy()
-        _kernels.kmeans_update(X, assign, got_sums, got_counts)
+        sums, counts = np.zeros((k, dim)), np.zeros(k, dtype=np.int64)
+        got_sums, got_counts = _kernels.kmeans_update(X, assign, k)
         oracle_kmeans_update(X, assign, sums, counts)
         assert np.array_equal(got_sums, sums)
         assert np.array_equal(got_counts, counts)
@@ -334,8 +331,8 @@ class TestKmeans:
         n, k, dim = 50, 6, int(rng.integers(1, 9))
         X = rng.normal(size=(n, dim))
         centers = rng.normal(size=(k, dim))
-        got, expected = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-        total = _kernels.kmeans_assign(X, centers, got)
+        expected = np.empty(n, dtype=np.int64)
+        got, total = _kernels.kmeans_assign(X, centers)
         oracle_total = oracle_kmeans_assign(X, centers, expected)
         assert np.array_equal(got, expected)
         assert total == pytest.approx(oracle_total, rel=1e-12)
@@ -344,8 +341,8 @@ class TestKmeans:
         # integer coordinates: every distance is exact, so ties are real ties
         X = np.array([[1.0, 0.0], [0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [5.0, 5.0]])
         centers = np.array([[2.0, 0.0], [0.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        got, expected = np.empty(5, dtype=np.int64), np.empty(5, dtype=np.int64)
-        total = _kernels.kmeans_assign(X, centers, got)
+        expected = np.empty(5, dtype=np.int64)
+        got, total = _kernels.kmeans_assign(X, centers)
         oracle_total = oracle_kmeans_assign(X, centers, expected)
         assert got.tolist() == expected.tolist() == [0, 1, 0, 4, 4]
         assert total == oracle_total == 33.0
