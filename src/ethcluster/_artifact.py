@@ -1,7 +1,11 @@
-"""The artifact format: atomic writes, one JSON reader and three item decoders.
+"""The artifact format: atomic writes, one JSON reader, one float encoder and
+the decoders every loader reads its values through.
 
-Every loader reads the items of its JSON lists through ``strings``, ``ints``
-or ``floats``, which refuse any other JSON type with a ``FormatError``.
+Every float array is stored as the payload ``pack`` writes, ``{"shape":
+[...], "f8": "<base64 of little-endian float64 bytes>"}``; ``floats`` is its
+one decoder, so a load gives back the same bits and no artifact holds float
+text. Lists of strings and of integers go through ``strings`` and ``ints``.
+Each decoder refuses any other JSON value with a ``FormatError``.
 
 A write lands in a temporary file that ``os.replace`` swaps in: a failed
 write leaves the previous artifact whole, and every write gets a new inode,
@@ -10,7 +14,9 @@ part of the key ``pipeline.scan_contract`` reuses parsed artifacts under.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 from pathlib import Path
 
@@ -52,20 +58,46 @@ def read_json(path: str | Path, decode):
         raise FormatError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
+def pack(arr) -> dict:
+    """The payload ``floats`` decodes: ``arr``'s shape and its float64 bytes."""
+    arr = np.asarray(arr, dtype="<f8")
+    return {"shape": list(arr.shape), "f8": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+
 def floats(value, ndim: int) -> np.ndarray:
-    """The finite float64 array of rank ``ndim`` in nested JSON lists; unlike
-    ``np.array(value, dtype=float)`` it refuses null, booleans and strings."""
+    """The finite, non-empty, read-only float64 array of rank ``ndim`` in a
+    ``pack`` payload; a JSON list, other keys, a shape of another rank or with an
+    item that is not a positive integer, non-base64 text or a wrong byte count
+    is refused."""
+    if not isinstance(value, dict) or value.keys() != {"shape", "f8"}:
+        raise FormatError('expected a float payload {"shape": [...], "f8": "<base64>"}')
+    shape = ints(value["shape"], 1, math.inf)
     try:
-        arr = np.array(value)
-    except ValueError as exc:
-        raise FormatError(f"rows of unequal width: {exc}") from exc
-    if arr.dtype.kind not in "fiu" or arr.ndim != ndim or 0 in arr.shape:
-        raise FormatError(f"expected a non-empty rank-{ndim} array of numbers, "
-                          f"found {arr.dtype} values of shape {arr.shape}")
-    arr = arr.astype(np.float64, copy=False)
+        raw = base64.b64decode(value["f8"], validate=True)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"f8 is not base64 text: {exc}") from exc
+    if len(shape) != ndim or len(raw) != 8 * math.prod(shape):
+        raise FormatError(f"expected a rank-{ndim} shape and 8 bytes per float, "
+                          f"found shape {shape} and {len(raw)} bytes")
+    arr = np.frombuffer(raw, "<f8").reshape(shape)
     if not np.isfinite(arr).all():
         raise FormatError("non-finite value")
     return arr
+
+
+def rows(values) -> list[np.ndarray]:
+    """``floats(v, 1)`` of each item of ``values``; the rows must be one width."""
+    decoded = [floats(v, 1) for v in values]
+    if len({len(row) for row in decoded}) > 1:
+        raise FormatError("rows of unequal width")
+    return decoded
+
+
+def nonempty(value) -> list:
+    """``value`` when it is a non-empty JSON list: a document list is never empty."""
+    if not isinstance(value, list) or not value:
+        raise FormatError("expected a non-empty list")
+    return value
 
 
 def strings(value, n: int | None = None) -> list[str]:

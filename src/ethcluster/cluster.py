@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from ._artifact import floats, ints, read_json, strings, write_json
+from ._artifact import floats, ints, pack, read_json, strings, write_json
 from .errors import (
     AlignmentError,
     DimError,
@@ -187,21 +187,21 @@ def predict(model: ClusterModel, values: np.ndarray) -> str:
 def save_cluster_model(model: ClusterModel, path: str | Path) -> None:
     """Persist centers, labels, assignments, hashes and the optional PCA basis.
 
-    Floats go through repr-style JSON serialization, so loading reproduces
-    them bit-exactly; ``k`` and ``num_components`` restate the matrix shapes.
+    Each float matrix is a ``pack`` payload of its float64 bytes, so loading
+    reproduces it bit-exactly; ``k`` and ``num_components`` restate the shapes.
     """
     pca = model.pca
     write_json({
         "k": model.k,
         "seed": model.seed,
         "iterations_run": model.iterations_run,
-        "centers": model.centers.tolist(),
+        "centers": pack(model.centers),
         "assignments": model.assignments.tolist(),
         "hashes": model.hashes,
         "labels": {str(c): label for c, label in model.labels.items()},
         "pca": None if pca is None else {
-            "mean": pca.mean.tolist(),
-            "components": pca.components.tolist(),
+            "mean": pack(pca.mean),
+            "components": pack(pca.components),
             "num_components": pca.num_components,
         },
     }, path)

@@ -15,14 +15,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _kernels
-from ._artifact import floats, read_json, strings, write_json
+from ._artifact import floats, pack, read_json, strings, write_json
 from .errors import EmptyCorpus, FormatError, InvalidInput, VersionError
 
 SKIP_GRAM = 1
 CBOW = 0
 
 _FORMAT_NAME = "ethcluster-embedding"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 _V1_TEXT_HEADER = b"ethcluster-embedding 1 "
 
 #: word2vec's defaults (Mikolov et al. 2013, arXiv:1310.4546): the largest
@@ -184,16 +184,18 @@ def train_embedding(docs: Sequence[Sequence[str]], config: EmbeddingConfig) -> E
 
 
 def save_model(model: EmbeddingModel, path: str | Path) -> None:
-    """Write the model as a JSON artifact; floats round-trip exactly."""
+    """Write the model as a JSON artifact whose ``vectors`` are a ``pack``
+    payload of float64 bytes, one row per word, so they round-trip exactly."""
     write_json({"format": _FORMAT_NAME, "version": _FORMAT_VERSION, "config": asdict(model.config),
-                "words": model.words(), "vectors": model.vectors.tolist()}, path)
+                "words": model.words(), "vectors": pack(model.vectors)}, path)
 
 
 def _decode_model(payload: dict) -> EmbeddingModel:
     if payload["format"] != _FORMAT_NAME:
         raise FormatError("not an embedding model file")
     if payload["version"] != _FORMAT_VERSION:
-        raise VersionError(f"unsupported format version {payload['version']!r}")
+        raise VersionError(f"unsupported format version {payload['version']!r}; "
+                           "rerun `ethcluster run` to rebuild it")
     config = EmbeddingConfig(**payload["config"])
     words = strings(payload["words"])
     vocab = {word: i for i, word in enumerate(words)}

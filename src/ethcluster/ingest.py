@@ -316,6 +316,9 @@ class Dataset:
         labels = [e["truth_label"] for e in obj["entries"]]
         if not all(label in (VULNERABLE, CLEAN) for label in labels):
             raise FormatError(f"truth labels must be {VULNERABLE!r} or {CLEAN!r}")
+        for i, rec in enumerate(records):
+            if rec.source_hash != source_hash(rec.source):
+                raise FormatError(f"entry {i}: source_hash is not the hash of its source")
         return cls(tuple(zip(records, labels)), obj["vulnerable_fraction"])
 
 

@@ -17,7 +17,7 @@ import string
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._artifact import read_json, strings, write_json
+from ._artifact import nonempty, read_json, strings, write_json
 from .ingest import source_hash
 
 logger = logging.getLogger(__name__)
@@ -121,6 +121,7 @@ def save_tokendocs(docs: list[TokenDoc], path: str | Path) -> None:
 
 
 def _tokendocs(payload: list) -> list[TokenDoc]:
+    payload = nonempty(payload)
     hashes = strings([d["contract_hash"] for d in payload])
     return [TokenDoc(h, tuple(strings(d["tokens"])), tuple(strings(d["lines"])))
             for h, d in zip(hashes, payload)]

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._artifact import floats, read_json, strings, write_json
+from ._artifact import nonempty, pack, read_json, rows, strings, write_json
 from .embed import EmbeddingModel
 from .errors import EmptyCorpus, InvalidInput
 from .preprocess import TokenDoc
@@ -148,13 +148,13 @@ def document_vectors(docs: Sequence[TokenDoc], keyword_map: Mapping[str, np.ndar
 # --- persistence -----------------------------------------------------------
 
 def save_vectors(vectors: Sequence[DocumentVector], path: str | Path) -> None:
-    payload = [{"contract_hash": v.contract_hash, "values": v.values.tolist()} for v in vectors]
-    write_json(payload, path)
+    write_json([{"contract_hash": v.contract_hash, "values": pack(v.values)} for v in vectors], path)
 
 
 def _vectors(payload: list) -> list[DocumentVector]:
+    payload = nonempty(payload)
     return list(map(DocumentVector, strings([item["contract_hash"] for item in payload]),
-                    floats([item["values"] for item in payload], 2)))
+                    rows(item["values"] for item in payload)))
 
 
 def load_vectors(path: str | Path) -> list[DocumentVector]:
@@ -162,12 +162,11 @@ def load_vectors(path: str | Path) -> list[DocumentVector]:
 
 
 def save_keyword_map(keyword_map: Mapping[str, np.ndarray], path: str | Path) -> None:
-    write_json({word: vec.tolist() for word, vec in keyword_map.items()}, path)
+    write_json({word: pack(vec) for word, vec in keyword_map.items()}, path)
 
 
 def _keyword_map(payload: dict) -> dict[str, np.ndarray]:
-    rows = list(payload.values())
-    return dict(zip(payload, floats(rows, 2))) if rows else {}
+    return dict(zip(payload, rows(payload.values())))
 
 
 def load_keyword_map(path: str | Path) -> dict[str, np.ndarray]:

@@ -1,18 +1,22 @@
-"""Every artifact loader turns malformed content into a typed error.
+"""Every artifact loader turns malformed content into a typed error, and the
+float payload round-trips bit for bit.
 
-Each case saves a valid artifact with the module's own writer, breaks one
-field of the decoded payload and writes it back. The loader must raise the
-given ``EthClusterError`` subclass, naming the file.
+Each loader case saves a valid artifact with the module's own writer, breaks
+one field of the decoded payload and writes it back. The loader must raise
+the given ``EthClusterError`` subclass, naming the file.
 """
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import clean_source, reentrant_source, write_corpus
 from ethcluster import cluster as cl
 from ethcluster import embed, pipeline, vectorize
+from ethcluster._artifact import floats, pack
 from ethcluster.errors import FormatError, VersionError
 from ethcluster.ingest import Dataset, build_mixed_dataset, records_from_dir
 from ethcluster.preprocess import load_tokendocs, preprocess_contract, save_tokendocs
@@ -73,6 +77,27 @@ def _set(*keys_and_value):
     return mutate
 
 
+def _poke(*keys_and_value):
+    """A mutation that writes the last argument over the first float of the
+    payload at ``payload[k1][k2]...``, encoded as float64 bytes."""
+    *keys, value = keys_and_value
+
+    def mutate(payload):
+        target = payload
+        for key in keys:
+            target = target[key]
+        arr = floats(target, len(target["shape"])).copy()
+        arr.flat[0] = value
+        target.update(pack(arr))
+        return payload
+    return mutate
+
+
+def _as_version_3(payload):
+    """The model as version 3 wrote it: the vectors as a JSON list of lists."""
+    return {**payload, "version": 3, "vectors": floats(payload["vectors"], 2).tolist()}
+
+
 V1_TEXT = 'ethcluster-embedding 1 1 1 {"vector_size": 1}\ncall 0.5\n'
 
 # (case id, loader, mutation of the decoded payload or replacement text, error)
@@ -80,6 +105,8 @@ CASES = [
     ("null-token", load_tokendocs, _set(0, "tokens", [None]), FormatError),
     ("scalar-tokens", load_tokendocs, _set(0, "tokens", "call"), FormatError),
     ("int-hash", load_tokendocs, _set(0, "contract_hash", 7), FormatError),
+    ("dict-top", load_tokendocs, lambda payload: {}, FormatError),
+    ("empty-list", load_tokendocs, lambda payload: [], FormatError),
     ("null-flag", pipeline.load_detection, _set("flags", 0, None), FormatError),
     ("bool-flag", pipeline.load_detection, _set("flags", 0, True), FormatError),
     ("float-flag", pipeline.load_detection, _set("flags", 0, 1.0), FormatError),
@@ -90,25 +117,31 @@ CASES = [
     ("hash-per-flag", pipeline.load_detection, lambda p: _set("hashes", p["hashes"][1:])(p),
      FormatError),
     ("v1-text", embed.load_model, V1_TEXT, VersionError),
-    ("null-float", embed.load_model, _set("vectors", 0, 0, None), FormatError),
-    ("nan-float", embed.load_model, _set("vectors", 0, 0, float("nan")), FormatError),
+    ("v3-float-lists", embed.load_model, _as_version_3, VersionError),
+    ("null-float", embed.load_model, _set("vectors", "f8", None), FormatError),
+    ("nan-float", embed.load_model, _poke("vectors", float("nan")), FormatError),
     ("scalar-vectors", embed.load_model, _set("vectors", 1.0), FormatError),
-    ("ragged", embed.load_model, _set("vectors", 0, [0.5]), FormatError),
+    ("ragged", embed.load_model, _set("vectors", "shape", 1, 4), FormatError),
+    ("float-list", embed.load_model, lambda p: _set("vectors", floats(p["vectors"], 2).tolist())(p),
+     FormatError),
     ("non-dict-top", embed.load_model, lambda payload: [payload], FormatError),
     ("zero-dim-config", embed.load_model, _set("config", "vector_size", 0), FormatError),
     ("duplicate-word", embed.load_model, lambda p: _set("words", 1, p["words"][0])(p),
      FormatError),
-    ("null-float", vectorize.load_vectors, _set(0, "values", 0, None), FormatError),
+    ("null-float", vectorize.load_vectors, _set(0, "values", "f8", None), FormatError),
     ("scalar-values", vectorize.load_vectors, _set(0, "values", 1.0), FormatError),
-    ("ragged", vectorize.load_vectors, _set(1, "values", [0.5]), FormatError),
+    ("ragged", vectorize.load_vectors, _set(1, "values", pack([0.5])), FormatError),
     ("dict-top", vectorize.load_vectors, lambda payload: {}, FormatError),
+    ("empty-list", vectorize.load_vectors, lambda payload: [], FormatError),
     ("int-hash", vectorize.load_vectors, _set(0, "contract_hash", 7), FormatError),
-    ("infinite-float", vectorize.load_vectors, _set(0, "values", 0, float("inf")), FormatError),
-    ("null-float", vectorize.load_keyword_map, _set("call", None), FormatError),
+    ("infinite-float", vectorize.load_vectors, _poke(0, "values", float("inf")), FormatError),
+    ("float-list", vectorize.load_vectors, _set(0, "values", [0.0, 0.0, 0.0]), FormatError),
+    ("null-float", vectorize.load_keyword_map, _set("call", "f8", None), FormatError),
     ("scalar-vector", vectorize.load_keyword_map, _set("call", 1.0), FormatError),
-    ("ragged", vectorize.load_keyword_map, _set("now", [0.5]), FormatError),
+    ("ragged", vectorize.load_keyword_map, _set("now", pack([0.5])), FormatError),
     ("labels-list", cl.load_cluster_model, _set("labels", ["vulnerable", "clean"]), FormatError),
-    ("null-float", cl.load_cluster_model, _set("centers", 0, 0, None), FormatError),
+    ("null-float", cl.load_cluster_model, _set("centers", "f8", None), FormatError),
+    ("nan-mean", cl.load_cluster_model, _poke("pca", "mean", float("nan")), FormatError),
     ("scalar-centers", cl.load_cluster_model, _set("centers", 1.0), FormatError),
     ("label-out-of-range", cl.load_cluster_model, _set("labels", "5", "clean"), FormatError),
     ("k-not-centers", cl.load_cluster_model, _set("k", 99), FormatError),
@@ -126,6 +159,8 @@ CASES = [
      FormatError),
     ("null-label", Dataset.load, _set("entries", 0, "truth_label", None), FormatError),
     ("int-source", Dataset.load, _set("entries", 0, "record", "source", 5), FormatError),
+    ("forged-hash", Dataset.load, _set("entries", 0, "record", "source_hash", "f" * 64),
+     FormatError),
 ]
 
 
@@ -149,3 +184,54 @@ def test_empty_keyword_map_loads(tmp_path):
     path = tmp_path / "keywords.json"
     vectorize.save_keyword_map({}, path)
     assert vectorize.load_keyword_map(path) == {}
+
+
+# --- the float payload ------------------------------------------------------
+
+SPECIALS = [-0.0, 5e-324, 2.2250738585072009e-308, np.finfo(np.float64).max,
+            -np.finfo(np.float64).max]
+
+
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, min_side=1),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(np.array(SPECIALS))
+@example(np.array([SPECIALS, SPECIALS[::-1]]))
+def test_pack_round_trip_is_bit_exact(arr):
+    back = floats(json.loads(json.dumps(pack(arr))), arr.ndim)
+    assert back.dtype == np.float64 and back.shape == arr.shape
+    assert back.tobytes() == arr.tobytes()
+
+
+GOOD = pack(np.arange(6.0).reshape(2, 3))
+
+# (case id, payload decoded as rank 2); each breaks exactly one rule
+REFUSED = [
+    ("json-list", [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]),
+    ("null", None),
+    ("extra-key", {**GOOD, "dtype": "<f8"}),
+    ("missing-f8", {"shape": [2, 3]}),
+    ("shape-not-list", {**GOOD, "shape": 6}),
+    ("wrong-rank", {**GOOD, "shape": [6]}),
+    ("zero-in-shape", {"shape": [0, 3], "f8": ""}),
+    ("bool-in-shape", {**GOOD, "shape": [6, True]}),
+    ("float-in-shape", {**GOOD, "shape": [2.0, 3]}),
+    ("string-in-shape", {**GOOD, "shape": ["2", 3]}),
+    ("newline-in-base64", {**GOOD, "f8": GOOD["f8"][:4] + "\n" + GOOD["f8"][4:]}),
+    ("non-ascii-text", {**GOOD, "f8": "é" * 64}),
+    ("f8-not-text", {**GOOD, "f8": 6}),
+    ("too-few-bytes", {**GOOD, "shape": [2, 2]}),
+    ("too-many-bytes", {**GOOD, "shape": [3, 3]}),
+    ("nan", pack([[0.0, np.nan, 1.0]])),
+    ("inf", pack([[0.0, np.inf, 1.0]])),
+    ("minus-inf", pack([[0.0, -np.inf, 1.0]])),
+]
+
+
+@pytest.mark.parametrize("payload", [p for _, p in REFUSED], ids=[c for c, _ in REFUSED])
+def test_refused_float_payload(payload):
+    with pytest.raises(FormatError):
+        floats(payload, 2)
+
+
+def test_valid_payload_decodes():
+    assert floats(GOOD, 2).tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]

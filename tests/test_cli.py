@@ -4,12 +4,21 @@ import numpy as np
 import pytest
 
 from conftest import clean_source, explorer_url, reentrant_source, write_corpus
+from ethcluster._artifact import pack
 from ethcluster.cli import main
 from ethcluster.cluster import PCA_DIM
 from ethcluster.ingest import ContractStore
+from ethcluster.vectorize import DocumentVector, save_vectors
 
 ADDR_1 = "0x" + "1" * 40
 ADDR_2 = "0x" + "2" * 40
+
+
+def write_vectors(path, rows, hashes=None):
+    """A ``vectors.json`` of ``rows``, hashed ``h0, h1, ...`` unless given."""
+    hashes = hashes or [f"h{i}" for i in range(len(rows))]
+    save_vectors([DocumentVector(h, np.asarray(row, dtype=np.float64))
+                  for h, row in zip(hashes, rows)], path)
 
 
 @pytest.fixture
@@ -63,7 +72,7 @@ class TestStagewiseCli:
                      "--out", str(root / "vectors.json")]) == 0
         vectors = json.loads((root / "vectors.json").read_text("utf-8"))
         assert len(vectors) == 30
-        assert all(len(v["values"]) == 10 for v in vectors)
+        assert all(v["values"]["shape"] == [10] for v in vectors)
         assert (root / "keywords.json").exists()
 
         assert main(["cluster", "--vectors", str(root / "vectors.json"),
@@ -71,7 +80,7 @@ class TestStagewiseCli:
                      "--dataset", str(root / "dataset.json"),
                      "--out", str(root / "model.json")]) == 0
         model = json.loads((root / "model.json").read_text("utf-8"))
-        assert len(model["centers"]) == 5
+        assert model["centers"]["shape"] == [5, 10]
         assert model["pca"] is None  # dim 10 is below the activation threshold
 
         assert main(["evaluate", "--model", str(root / "model.json"),
@@ -145,28 +154,39 @@ class TestStagewiseCli:
 
     def test_non_numeric_vectors_are_a_format_error(self, tmp_path, capsys):
         path = tmp_path / "vectors.json"
-        path.write_text('[{"contract_hash": "h", "values": ["x"]}]', "utf-8")
+        path.write_text('[{"contract_hash": "h", "values": {"shape": [1], "f8": "x!"}}]', "utf-8")
         assert main(["cluster", "--vectors", str(path), "--k", "2",
                      "--out", str(tmp_path / "model.json")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "FormatError"
 
-    @pytest.mark.parametrize("bad_row", [[1.0], [None, 1.0]], ids=["ragged", "null"])
-    def test_malformed_vector_rows_write_no_model(self, tmp_path, capsys, bad_row):
-        rows = [[float(i), float(i % 3)] for i in range(5)] + [bad_row]
+    @pytest.mark.parametrize("bad_values", [pack([1.0]), {"shape": [2], "f8": None}],
+                             ids=["ragged", "null"])
+    def test_malformed_vector_rows_write_no_model(self, tmp_path, capsys, bad_values):
         path = tmp_path / "vectors.json"
-        path.write_text(json.dumps([{"contract_hash": f"h{i}", "values": row}
-                                    for i, row in enumerate(rows)]), "utf-8")
+        write_vectors(path, [[float(i), float(i % 3)] for i in range(6)])
+        payload = json.loads(path.read_text("utf-8"))
+        payload[-1]["values"] = bad_values
+        path.write_text(json.dumps(payload), "utf-8")
         assert main(["cluster", "--vectors", str(path), "--k", "2",
                      "--out", str(tmp_path / "model.json")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "FormatError"
         assert not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize("text", ["{}", "[]"], ids=["object", "empty"])
+    def test_detect_on_no_documents_writes_no_flags(self, tmp_path, capsys, text):
+        tokens, flags = tmp_path / "tokens.json", tmp_path / "flags.json"
+        tokens.write_text(text, "utf-8")
+        assert main(["detect", "--kind", "reentrancy", "--in", str(tokens),
+                     "--out", str(flags)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "FormatError"
+        assert not flags.exists()
+
     def test_integer_hash_writes_no_model(self, tmp_path, capsys):
         path, model = tmp_path / "vectors.json", tmp_path / "model.json"
-        path.write_text(json.dumps([{"contract_hash": h, "values": [float(i), 0.0]}
-                                    for i, h in enumerate(["h0", 1, "h2", "h3"])]), "utf-8")
+        write_vectors(path, [[float(i), 0.0] for i in range(4)], ["h0", 1, "h2", "h3"])
         assert main(["cluster", "--vectors", str(path), "--k", "2", "--out", str(model)]) == 1
         [line] = capsys.readouterr().err.splitlines()
         assert json.loads(line)["error"] == "FormatError"
@@ -191,8 +211,7 @@ class TestStagewiseCli:
         write_corpus(tmp_path / "src", [reentrant_source(0), clean_source(0)])
         tokens, vectors = tmp_path / "tokens.json", tmp_path / "vectors.json"
         assert main(["preprocess", "--in", str(tmp_path / "src"), "--out", str(tokens)]) == 0
-        vectors.write_text(json.dumps([{"contract_hash": f"h{i}", "values": [float(i), 0.0]}
-                                       for i in range(4)]), "utf-8")
+        write_vectors(vectors, [[float(i), 0.0] for i in range(4)])
         capsys.readouterr()
         for argv in (["train-embedding", "--in", str(tokens), "--dim", "4"],
                      ["cluster", "--vectors", str(vectors), "--k", "2"]):
@@ -270,9 +289,7 @@ class TestStagewiseCli:
     def test_project_assigns_training_rows_to_their_clusters(self, tmp_path):
         rng = np.random.default_rng(8)
         path = tmp_path / "vectors.json"
-        path.write_text(json.dumps([{"contract_hash": f"h{i}", "values": row}
-                                    for i, row in enumerate(rng.standard_normal((12, 60)).tolist())]),
-                        "utf-8")
+        write_vectors(path, rng.standard_normal((12, 60)))
         model = tmp_path / "model.json"
         assert main(["cluster", "--vectors", str(path), "--k", "3", "--out", str(model)]) == 0
         saved = json.loads(model.read_text("utf-8"))
@@ -286,9 +303,7 @@ class TestStagewiseCli:
     def test_project_vectors_of_another_width_write_no_points(self, tmp_path, capsys, width):
         rng = np.random.default_rng(9)
         for name, cols in (("train.json", width), ("other.json", width - 1)):
-            (tmp_path / name).write_text(json.dumps(
-                [{"contract_hash": f"h{i}", "values": row}
-                 for i, row in enumerate(rng.standard_normal((12, cols)).tolist())]), "utf-8")
+            write_vectors(tmp_path / name, rng.standard_normal((12, cols)))
         model = tmp_path / "model.json"
         assert main(["cluster", "--vectors", str(tmp_path / "train.json"), "--k", "3",
                      "--out", str(model)]) == 0
@@ -417,20 +432,29 @@ class TestRunAndScanCli:
         assert err["stage"] == "dataset"
         assert err["error"] == "PathError"
 
-    def test_run_on_integer_source_fails_at_dataset(self, staged_corpus, capsys):
-        root = staged_corpus
+    def _run_on_edited_record(self, root, capsys, field, value):
+        """The one error line of ``run`` on a dataset whose entry 3 has
+        ``record[field]`` set to ``value``; ``run`` must make no stage dir."""
         assert main(["build-dataset", "--vuln", str(root / "vuln"),
                      "--clean", str(root / "clean"), "--fraction", "0.3",
                      "--out", str(root / "dataset.json")]) == 0
         dataset = json.loads((root / "dataset.json").read_text("utf-8"))
-        dataset["entries"][3]["record"]["source"] = 5
+        dataset["entries"][3]["record"][field] = value
         (root / "dataset.json").write_text(json.dumps(dataset), "utf-8")
         capsys.readouterr()
         assert main(["run", "--config", self._config_file(root)]) == 1
         [line] = capsys.readouterr().err.splitlines()
-        err = json.loads(line)
-        assert (err["error"], err["stage"]) == ("FormatError", "dataset")
         assert not (root / "work" / "reentrancy").exists()
+        return json.loads(line)
+
+    def test_run_on_integer_source_fails_at_dataset(self, staged_corpus, capsys):
+        err = self._run_on_edited_record(staged_corpus, capsys, "source", 5)
+        assert (err["error"], err["stage"]) == ("FormatError", "dataset")
+
+    def test_run_on_forged_source_hash_fails_at_dataset(self, staged_corpus, capsys):
+        err = self._run_on_edited_record(staged_corpus, capsys, "source_hash", "f" * 64)
+        assert (err["error"], err["stage"]) == ("FormatError", "dataset")
+        assert "entry 3" in err["message"]
 
     def test_cli_overrides_beat_config_file(self, staged_corpus, capsys):
         root = staged_corpus

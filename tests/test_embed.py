@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ethcluster._artifact import pack
 from ethcluster.embed import (
     EmbeddingConfig,
     load_model,
@@ -204,7 +205,7 @@ class TestPersistence:
         path = tmp_path / "model.vec"
         save_model(model, path)
         payload = json.loads(path.read_text("utf-8"))
-        for version in (9, 2):
+        for version in (9, 3, 2):
             payload["version"] = version
             path.write_text(json.dumps(payload), "utf-8")
             with pytest.raises(VersionError):
@@ -221,7 +222,7 @@ class TestPersistence:
         path = tmp_path / "model.vec"
         save_model(model, path)
         payload = json.loads(path.read_text("utf-8"))
-        payload["vectors"][0].append(0.5)
+        payload["vectors"] = pack(np.hstack([model.vectors, np.full((len(model.vocab), 1), 0.5)]))
         path.write_text(json.dumps(payload), "utf-8")
         with pytest.raises(FormatError):
             load_model(path)

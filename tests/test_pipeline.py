@@ -185,6 +185,28 @@ class TestRunPipeline:
         for name in ARTIFACTS:
             assert (config.stage_dir() / name).exists(), name
 
+    def test_artifacts_hold_no_float_lists(self, tmp_path):
+        """Every float array goes through ``_artifact.pack``: a JSON list that
+        holds a float anywhere in a stage dir is float text that came back."""
+        config = train_reentrancy(tmp_path, [reentrant_source(i) for i in range(6)],
+                                  [clean_source(i) for i in range(14)], vector_size=60)
+
+        def float_lists(value, where):
+            """The paths of the JSON lists under ``value`` that hold a float."""
+            children = (value.items() if isinstance(value, dict)
+                        else enumerate(value) if isinstance(value, list) else ())
+            if isinstance(value, list) and any(type(item) is float for item in value):
+                yield where
+            for key, item in children:
+                yield from float_lists(item, f"{where}/{key}")
+
+        names = sorted(p.name for p in config.stage_dir().iterdir() if p.name != "report.txt")
+        assert names == sorted(set(ARTIFACTS) - {"report.txt"})
+        assert json.loads((config.stage_dir() / "model.json").read_text("utf-8"))["pca"]
+        found = [where for name in names for where in float_lists(
+            json.loads((config.stage_dir() / name).read_text("utf-8")), name)]
+        assert found == []
+
     def test_clean_separation_on_synthetic_corpus(self, reentrancy_run):
         _, report = reentrancy_run
         assert report.cm.tp == 15
@@ -252,7 +274,7 @@ class TestRunPipeline:
         assert model["pca"] is not None
         # 30 rows cap the component count below the configured 50
         assert model["pca"]["num_components"] == 30
-        assert len(model["centers"][0]) == 30
+        assert model["centers"]["shape"][1] == 30
 
     @pytest.mark.parametrize("vulnerability,generator", [
         ("reentrancy", reentrant_source),

@@ -271,13 +271,13 @@ class TestPersistence:
         for word in loaded:
             assert np.array_equal(loaded[word], keyword_map[word])
 
-    # One artifact per loader with a non-numeric value where a float belongs;
+    # One artifact per loader with non-base64 text where float bytes belong;
     # the model is otherwise a valid one-word, dim-1 model.
     _NON_NUMERIC = {
-        load_vectors: '[{"contract_hash": "h", "values": ["x"]}]',
-        load_keyword_map: '{"call": ["x"]}',
+        load_vectors: '[{"contract_hash": "h", "values": {"shape": [1], "f8": "x!"}}]',
+        load_keyword_map: '{"call": {"shape": [1], "f8": "x!"}}',
         load_model: '{"config": {"vector_size": 1}, "format": "ethcluster-embedding", '
-                    '"vectors": [["x"]], "version": 3, "words": ["call"]}',
+                    '"vectors": {"shape": [1, 1], "f8": "x!"}, "version": 4, "words": ["call"]}',
     }
 
     @pytest.mark.parametrize("loader", list(_NON_NUMERIC), ids=lambda f: f.__name__)
