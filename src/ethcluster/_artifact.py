@@ -4,8 +4,10 @@ the decoders every loader reads its values through.
 Every float array is stored as the payload ``pack`` writes, ``{"shape":
 [...], "f8": "<base64 of little-endian float64 bytes>"}``; ``floats`` is its
 one decoder, so a load gives back the same bits and no artifact holds float
-text. Lists of strings and of integers go through ``strings`` and ``ints``.
-Each decoder refuses any other JSON value with a ``FormatError``.
+text. A table of named rows is one ``[n, dim]`` payload beside a list of its
+n names, never a list of payloads. Lists of strings and of integers go
+through ``strings`` and ``ints``. Each decoder refuses any other JSON value
+with a ``FormatError``.
 
 A write lands in a temporary file that ``os.replace`` swaps in: a failed
 write leaves the previous artifact whole, and every write gets a new inode,
@@ -83,14 +85,6 @@ def floats(value, ndim: int) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise FormatError("non-finite value")
     return arr
-
-
-def rows(values) -> list[np.ndarray]:
-    """``floats(v, 1)`` of each item of ``values``; the rows must be one width."""
-    decoded = [floats(v, 1) for v in values]
-    if len({len(row) for row in decoded}) > 1:
-        raise FormatError("rows of unequal width")
-    return decoded
 
 
 def nonempty(value) -> list:

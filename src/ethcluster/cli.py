@@ -8,6 +8,7 @@ object to stderr and exit nonzero; success exits 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -139,10 +140,10 @@ def cmd_cluster(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = cl.load_cluster_model(args.model)
-    cm, report = pipeline.evaluate_model(model, Dataset.load(args.dataset))
+    report = pipeline.evaluate_model(model, Dataset.load(args.dataset))
     kind = args.kind or "unspecified"
-    write_report(kind, cm, report, {}, args.out)
-    print(render_table(kind, cm, report))
+    write_report(kind, report, {}, args.out)
+    print(render_table(kind, report))
     return 0
 
 
@@ -170,10 +171,8 @@ def _resolved_config(args) -> PipelineConfig:
 
 def cmd_run(args) -> int:
     config = _resolved_config(args)
-    run_pipeline(config)
-    out = config.stage_dir()
-    print((out / "report.txt").read_text("utf-8").rstrip())
-    print(f"artifacts under {out}")
+    print(render_table(config.vulnerability, run_pipeline(config)))
+    print(f"artifacts under {config.stage_dir()}")
     return 0
 
 
@@ -185,6 +184,7 @@ def cmd_scan(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ethcluster",

@@ -49,6 +49,9 @@ class EmbeddingConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidInput(f"embedding field {name!r} must be an int; got {value!r}")
         if self.vector_size < 1 or self.epochs < 1 or self.seed < 0:
             raise InvalidInput("vector_size and epochs must be >= 1, and seed >= 0")
         if self.sg not in (SKIP_GRAM, CBOW):

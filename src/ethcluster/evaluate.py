@@ -134,9 +134,9 @@ def write_points_csv(rows: Sequence[tuple[float, float, int, str]], path: str | 
     write_text("\n".join(lines) + "\n", path)
 
 
-def render_table(kind: str, cm: ConfusionMatrix, report: MetricsReport) -> str:
+def render_table(kind: str, report: MetricsReport) -> str:
     """Plain-text aligned confusion/metrics table for one vulnerability."""
-    r = report.rounded()
+    cm, r = report.cm, report.rounded()
 
     def show(value: float | None) -> str:
         return "undef" if value is None else f"{value:.2f}"
@@ -149,9 +149,9 @@ def render_table(kind: str, cm: ConfusionMatrix, report: MetricsReport) -> str:
     return "\n".join([header, counts, header2, values])
 
 
-def write_report(kind: str, cm: ConfusionMatrix, report: MetricsReport,
-                 params: dict, path: str | Path) -> None:
+def write_report(kind: str, report: MetricsReport, params: dict, path: str | Path) -> None:
     """One JSON report per vulnerability: counts, rounded metrics, resolved params."""
+    cm = report.cm
     payload = {
         "kind": kind,
         "confusion": {"tp": cm.tp, "fp": cm.fp, "fn": cm.fn, "tn": cm.tn},

@@ -286,7 +286,6 @@ class Dataset:
     """Ordered training mix: every vulnerable entry precedes every clean one."""
 
     entries: tuple[tuple[ContractRecord, str], ...]
-    vulnerable_fraction: float
 
     @property
     def records(self) -> list[ContractRecord]:
@@ -297,14 +296,8 @@ class Dataset:
         return [label for _, label in self.entries]
 
     def save(self, path: str | Path) -> None:
-        payload = {
-            "vulnerable_fraction": self.vulnerable_fraction,
-            "entries": [
-                {"truth_label": label, "record": asdict(rec)}
-                for rec, label in self.entries
-            ],
-        }
-        write_json(payload, path)
+        write_json({"entries": [{"truth_label": label, "record": asdict(rec)}
+                                for rec, label in self.entries]}, path)
 
     @classmethod
     def load(cls, path: str | Path) -> "Dataset":
@@ -319,7 +312,7 @@ class Dataset:
         for i, rec in enumerate(records):
             if rec.source_hash != source_hash(rec.source):
                 raise FormatError(f"entry {i}: source_hash is not the hash of its source")
-        return cls(tuple(zip(records, labels)), obj["vulnerable_fraction"])
+        return cls(tuple(zip(records, labels)))
 
 
 def build_mixed_dataset(vulnerable: list[ContractRecord],
@@ -344,7 +337,7 @@ def build_mixed_dataset(vulnerable: list[ContractRecord],
         )
     entries = [(rec, VULNERABLE) for rec in vulnerable]
     entries += [(rec, CLEAN) for rec in clean[:clean_needed]]
-    return Dataset(entries=tuple(entries), vulnerable_fraction=fraction)
+    return Dataset(entries=tuple(entries))
 
 
 def records_from_dir(directory: str | Path) -> list[ContractRecord]:

@@ -24,7 +24,7 @@ from . import cluster as cl
 from . import detect, embed, vectorize
 from ._artifact import ints, read_json, strings, write_json, write_text
 from .errors import FormatError, InvalidInput, ModelNotFound, PathError, PipelineStageError
-from .evaluate import ConfusionMatrix, MetricsReport, confusion, metrics, render_table, write_report
+from .evaluate import MetricsReport, confusion, metrics, render_table, write_report
 from .ingest import Dataset
 from .preprocess import TokenDoc, preprocess_contract, save_tokendocs
 
@@ -171,15 +171,13 @@ def cluster_vectors(vectors: Sequence[vectorize.DocumentVector], k: int, max_ite
     return cmodel if dataset is None else cl.label_clusters(cmodel, dataset)
 
 
-def evaluate_model(cmodel: cl.ClusterModel,
-                   dataset: Dataset) -> tuple[ConfusionMatrix, MetricsReport]:
+def evaluate_model(cmodel: cl.ClusterModel, dataset: Dataset) -> MetricsReport:
     """Confusion matrix and metrics of the training predictions over their
     dataset; an unlabeled model is labeled from it first."""
     cl.check_aligned(cmodel.hashes, [r.source_hash for r in dataset.records], "the cluster model")
     cmodel = cmodel if cmodel.labels else cl.label_clusters(cmodel, dataset)
     predicted = [cmodel.labels[int(a)] for a in cmodel.assignments]
-    cm = confusion(predicted, dataset.truth_labels)
-    return cm, metrics(cm)
+    return metrics(confusion(predicted, dataset.truth_labels))
 
 
 def run_pipeline(config: PipelineConfig) -> MetricsReport:
@@ -217,9 +215,9 @@ def run_pipeline(config: PipelineConfig) -> MetricsReport:
         cl.save_cluster_model(cmodel, out / "model.json")
 
     with stage("evaluate"):
-        cm, report = evaluate_model(cmodel, dataset)
-        write_report(config.vulnerability, cm, report, asdict(config), out / "report.json")
-        write_text(render_table(config.vulnerability, cm, report) + "\n", out / "report.txt")
+        report = evaluate_model(cmodel, dataset)
+        write_report(config.vulnerability, report, asdict(config), out / "report.json")
+        write_text(render_table(config.vulnerability, report) + "\n", out / "report.txt")
 
     return report
 

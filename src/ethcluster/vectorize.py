@@ -16,9 +16,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._artifact import nonempty, pack, read_json, rows, strings, write_json
+from ._artifact import floats, pack, read_json, strings, write_json
 from .embed import EmbeddingModel
-from .errors import EmptyCorpus, InvalidInput
+from .errors import EmptyCorpus, FormatError, InvalidInput
 from .preprocess import TokenDoc
 
 
@@ -148,25 +148,36 @@ def document_vectors(docs: Sequence[TokenDoc], keyword_map: Mapping[str, np.ndar
 # --- persistence -----------------------------------------------------------
 
 def save_vectors(vectors: Sequence[DocumentVector], path: str | Path) -> None:
-    write_json([{"contract_hash": v.contract_hash, "values": pack(v.values)} for v in vectors], path)
+    """``{"hashes": [...], "values": <[n, dim] payload>}``: row i is document i's vector."""
+    write_json({"hashes": [v.contract_hash for v in vectors],
+                "values": pack([v.values for v in vectors])}, path)
 
 
-def _vectors(payload: list) -> list[DocumentVector]:
-    payload = nonempty(payload)
-    return list(map(DocumentVector, strings([item["contract_hash"] for item in payload]),
-                    rows(item["values"] for item in payload)))
+def _vectors(payload: dict) -> list[DocumentVector]:
+    values = floats(payload["values"], 2)
+    return list(map(DocumentVector, strings(payload["hashes"], len(values)), values))
 
 
 def load_vectors(path: str | Path) -> list[DocumentVector]:
+    """The saved document vectors; each row is a read-only view of one matrix."""
     return read_json(path, _vectors)
 
 
 def save_keyword_map(keyword_map: Mapping[str, np.ndarray], path: str | Path) -> None:
-    write_json({word: pack(vec) for word, vec in keyword_map.items()}, path)
+    """``{"words": [...], "vectors": <[n, dim] payload>}``: the words sorted, and
+    row i is word i's vector; an empty map is ``{"words": [], "vectors": null}``."""
+    words = sorted(keyword_map)
+    write_json({"words": words,
+                "vectors": pack([keyword_map[w] for w in words]) if words else None}, path)
 
 
 def _keyword_map(payload: dict) -> dict[str, np.ndarray]:
-    return dict(zip(payload, rows(payload.values())))
+    words, vectors = payload["words"], payload["vectors"]
+    vectors = [] if vectors is None else floats(vectors, 2)
+    keyword_map = dict(zip(strings(words, len(vectors)), vectors))
+    if len(keyword_map) != len(words):
+        raise FormatError("duplicate word")
+    return keyword_map
 
 
 def load_keyword_map(path: str | Path) -> dict[str, np.ndarray]:

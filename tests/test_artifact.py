@@ -128,17 +128,34 @@ CASES = [
     ("zero-dim-config", embed.load_model, _set("config", "vector_size", 0), FormatError),
     ("duplicate-word", embed.load_model, lambda p: _set("words", 1, p["words"][0])(p),
      FormatError),
-    ("null-float", vectorize.load_vectors, _set(0, "values", "f8", None), FormatError),
-    ("scalar-values", vectorize.load_vectors, _set(0, "values", 1.0), FormatError),
-    ("ragged", vectorize.load_vectors, _set(1, "values", pack([0.5])), FormatError),
+    ("float-seed", embed.load_model, _set("config", "seed", 1.5), FormatError),
+    ("bool-seed", embed.load_model, _set("config", "seed", True), FormatError),
+    ("float-epochs", embed.load_model, _set("config", "epochs", 2.5), FormatError),
+    ("bool-sg", embed.load_model, _set("config", "sg", True), FormatError),
+    ("null-float", vectorize.load_vectors, _set("values", "f8", None), FormatError),
+    ("scalar-values", vectorize.load_vectors, _set("values", 1.0), FormatError),
+    ("ragged", vectorize.load_vectors, lambda p: _set("hashes", p["hashes"][1:])(p), FormatError),
+    ("hash-per-row", vectorize.load_vectors, lambda p: _set("hashes", [*p["hashes"], "h9"])(p),
+     FormatError),
     ("dict-top", vectorize.load_vectors, lambda payload: {}, FormatError),
-    ("empty-list", vectorize.load_vectors, lambda payload: [], FormatError),
-    ("int-hash", vectorize.load_vectors, _set(0, "contract_hash", 7), FormatError),
-    ("infinite-float", vectorize.load_vectors, _poke(0, "values", float("inf")), FormatError),
-    ("float-list", vectorize.load_vectors, _set(0, "values", [0.0, 0.0, 0.0]), FormatError),
-    ("null-float", vectorize.load_keyword_map, _set("call", "f8", None), FormatError),
-    ("scalar-vector", vectorize.load_keyword_map, _set("call", 1.0), FormatError),
-    ("ragged", vectorize.load_keyword_map, _set("now", pack([0.5])), FormatError),
+    ("empty-list", vectorize.load_vectors,
+     lambda p: {"hashes": [], "values": {"shape": [0, 3], "f8": ""}}, FormatError),
+    ("row-list", vectorize.load_vectors, lambda p: [
+        {"contract_hash": h, "values": pack(row)}
+        for h, row in zip(p["hashes"], floats(p["values"], 2))], FormatError),
+    ("int-hash", vectorize.load_vectors, _set("hashes", 0, 7), FormatError),
+    ("infinite-float", vectorize.load_vectors, _poke("values", float("inf")), FormatError),
+    ("float-list", vectorize.load_vectors,
+     lambda p: _set("values", floats(p["values"], 2).tolist())(p), FormatError),
+    ("null-float", vectorize.load_keyword_map, _set("vectors", "f8", None), FormatError),
+    ("scalar-vector", vectorize.load_keyword_map, _set("vectors", 1.0), FormatError),
+    ("ragged", vectorize.load_keyword_map, lambda p: _set("words", p["words"][1:])(p), FormatError),
+    ("duplicate-word", vectorize.load_keyword_map, _set("words", 1, "call"), FormatError),
+    ("null-vectors", vectorize.load_keyword_map, _set("vectors", None), FormatError),
+    ("vectors-without-words", vectorize.load_keyword_map, _set("words", []), FormatError),
+    ("int-word", vectorize.load_keyword_map, _set("words", 0, 7), FormatError),
+    ("word-keys", vectorize.load_keyword_map, lambda p: dict(
+        zip(p["words"], map(pack, floats(p["vectors"], 2)))), FormatError),
     ("labels-list", cl.load_cluster_model, _set("labels", ["vulnerable", "clean"]), FormatError),
     ("null-float", cl.load_cluster_model, _set("centers", "f8", None), FormatError),
     ("nan-mean", cl.load_cluster_model, _poke("pca", "mean", float("nan")), FormatError),
@@ -183,6 +200,7 @@ def test_malformed_artifact_raises_typed_error(tmp_path, case_id, loader, mutati
 def test_empty_keyword_map_loads(tmp_path):
     path = tmp_path / "keywords.json"
     vectorize.save_keyword_map({}, path)
+    assert json.loads(path.read_text("utf-8")) == {"words": [], "vectors": None}
     assert vectorize.load_keyword_map(path) == {}
 
 

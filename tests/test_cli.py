@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import clean_source, explorer_url, reentrant_source, write_corpus
-from ethcluster._artifact import pack
-from ethcluster.cli import main
+from ethcluster.cli import build_parser, main
 from ethcluster.cluster import PCA_DIM
 from ethcluster.ingest import ContractStore
 from ethcluster.vectorize import DocumentVector, save_vectors
@@ -71,8 +70,8 @@ class TestStagewiseCli:
                      "--threshold", "0.7",
                      "--out", str(root / "vectors.json")]) == 0
         vectors = json.loads((root / "vectors.json").read_text("utf-8"))
-        assert len(vectors) == 30
-        assert all(v["values"]["shape"] == [10] for v in vectors)
+        assert len(vectors["hashes"]) == 30
+        assert vectors["values"]["shape"] == [30, 10]
         assert (root / "keywords.json").exists()
 
         assert main(["cluster", "--vectors", str(root / "vectors.json"),
@@ -154,19 +153,20 @@ class TestStagewiseCli:
 
     def test_non_numeric_vectors_are_a_format_error(self, tmp_path, capsys):
         path = tmp_path / "vectors.json"
-        path.write_text('[{"contract_hash": "h", "values": {"shape": [1], "f8": "x!"}}]', "utf-8")
+        path.write_text('{"hashes": ["h"], "values": {"shape": [1, 1], "f8": "x!"}}', "utf-8")
         assert main(["cluster", "--vectors", str(path), "--k", "2",
                      "--out", str(tmp_path / "model.json")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "FormatError"
 
-    @pytest.mark.parametrize("bad_values", [pack([1.0]), {"shape": [2], "f8": None}],
+    @pytest.mark.parametrize("key, bad", [("hashes", [f"h{i}" for i in range(5)]),
+                                          ("values", {"shape": [6, 2], "f8": None})],
                              ids=["ragged", "null"])
-    def test_malformed_vector_rows_write_no_model(self, tmp_path, capsys, bad_values):
+    def test_malformed_vector_rows_write_no_model(self, tmp_path, capsys, key, bad):
         path = tmp_path / "vectors.json"
         write_vectors(path, [[float(i), float(i % 3)] for i in range(6)])
         payload = json.loads(path.read_text("utf-8"))
-        payload[-1]["values"] = bad_values
+        payload[key] = bad
         path.write_text(json.dumps(payload), "utf-8")
         assert main(["cluster", "--vectors", str(path), "--k", "2",
                      "--out", str(tmp_path / "model.json")]) == 1
@@ -356,6 +356,13 @@ class TestStagesMatchRun:
         run_report.pop("params")
         staged_report.pop("params")
         assert staged_report == run_report
+
+
+def test_one_parser_parses_each_call_afresh():
+    """The process keeps one parser; an option of one call does not carry over."""
+    assert build_parser() is build_parser()
+    assert build_parser().parse_args(["run", "--seed", "5"]).seed == 5
+    assert build_parser().parse_args(["run"]).seed is None
 
 
 class TestRunAndScanCli:

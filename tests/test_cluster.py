@@ -72,7 +72,7 @@ def _dataset_with_labels(labels):
         rec = ContractRecord.build(chain="local", address=f"0x{i:040x}",
                                    source=f"contract D{i} {{}}", fetched_at="")
         entries.append((rec, label))
-    return Dataset(entries=tuple(entries), vulnerable_fraction=0.3)
+    return Dataset(entries=tuple(entries))
 
 
 def _hashes(n):

@@ -153,6 +153,13 @@ class TestTraining:
         with pytest.raises(InvalidInput, match="seed"):
             EmbeddingConfig(seed=-1)
 
+    @pytest.mark.parametrize("field, value", [("vector_size", 2.0), ("epochs", 2.5),
+                                              ("seed", True), ("sg", True)])
+    def test_config_fields_are_ints(self, field, value):
+        # a bool is an int to Python, but never a count or a seed here
+        with pytest.raises(InvalidInput, match=field):
+            EmbeddingConfig(**{"vector_size": 2, field: value})
+
 
 class TestLookup:
     def _model(self):

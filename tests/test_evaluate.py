@@ -171,7 +171,7 @@ class TestReportFiles:
     def test_report_json_schema(self, tmp_path):
         cm = ConfusionMatrix(81, 7, 0, 182)
         path = tmp_path / "report.json"
-        write_report("reentrancy", cm, metrics(cm), {"seed": 1194}, path)
+        write_report("reentrancy", metrics(cm), {"seed": 1194}, path)
         payload = json.loads(path.read_text("utf-8"))
         assert payload["kind"] == "reentrancy"
         assert payload["confusion"] == {"tp": 81, "fp": 7, "fn": 0, "tn": 182}
@@ -180,11 +180,11 @@ class TestReportFiles:
 
     def test_render_table_contains_counts_and_metrics(self):
         cm = ConfusionMatrix(18, 0, 8, 34)
-        table = render_table("access_control", cm, metrics(cm))
+        table = render_table("access_control", metrics(cm))
         assert "access_control" in table
         for token in ("18", "34", "86.67", "100.00", "69.23", "81.82"):
             assert token in table
 
     def test_render_table_undefined_marker(self):
         cm = ConfusionMatrix(0, 0, 0, 4)
-        assert "undef" in render_table("reentrancy", cm, metrics(cm))
+        assert "undef" in render_table("reentrancy", metrics(cm))

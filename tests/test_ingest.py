@@ -298,6 +298,20 @@ class TestBuildMixedDataset:
         loaded = Dataset.load(path)
         assert loaded == dataset
 
+    @pytest.mark.parametrize("fraction", [None, 0.3], ids=["absent", "legacy"])
+    def test_only_the_entries_are_read(self, tmp_path, fraction):
+        """A dataset file without ``vulnerable_fraction`` loads, and so does an
+        older file that still has it."""
+        dataset = build_mixed_dataset(self._records(3, "V"), self._records(10, "C"), 0.3)
+        path = tmp_path / "dataset.json"
+        dataset.save(path)
+        payload = json.loads(path.read_text("utf-8"))
+        assert set(payload) == {"entries"}
+        if fraction is not None:
+            payload["vulnerable_fraction"] = fraction
+        path.write_text(json.dumps(payload), "utf-8")
+        assert Dataset.load(path) == dataset
+
     def test_load_entry_without_record_is_format_error(self, tmp_path):
         dataset = build_mixed_dataset(self._records(3, "V"), self._records(10, "C"), 0.3)
         path = tmp_path / "dataset.json"

@@ -187,15 +187,19 @@ class TestRunPipeline:
 
     def test_artifacts_hold_no_float_lists(self, tmp_path):
         """Every float array goes through ``_artifact.pack``: a JSON list that
-        holds a float anywhere in a stage dir is float text that came back."""
+        holds a float anywhere in a stage dir is float text that came back,
+        and one that holds float payloads is a table stored row by row."""
         config = train_reentrancy(tmp_path, [reentrant_source(i) for i in range(6)],
                                   [clean_source(i) for i in range(14)], vector_size=60)
 
         def float_lists(value, where):
-            """The paths of the JSON lists under ``value`` that hold a float."""
+            """The paths of the JSON lists under ``value`` that hold a float or
+            a float payload."""
             children = (value.items() if isinstance(value, dict)
                         else enumerate(value) if isinstance(value, list) else ())
-            if isinstance(value, list) and any(type(item) is float for item in value):
+            if isinstance(value, list) and any(
+                    type(item) is float or isinstance(item, dict) and "f8" in item
+                    for item in value):
                 yield where
             for key, item in children:
                 yield from float_lists(item, f"{where}/{key}")

@@ -274,8 +274,8 @@ class TestPersistence:
     # One artifact per loader with non-base64 text where float bytes belong;
     # the model is otherwise a valid one-word, dim-1 model.
     _NON_NUMERIC = {
-        load_vectors: '[{"contract_hash": "h", "values": {"shape": [1], "f8": "x!"}}]',
-        load_keyword_map: '{"call": {"shape": [1], "f8": "x!"}}',
+        load_vectors: '{"hashes": ["h"], "values": {"shape": [1, 1], "f8": "x!"}}',
+        load_keyword_map: '{"words": ["call"], "vectors": {"shape": [1, 1], "f8": "x!"}}',
         load_model: '{"config": {"vector_size": 1}, "format": "ethcluster-embedding", '
                     '"vectors": {"shape": [1, 1], "f8": "x!"}, "version": 4, "words": ["call"]}',
     }

@@ -23,11 +23,14 @@ subprocess with ``PYTHONPATH=<tree>/src``; only those two functions and
 compare. Artifacts are compared by decoded value, not by bytes: JSON is
 parsed, every array of numbers becomes a float64 array (as does a
 ``{"shape": [...], <key>: "<base64 of little-endian float64>"}`` payload),
-and the ``dataset`` and ``workdir`` paths are dropped. Other files are
-compared as text. The report counts, each separately: byte-identical files,
-files identical by value, the largest absolute float difference per artifact,
-identical training predictions, cluster labels and k-means partitions
-(cluster ids per training row), and identical scan results. It then lists
+and the ``dataset`` and ``workdir`` paths are dropped. ``vectors.json`` and
+``keywords.json`` are compared as their ordered (name, row) pairs, whether a
+tree stores them as one entry per row or as names beside one matrix, and the
+report says so. Other files are compared as text. The report counts, each
+separately: byte-identical files, files identical by value, the largest
+absolute float difference per artifact, identical training predictions,
+cluster labels and k-means partitions (cluster ids per training row), and
+identical scan results. It then lists
 every difference other than in float values: first one count per kind (the
 path with list indices dropped, and what differs: its keys, its shape or its
 value), then each entry.
@@ -149,12 +152,32 @@ def decode(value):
     return value
 
 
+def named_rows(value) -> dict:
+    """A decoded ``vectors.json`` or ``keywords.json`` as its names in order and
+    one ``[n, dim]`` matrix of their rows. Either layout: a list of
+    ``{"contract_hash", "values"}`` or a word -> row map, one entry per row; or
+    ``{"hashes" | "words": [...], "values" | "vectors": <matrix or null>}``."""
+    if isinstance(value, list):
+        pairs = [(v["contract_hash"], v["values"]) for v in value]
+    elif value.keys() in ({"hashes", "values"}, {"words", "vectors"}) and isinstance(
+            names := value.get("hashes", value.get("words")), list):
+        matrix = value.get("values", value.get("vectors"))
+        pairs = list(zip(names, [] if matrix is None else matrix))
+    else:
+        pairs = list(value.items())
+    return {"names": [name for name, _ in pairs], "rows": np.array([row for _, row in pairs])}
+
+
+NAMED_ROWS = {"vectors.json", "keywords.json"}
+
+
 def read(path: Path):
     text = path.read_text("utf-8")
     try:
-        return decode(json.loads(text))
+        value = decode(json.loads(text))
     except json.JSONDecodeError:
         return text
+    return named_rows(value) if path.name in NAMED_ROWS else value
 
 
 def differences(a, b, where: str, floats: dict[str, float]) -> list[tuple[str, str, str]]:
@@ -234,6 +257,7 @@ def compare(out_a: Path, out_b: Path, runs: list[dict]) -> tuple[list[str], bool
               max(len(scans_a), len(scans_b)))
 
     lines = [f"{key}: {same}/{total} identical" for key, (same, total) in counts.items()]
+    lines.append(f"{' and '.join(sorted(NAMED_ROWS))}: compared by their (name, row) pairs")
     lines.append("largest absolute float difference per artifact, over the runs of each family:")
     families = sorted({key.split(" ")[0] for key in worst})
     lines += [f"  {family}: " + ", ".join(f"{key.split(' ')[1]} {diff:.3g}" for key, diff
