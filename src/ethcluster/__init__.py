@@ -2,7 +2,7 @@
 
 Pipeline: explorer ingestion with source-only dedup, source normalization,
 regex pattern flags, word embeddings, TF-IDF keyword selection, PCA, seeded
-k-means, sequence-based cluster labeling, and metrics reports.
+k-means, majority-vote cluster labeling, and metrics reports.
 """
 
 from .cluster import (

@@ -61,8 +61,14 @@ def read_json(path: str | Path, decode):
 
 
 def pack(arr) -> dict:
-    """The payload ``floats`` decodes: ``arr``'s shape and its float64 bytes."""
-    arr = np.asarray(arr, dtype="<f8")
+    """The payload ``floats`` decodes: ``arr``'s shape and its float64 bytes. An
+    array ``floats`` would refuse (empty, ragged, non-finite) is an ``InvalidInput``."""
+    try:
+        arr = np.asarray(arr, dtype="<f8")
+    except ValueError as exc:
+        raise InvalidInput(f"not a rectangular float array: {exc}") from exc
+    if not arr.size or not np.isfinite(arr).all():
+        raise InvalidInput(f"expected a non-empty finite float array, got shape {arr.shape}")
     return {"shape": list(arr.shape), "f8": base64.b64encode(arr.tobytes()).decode("ascii")}
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import cluster as cl
 from . import embed, pipeline, vectorize
 from ._artifact import read_json
-from .errors import EthClusterError, PathError, PipelineStageError, RateLimited
+from .errors import EthClusterError, PipelineStageError, RateLimited
 # perfbench/spans.py wraps confusion, metrics, write_report and render_table on this module.
 from .evaluate import confusion, metrics, project2d, render_table, write_points_csv, write_report
 from .ingest import (
@@ -32,19 +32,9 @@ from .ingest import (
     records_from_dir,
 )
 from .pipeline import PipelineConfig, run_pipeline, scan_contract
-from .preprocess import load_tokendocs, preprocess_contract, save_tokendocs
+from .preprocess import load_tokendocs, save_tokendocs
 
 RATE_LIMIT_RETRIES = 5
-
-
-def _read_sources(directory: str) -> list[str]:
-    """The sources build-dataset reads: every non-blank .sol, sorted by path."""
-    if not Path(directory).is_dir():
-        raise PathError(f"not a directory: {directory}")
-    sources = [record.source for record in records_from_dir(directory)]
-    if not sources:
-        raise PathError(f"no non-empty .sol files under {directory}")
-    return sources
 
 
 def cmd_ingest(args) -> int:
@@ -95,7 +85,7 @@ def cmd_build_dataset(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    docs = [preprocess_contract(source) for source in _read_sources(args.input)]
+    docs = pipeline.preprocess_corpus(Dataset.load(args.input))
     save_tokendocs(docs, args.out)
     print(f"{len(docs)} contracts tokenized -> {args.out}")
     return 0
@@ -207,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_dataset)
 
-    p = sub.add_parser("preprocess", help="tokenize a directory of contracts into one tokens file")
-    p.add_argument("--in", dest="input", required=True, help="directory of .sol sources")
+    p = sub.add_parser("preprocess", help="tokenize a dataset's contracts into one tokens file")
+    p.add_argument("--in", dest="input", required=True, help="dataset file from build-dataset")
     p.add_argument("--out", required=True, help="tokens file (preprocess.json format)")
     p.set_defaults(func=cmd_preprocess)
 
@@ -230,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True, help="tokens file from preprocess")
     p.add_argument("--embedding", required=True)
     p.add_argument("--flags", default=None)
-    p.add_argument("--threshold", type=float, default=0.7)
+    p.add_argument("--threshold", type=float, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_vectorize)
 

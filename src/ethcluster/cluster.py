@@ -3,8 +3,8 @@
 PCA centers by column means and keeps the leading right-singular vectors of
 the centered matrix. k-means is plain Lloyd's iteration from seeded random
 data rows, Euclidean distance, lowest-id tie-breaks, with an explicit repair
-step when a cluster empties. Cluster labels come from the vulnerable-first
-ordering of the training dataset.
+step when a cluster empties. Each cluster is labeled by a majority vote of its
+members' truth labels, so the labels do not depend on the dataset's order.
 """
 
 from __future__ import annotations
@@ -149,10 +149,10 @@ def check_aligned(hashes: list[str], expected: list[str], what: str) -> None:
 
 
 def label_clusters(model: ClusterModel, dataset: Dataset) -> ClusterModel:
-    """Label each cluster from the dataset's vulnerable-first ordering.
+    """Label each cluster by a majority vote of its members' truth labels.
 
-    Majority vote over member truth labels; an exact tie goes to vulnerable
-    (biasing toward recall); an empty cluster is clean.
+    An exact tie goes to vulnerable (biasing toward recall); an empty cluster
+    is clean. Permuting the records and assignments together keeps the labels.
     """
     check_aligned(model.hashes, [rec.source_hash for rec in dataset.records], "the cluster model")
     truth = dataset.truth_labels

@@ -21,7 +21,7 @@ from typing import Iterator
 
 import requests
 
-from ._artifact import read_json, strings, write_json
+from ._artifact import nonempty, read_json, strings, write_json
 from .errors import (
     FormatError,
     InsufficientData,
@@ -111,9 +111,12 @@ class ContractRecord:
 
     @classmethod
     def decode(cls, objs: list) -> list["ContractRecord"]:
-        """The records of decoded JSON objects; every field must be a string."""
+        """The records of decoded JSON objects; every field a string, every hash its source's."""
         records = [cls(**obj) for obj in objs]
         strings([value for record in records for value in vars(record).values()])
+        for i, rec in enumerate(records):
+            if rec.source_hash != source_hash(rec.source):
+                raise FormatError(f"entry {i}: source_hash is not the hash of its source")
         return records
 
 
@@ -271,7 +274,7 @@ class ContractStore:
             return
         except OSError as exc:
             raise StoreError(f"cannot read store at {self.path}: {exc}") from exc
-        except (FormatError, TypeError, ValueError) as exc:
+        except (FormatError, InvalidInput, TypeError, ValueError) as exc:
             raise StoreError(f"{self.path}: line {number} is not a record: {exc}") from exc
 
     def iter_records(self) -> Iterator[ContractRecord]:
@@ -305,13 +308,10 @@ class Dataset:
 
     @classmethod
     def _decode(cls, obj: dict) -> "Dataset":
-        records = ContractRecord.decode([e["record"] for e in obj["entries"]])
+        records = ContractRecord.decode([e["record"] for e in nonempty(obj["entries"])])
         labels = [e["truth_label"] for e in obj["entries"]]
         if not all(label in (VULNERABLE, CLEAN) for label in labels):
             raise FormatError(f"truth labels must be {VULNERABLE!r} or {CLEAN!r}")
-        for i, rec in enumerate(records):
-            if rec.source_hash != source_hash(rec.source):
-                raise FormatError(f"entry {i}: source_hash is not the hash of its source")
         return cls(tuple(zip(records, labels)))
 
 
@@ -322,7 +322,7 @@ def build_mixed_dataset(vulnerable: list[ContractRecord],
 
     The total is sized so vulnerable/total lands on ``fraction`` (nearest
     integer, half up); clean records are taken in stored order. Vulnerable
-    entries come first, which downstream cluster labeling relies on.
+    entries come first; the order sets the SGD order and the k-means seed rows.
     """
     if not vulnerable or not clean:
         raise InvalidInput("both record lists must be non-empty")

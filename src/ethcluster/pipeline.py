@@ -1,9 +1,9 @@
 """End-to-end orchestration: one trained detector per vulnerability.
 
-Each vulnerability runs as its own one-class pipeline over an ordered
-vulnerable-first dataset: preprocess, regex flags, embedding training,
-TF-IDF keyword selection, optional PCA, seeded k-means, sequence-based
-cluster labeling, metrics. Every stage persists its artifact under
+Each vulnerability runs as its own one-class pipeline over a labeled
+dataset: preprocess, regex flags, embedding training, TF-IDF keyword
+selection, optional PCA, seeded k-means, majority-vote cluster labeling,
+metrics. Every stage persists its artifact under
 ``<workdir>/<vulnerability>/`` so runs are inspectable, and every artifact
 is a deterministic function of (dataset, config). Each stage is one function
 shared with the CLI stage subcommands.
@@ -102,9 +102,14 @@ def stage(name: str):
 
 # --- stages ----------------------------------------------------------------
 # One function per stage, from in-memory inputs to the stage's artifact.
-# ``run_pipeline`` chains them with ``preprocess_contract`` and
-# ``embed.train_embedding``; the CLI stage subcommands load their input
-# files, call the same function and save its result.
+# ``run_pipeline`` chains them with ``embed.train_embedding``; the CLI stage
+# subcommands load their input files, call the same function and save its
+# result.
+
+def preprocess_corpus(dataset: Dataset) -> list[TokenDoc]:
+    """One token document per record, in dataset order, named by its checked ``source_hash``."""
+    return [preprocess_contract(rec.source, rec.source_hash) for rec in dataset.records]
+
 
 def detect_corpus(docs: Sequence[TokenDoc], kind: str | None) -> dict:
     """The ``detect.json`` payload: one regex flag per document, or None
@@ -190,7 +195,7 @@ def run_pipeline(config: PipelineConfig) -> MetricsReport:
     out.mkdir(parents=True, exist_ok=True)
 
     with stage("preprocess"):
-        docs = [preprocess_contract(rec.source) for rec in dataset.records]
+        docs = preprocess_corpus(dataset)
         save_tokendocs(docs, out / "preprocess.json")
 
     with stage("detect"):

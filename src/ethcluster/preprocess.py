@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._artifact import nonempty, read_json, strings, write_json
-from .ingest import source_hash
 
 logger = logging.getLogger(__name__)
 
@@ -92,21 +91,15 @@ def remove_keywords(words: list[str]) -> list[str]:
     return [w for w in words if w not in SOLIDITY_KEYWORDS]
 
 
-def preprocess_contract(source: str) -> TokenDoc:
-    """Produce the token sequence and comment-stripped line view of a contract."""
+def preprocess_contract(source: str, contract_hash: str = "") -> TokenDoc:
+    """The token sequence and comment-stripped line view of a contract named ``contract_hash``."""
     stripped = strip_comments(source)
     tokens = remove_keywords(_words(stripped))
-    digest = source_hash(source) if source.strip() else _EMPTY_HASH
     return TokenDoc(
-        contract_hash=digest,
+        contract_hash=contract_hash,
         tokens=tuple(tokens),
         lines=tuple(stripped.split("\n")),
     )
-
-
-# Hash slot used when the contract is empty/whitespace-only; source_hash
-# rejects empty input but preprocessing stays total.
-_EMPTY_HASH = "0" * 64
 
 
 # --- persistence -----------------------------------------------------------

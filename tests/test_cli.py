@@ -1,11 +1,22 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import clean_source, explorer_url, reentrant_source, write_corpus
+from conftest import (
+    access_control_source,
+    clean_source,
+    explorer_url,
+    reentrant_source,
+    timestamp_source,
+    tx_origin_source,
+    unchecked_source,
+    write_corpus,
+)
 from ethcluster.cli import build_parser, main
 from ethcluster.cluster import PCA_DIM
+from ethcluster.detect import KINDS
 from ethcluster.ingest import ContractStore
 from ethcluster.vectorize import DocumentVector, save_vectors
 
@@ -20,17 +31,20 @@ def write_vectors(path, rows, hashes=None):
                   for h, row in zip(hashes, rows)], path)
 
 
+def build_dataset(root, out="dataset.json", vuln="vuln", clean="clean", fraction="0.3") -> str:
+    """The path of ``root/out``, written by ``build-dataset`` from ``root/vuln``
+    and ``root/clean``."""
+    path = str(root / out)
+    assert main(["build-dataset", "--vuln", str(root / vuln), "--clean", str(root / clean),
+                 "--fraction", fraction, "--out", path]) == 0
+    return path
+
+
 @pytest.fixture
 def staged_corpus(tmp_path):
-    """9 vulnerable + 21 clean contracts; together they form the full 30/70
-    mix, so one combined directory in sorted order matches dataset order."""
-    vuln_sources = [reentrant_source(i) for i in range(9)]
-    clean_sources = [clean_source(i) for i in range(21)]
-    write_corpus(tmp_path / "vuln", vuln_sources, prefix="v")
-    write_corpus(tmp_path / "clean", clean_sources, prefix="w")
-    combined = tmp_path / "all"
-    write_corpus(combined, vuln_sources, prefix="av")
-    write_corpus(combined, clean_sources, prefix="cw")
+    """9 vulnerable + 21 clean contracts: together the full 30/70 mix."""
+    write_corpus(tmp_path / "vuln", [reentrant_source(i) for i in range(9)], prefix="v")
+    write_corpus(tmp_path / "clean", [clean_source(i) for i in range(21)], prefix="w")
     return tmp_path
 
 
@@ -44,7 +58,7 @@ class TestStagewiseCli:
         dataset = json.loads((root / "dataset.json").read_text("utf-8"))
         assert len(dataset["entries"]) == 30
 
-        assert main(["preprocess", "--in", str(root / "all"),
+        assert main(["preprocess", "--in", str(root / "dataset.json"),
                      "--out", str(root / "tokens.json")]) == 0
         docs = json.loads((root / "tokens.json").read_text("utf-8"))
         assert len(docs) == 30
@@ -100,7 +114,7 @@ class TestStagewiseCli:
 
     def test_stage_isolation_rerun_identical(self, staged_corpus):
         root = staged_corpus
-        assert main(["preprocess", "--in", str(root / "all"),
+        assert main(["preprocess", "--in", build_dataset(root),
                      "--out", str(root / "tokens.json")]) == 0
         args = ["detect", "--kind", "timestamp", "--in", str(root / "tokens.json"),
                 "--out", str(root / "flags.json")]
@@ -114,23 +128,24 @@ class TestStagewiseCli:
         clean_sources = [clean_source(i) for i in range(7)]
         write_corpus(tmp_path / "vuln", vuln_sources, prefix="v")
         write_corpus(tmp_path / "clean", clean_sources + [" \n\t\n"], prefix="w")
-        write_corpus(tmp_path / "all", vuln_sources, prefix="av")
-        write_corpus(tmp_path / "all", clean_sources + [" \n\t\n"], prefix="cw")
         assert main(["build-dataset", "--vuln", str(tmp_path / "vuln"),
                      "--clean", str(tmp_path / "clean"), "--fraction", "0.3",
                      "--out", str(tmp_path / "dataset.json")]) == 0
         dataset = json.loads((tmp_path / "dataset.json").read_text("utf-8"))
-        assert main(["preprocess", "--in", str(tmp_path / "all"),
+        assert main(["preprocess", "--in", str(tmp_path / "dataset.json"),
                      "--out", str(tmp_path / "tokens.json")]) == 0
         docs = json.loads((tmp_path / "tokens.json").read_text("utf-8"))
         assert len(docs) == len(dataset["entries"]) == 10
 
     def test_flags_of_another_corpus_are_an_alignment_error(self, tmp_path, capsys):
-        write_corpus(tmp_path / "a", [reentrant_source(i) for i in range(3)]
-                     + [clean_source(i) for i in range(3)])
-        write_corpus(tmp_path / "b", [clean_source(i) for i in range(3, 9)])
+        write_corpus(tmp_path / "a_vuln", [reentrant_source(i) for i in range(3)])
+        write_corpus(tmp_path / "a_clean", [clean_source(i) for i in range(3)])
+        write_corpus(tmp_path / "b_vuln", [clean_source(i) for i in range(3, 6)])
+        write_corpus(tmp_path / "b_clean", [clean_source(i) for i in range(6, 9)])
         for name in ("a", "b"):
-            assert main(["preprocess", "--in", str(tmp_path / name),
+            dataset = build_dataset(tmp_path, f"{name}.json", f"{name}_vuln", f"{name}_clean",
+                                    "0.5")
+            assert main(["preprocess", "--in", dataset,
                          "--out", str(tmp_path / f"{name}.tokens")]) == 0
         assert main(["detect", "--kind", "reentrancy", "--in", str(tmp_path / "a.tokens"),
                      "--out", str(tmp_path / "a.flags")]) == 0
@@ -139,15 +154,28 @@ class TestStagewiseCli:
         capsys.readouterr()
         assert main(["vectorize", "--in", str(tmp_path / "b.tokens"),
                      "--embedding", str(tmp_path / "b.vec"), "--flags", str(tmp_path / "a.flags"),
-                     "--out", str(tmp_path / "vectors.json")]) == 1
+                     "--threshold", "0.7", "--out", str(tmp_path / "vectors.json")]) == 1
         [line] = capsys.readouterr().err.splitlines()
         assert json.loads(line)["error"] == "AlignmentError"
         assert not (tmp_path / "vectors.json").exists()
 
+    def test_vectorize_without_threshold_is_a_usage_error(self, staged_corpus, capsys):
+        # the threshold is the kind's own (detect.KINDS), so the stage has no default
+        root = staged_corpus
+        tokens, vec, vectors = root / "tokens.json", root / "model.vec", root / "vectors.json"
+        assert main(["preprocess", "--in", build_dataset(root), "--out", str(tokens)]) == 0
+        assert main(["train-embedding", "--in", str(tokens), "--dim", "4", "--epochs", "1",
+                     "--out", str(vec)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            main(["vectorize", "--in", str(tokens), "--embedding", str(vec), "--out", str(vectors)])
+        assert info.value.code == 2 and "--threshold" in capsys.readouterr().err
+        assert not vectors.exists() and not (root / "keywords.json").exists()
+
     def test_token_directory_is_a_path_error(self, staged_corpus, capsys):
         # token documents are one file; a directory is not a tokens file
         root = staged_corpus
-        assert main(["detect", "--kind", "reentrancy", "--in", str(root / "all"),
+        assert main(["detect", "--kind", "reentrancy", "--in", str(root / "vuln"),
                      "--out", str(root / "flags.json")]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "PathError"
 
@@ -192,25 +220,34 @@ class TestStagewiseCli:
         assert json.loads(line)["error"] == "FormatError"
         assert not model.exists()
 
-    @pytest.mark.parametrize("name, message", [("file.sol", "not a directory"),
-                                               ("empty", "no non-empty .sol files")],
-                             ids=["file", "no-sol-files"])
-    def test_preprocess_input_without_sources_is_a_path_error(self, tmp_path, capsys, name,
-                                                              message):
-        (tmp_path / "file.sol").write_text(reentrant_source(0), "utf-8")
-        (tmp_path / "empty").mkdir()
-        (tmp_path / "empty" / "notes.txt").write_text("no contracts here", "utf-8")
-        out = tmp_path / "tokens.json"
-        assert main(["preprocess", "--in", str(tmp_path / name), "--out", str(out)]) == 1
+    @pytest.mark.parametrize("name, error", [("missing.json", "PathError"),
+                                             ("vuln", "PathError"),
+                                             ("truncated.json", "FormatError"),
+                                             ("forged.json", "FormatError"),
+                                             ("no-entries.json", "FormatError")],
+                             ids=["missing", "directory", "malformed", "forged-hash", "no-entries"])
+    def test_preprocess_input_that_is_not_a_dataset_writes_no_tokens(self, staged_corpus,
+                                                                     capsys, name, error):
+        root = staged_corpus
+        text = Path(build_dataset(root)).read_text("utf-8")
+        (root / "truncated.json").write_text(text[:-10], "utf-8")
+        dataset = json.loads(text)
+        dataset["entries"][3]["record"]["source_hash"] = "f" * 64
+        (root / "forged.json").write_text(json.dumps(dataset), "utf-8")
+        (root / "no-entries.json").write_text('{"entries": []}', "utf-8")
+        out = root / "tokens.json"
+        capsys.readouterr()
+        assert main(["preprocess", "--in", str(root / name), "--out", str(out)]) == 1
         [line] = capsys.readouterr().err.splitlines()
-        error = json.loads(line)
-        assert error["error"] == "PathError" and message in error["message"]
+        assert json.loads(line)["error"] == error
         assert not out.exists()
 
     def test_negative_seed_is_one_invalid_input_line(self, tmp_path, capsys):
-        write_corpus(tmp_path / "src", [reentrant_source(0), clean_source(0)])
+        write_corpus(tmp_path / "vuln", [reentrant_source(0)])
+        write_corpus(tmp_path / "clean", [clean_source(0)])
         tokens, vectors = tmp_path / "tokens.json", tmp_path / "vectors.json"
-        assert main(["preprocess", "--in", str(tmp_path / "src"), "--out", str(tokens)]) == 0
+        assert main(["preprocess", "--in", build_dataset(tmp_path, fraction="0.5"),
+                     "--out", str(tokens)]) == 0
         write_vectors(vectors, [[float(i), 0.0] for i in range(4)])
         capsys.readouterr()
         for argv in (["train-embedding", "--in", str(tokens), "--dim", "4"],
@@ -230,18 +267,18 @@ class TestStagewiseCli:
 
     @staticmethod
     def _clean_first_vectors(root):
-        """The dataset and vectors of a combined directory that sorts the clean
-        files first, so the vectors are in another order than the dataset."""
-        write_corpus(root / "clean_first", [reentrant_source(i) for i in range(9)], prefix="zv")
-        write_corpus(root / "clean_first", [clean_source(i) for i in range(21)], prefix="ac")
-        dataset, tokens = str(root / "dataset.json"), str(root / "tokens.json")
+        """The dataset, and the vectors of a second dataset holding the same
+        entries clean first, so the vectors are in another order than the dataset."""
+        dataset, tokens = build_dataset(root), str(root / "tokens.json")
         vec, vectors = str(root / "model.vec"), str(root / "vectors.json")
-        assert main(["build-dataset", "--vuln", str(root / "vuln"), "--clean",
-                     str(root / "clean"), "--fraction", "0.3", "--out", dataset]) == 0
-        assert main(["preprocess", "--in", str(root / "clean_first"), "--out", tokens]) == 0
+        payload = json.loads((root / "dataset.json").read_text("utf-8"))
+        payload["entries"].sort(key=lambda entry: entry["truth_label"] == "vulnerable")
+        (root / "clean_first.json").write_text(json.dumps(payload), "utf-8")
+        assert main(["preprocess", "--in", str(root / "clean_first.json"), "--out", tokens]) == 0
         assert main(["train-embedding", "--in", tokens, "--dim", "10", "--epochs", "1",
                      "--out", vec]) == 0
-        assert main(["vectorize", "--in", tokens, "--embedding", vec, "--out", vectors]) == 0
+        assert main(["vectorize", "--in", tokens, "--embedding", vec, "--threshold", "0.7",
+                     "--out", vectors]) == 0
         return dataset, vectors
 
     def test_vectors_out_of_dataset_order_are_an_alignment_error(self, staged_corpus, capsys):
@@ -316,46 +353,59 @@ class TestStagewiseCli:
         assert not (tmp_path / "points.csv").exists()
 
 
-class TestStagesMatchRun:
-    """The stage subcommands chained by hand reproduce ``run``'s artifacts."""
+SOURCES = {"reentrancy": reentrant_source, "access_control": access_control_source,
+           "timestamp": timestamp_source, "tx_origin": tx_origin_source,
+           "unchecked_call": unchecked_source}
 
-    def test_stage_chain_reproduces_run(self, staged_corpus):
-        root = staged_corpus
-        dataset = str(root / "dataset.json")
-        assert main(["build-dataset", "--vuln", str(root / "vuln"),
-                     "--clean", str(root / "clean"), "--fraction", "0.3",
-                     "--out", dataset]) == 0
+
+class TestStagesMatchRun:
+    """The stage subcommands chained by hand from ``dataset.json`` reproduce
+    ``run``'s artifacts, for every kind at its ``detect.KINDS`` values."""
+
+    def test_stage_chain_reproduces_run(self, tmp_path):
+        # one test over the five kinds: a kind's failure names it
+        for name, kind in KINDS.items():
+            self._check_chain(tmp_path / name, name, kind)
+
+    @staticmethod
+    def _check_chain(root, name, kind):
+        write_corpus(root / "vuln", [SOURCES[name](i) for i in range(9)])
+        write_corpus(root / "clean", [clean_source(i) for i in range(21)])
+        dataset = build_dataset(root)
         config = root / "config.json"
         config.write_text(json.dumps({
-            "vulnerability": "reentrancy", "dataset": dataset,
-            "workdir": str(root / "work"), "epochs": 2,
+            "vulnerability": name, "dataset": dataset, "workdir": str(root / "work"), "epochs": 2,
         }), "utf-8")
-        assert main(["run", "--config", str(config)]) == 0
-        ran = root / "work" / "reentrancy"
+        assert main(["run", "--config", str(config)]) == 0, name
+        ran = root / "work" / name
 
         staged = root / "staged"
         staged.mkdir()
         tokens, flags = str(staged / "preprocess.json"), str(staged / "detect.json")
         vec, vectors = str(staged / "embedding.vec"), str(staged / "vectors.json")
-        assert main(["preprocess", "--in", str(root / "all"), "--out", tokens]) == 0
-        assert main(["detect", "--kind", "reentrancy", "--in", tokens, "--out", flags]) == 0
-        assert main(["train-embedding", "--in", tokens, "--dim", "10", "--epochs", "2",
-                     "--out", vec]) == 0
-        assert main(["vectorize", "--in", tokens, "--embedding", vec, "--flags", flags,
-                     "--threshold", "0.7", "--out", vectors]) == 0
-        assert main(["cluster", "--vectors", vectors, "--k", "5", "--dataset", dataset,
-                     "--out", str(staged / "model.json")]) == 0
+        assert main(["preprocess", "--in", dataset, "--out", tokens]) == 0
+        compared, flag_args = ["preprocess.json", "embedding.vec", "keywords.json",
+                               "vectors.json", "model.json"], []
+        if kind.detector is not None:
+            assert main(["detect", "--kind", name, "--in", tokens, "--out", flags]) == 0
+            compared, flag_args = [*compared, "detect.json"], ["--flags", flags]
+        assert main(["train-embedding", "--in", tokens, "--dim", str(kind.vector_size),
+                     "--epochs", "2", "--out", vec]) == 0
+        assert main(["vectorize", "--in", tokens, "--embedding", vec, *flag_args,
+                     "--threshold", str(kind.tfidf_threshold), "--out", vectors]) == 0
+        assert main(["cluster", "--vectors", vectors, "--k", str(kind.num_clusters),
+                     "--dataset", dataset, "--out", str(staged / "model.json")]) == 0
         assert main(["evaluate", "--model", str(staged / "model.json"), "--dataset", dataset,
-                     "--kind", "reentrancy", "--out", str(staged / "report.json")]) == 0
+                     "--kind", name, "--out", str(staged / "report.json")]) == 0
 
-        for name in ["preprocess.json", "detect.json", "embedding.vec",
-                     "keywords.json", "vectors.json", "model.json"]:
-            assert (staged / name).read_bytes() == (ran / name).read_bytes(), name
+        for artifact in compared:
+            assert (staged / artifact).read_bytes() == (ran / artifact).read_bytes(), \
+                (name, artifact)
         run_report = json.loads((ran / "report.json").read_text("utf-8"))
         staged_report = json.loads((staged / "report.json").read_text("utf-8"))
         run_report.pop("params")
         staged_report.pop("params")
-        assert staged_report == run_report
+        assert staged_report == run_report, name
 
 
 def test_one_parser_parses_each_call_afresh():
@@ -475,7 +525,7 @@ class TestRunAndScanCli:
 
     def test_unknown_kind_error_json(self, staged_corpus, capsys):
         root = staged_corpus
-        assert main(["preprocess", "--in", str(root / "all"),
+        assert main(["preprocess", "--in", build_dataset(root),
                      "--out", str(root / "tokens.json")]) == 0
         assert main(["detect", "--kind", "access_control", "--in", str(root / "tokens.json"),
                      "--out", str(root / "flags.json")]) == 1

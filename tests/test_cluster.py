@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ethcluster.cluster import (
     ClusterModel,
@@ -285,6 +286,18 @@ class TestLabeling:
         dataset = _dataset_with_labels([VULNERABLE])
         with pytest.raises(AlignmentError):
             label_clusters(model, dataset)
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from([VULNERABLE, CLEAN])),
+                    min_size=1, max_size=12), st.data())
+    def test_labels_do_not_depend_on_dataset_order(self, members, data):
+        """Permuting the records and the assignments together gives the same labels."""
+        order = data.draw(st.permutations(range(len(members))))
+        dataset = _dataset_with_labels([label for _, label in members])
+        model = self._model_with_assignments([c for c, _ in members], k=4)
+        permuted = Dataset(tuple(dataset.entries[i] for i in order))
+        moved = self._model_with_assignments([members[i][0] for i in order], k=4)
+        moved.hashes = [rec.source_hash for rec in permuted.records]
+        assert label_clusters(moved, permuted).labels == label_clusters(model, dataset).labels
 
     def test_same_length_in_another_order_is_refused(self):
         model = self._model_with_assignments([0, 0, 1, 1], k=2)

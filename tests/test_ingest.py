@@ -230,8 +230,11 @@ class TestStore:
         assert ContractStore(path).records() == [a, b]
 
     def test_malformed_inner_line_is_a_store_error(self, tmp_path):
-        int_source = json.dumps({**json.loads(_record("contract C{}").to_json()), "source": 3})
-        for i, bad in enumerate(['{"chain": "etherscan"', int_source]):
+        fields = json.loads(_record("contract C{}").to_json())
+        int_source = json.dumps({**fields, "source": 3})
+        forged_hash = json.dumps({**fields, "source_hash": "f" * 64})
+        blank_source = json.dumps({**fields, "source": " \n"})
+        for i, bad in enumerate(['{"chain": "etherscan"', int_source, forged_hash, blank_source]):
             path = tmp_path / f"store{i}.ndjson"
             ContractStore(path).put(_record("contract A{}"))
             with path.open("a", encoding="utf-8") as fh:

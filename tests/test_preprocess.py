@@ -185,10 +185,15 @@ class TestPreprocessContract:
         assert preprocess_contract(source) == preprocess_contract(source)
 
     def test_hash_matches_source_hash(self):
-        from ethcluster.ingest import source_hash
+        """``preprocess_corpus`` names each document by its record's ``source_hash``."""
+        from ethcluster.ingest import CLEAN, ContractRecord, Dataset
+        from ethcluster.pipeline import preprocess_corpus
 
-        source = "contract A {}"
-        assert preprocess_contract(source).contract_hash == source_hash(source)
+        records = [ContractRecord.build("local", f"0x{i:040x}", f"contract A{i} {{}}")
+                   for i in range(3)]
+        docs = preprocess_corpus(Dataset(tuple((rec, CLEAN) for rec in records)))
+        assert [d.contract_hash for d in docs] == [rec.source_hash for rec in records]
+        assert docs == [preprocess_contract(rec.source, rec.source_hash) for rec in records]
 
     @given(st.text(max_size=300))
     def test_tokens_are_the_normalized_words_minus_keywords(self, s):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ethcluster.embed import EmbeddingConfig, EmbeddingModel, load_model
-from ethcluster.errors import AlignmentError, EmptyCorpus, FormatError
+from ethcluster.errors import AlignmentError, EmptyCorpus, FormatError, InvalidInput
 from ethcluster.pipeline import vectorize_corpus
 from ethcluster.preprocess import TokenDoc
 from ethcluster.vectorize import (
@@ -261,6 +261,16 @@ class TestPersistence:
         [loaded] = load_vectors(path)
         assert loaded.contract_hash == "h1"
         assert np.array_equal(loaded.values, vectors[0].values)
+
+    @pytest.mark.parametrize("rows", [[], [[], []], [[1.0, 2.0], [3.0]], [[1.0, np.nan]],
+                                      [[np.inf, 0.0]]],
+                             ids=["no-vectors", "zero-width", "ragged", "nan", "inf"])
+    def test_vectors_its_loader_refuses_are_not_written(self, tmp_path, rows):
+        path = tmp_path / "vectors.json"
+        with pytest.raises(InvalidInput):
+            save_vectors([DocumentVector(f"h{i}", np.array(row)) for i, row in enumerate(rows)],
+                         path)
+        assert not path.exists()
 
     def test_keyword_map_round_trip(self, tmp_path):
         keyword_map = {"call": np.array([1.0 / 3.0, 2.0]), "now": np.array([-0.125, 7e-9])}
