@@ -66,9 +66,6 @@ class EmbeddingModel:
         self.vectors = vectors
         self.vectors.setflags(write=False)
         self.config = config
-        self._words = [None] * len(vocab)
-        for word, idx in vocab.items():
-            self._words[idx] = word
 
     def vector(self, word: str) -> np.ndarray | None:
         """The trained vector for ``word``, or None when out of vocabulary."""
@@ -76,9 +73,6 @@ class EmbeddingModel:
         if idx is None:
             return None
         return self.vectors[idx]
-
-    def words(self) -> list[str]:
-        return list(self._words)
 
 
 def _clamped_sigmoid(x: float) -> float:
@@ -189,8 +183,9 @@ def train_embedding(docs: Sequence[Sequence[str]], config: EmbeddingConfig) -> E
 def save_model(model: EmbeddingModel, path: str | Path) -> None:
     """Write the model as a JSON artifact whose ``vectors`` are a ``pack``
     payload of float64 bytes, one row per word, so they round-trip exactly."""
+    words = sorted(model.vocab, key=model.vocab.__getitem__)
     write_json({"format": _FORMAT_NAME, "version": _FORMAT_VERSION, "config": asdict(model.config),
-                "words": model.words(), "vectors": pack(model.vectors)}, path)
+                "words": words, "vectors": pack(model.vectors)}, path)
 
 
 def _decode_model(payload: dict) -> EmbeddingModel:

@@ -235,12 +235,6 @@ class ContractStore:
             self._hashes.add(record.source_hash)
         self._torn_at = end if self.path.exists() and self.path.stat().st_size > end else None
 
-    def __contains__(self, digest: str) -> bool:
-        return digest in self._hashes
-
-    def __len__(self) -> int:
-        return len(self._hashes)
-
     def put(self, record: ContractRecord) -> str:
         """Append ``record`` unless its source hash is already present."""
         with self._lock:
@@ -277,16 +271,18 @@ class ContractStore:
         except (FormatError, InvalidInput, TypeError, ValueError) as exc:
             raise StoreError(f"{self.path}: line {number} is not a record: {exc}") from exc
 
-    def iter_records(self) -> Iterator[ContractRecord]:
-        return (record for record, _ in self._scan())
-
     def records(self) -> list[ContractRecord]:
-        return list(self.iter_records())
+        return [record for record, _ in self._scan()]
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Ordered training mix: every vulnerable entry precedes every clean one."""
+    """Ordered training mix of labeled records.
+
+    ``build_mixed_dataset`` puts every vulnerable entry first, but a dataset
+    in any order loads. The order fixes the SGD order and the k-means seed
+    rows, not the labels.
+    """
 
     entries: tuple[tuple[ContractRecord, str], ...]
 

@@ -76,16 +76,6 @@ def _words(stripped: str) -> list[str]:
     return stripped.translate(_PUNCT_TABLE).split()
 
 
-def normalize(source: str) -> str:
-    """Collapse source to a single line of space-separated words.
-
-    Applies, in order: comment stripping, replacement of every ASCII
-    punctuation character by a space, and whitespace (newlines included)
-    collapsing with trimming.
-    """
-    return " ".join(_words(strip_comments(source)))
-
-
 def remove_keywords(words: list[str]) -> list[str]:
     """Drop reserved Solidity keywords, preserving the order of survivors."""
     return [w for w in words if w not in SOLIDITY_KEYWORDS]

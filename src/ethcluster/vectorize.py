@@ -33,9 +33,6 @@ class Dictionary:
         self.doc_freq = doc_freq
         self.num_docs = num_docs
 
-    def __len__(self) -> int:
-        return len(self.word_to_id)
-
 
 def build_dictionary(docs: Sequence[Sequence[str]]) -> Dictionary:
     """Assign ids in first-occurrence order and count document frequencies."""

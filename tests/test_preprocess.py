@@ -10,7 +10,6 @@ from ethcluster.errors import FormatError
 from ethcluster.preprocess import (
     SOLIDITY_KEYWORDS,
     load_tokendocs,
-    normalize,
     preprocess_contract,
     remove_keywords,
     save_tokendocs,
@@ -115,32 +114,37 @@ class TestStripComments:
         assert strip_comments(source).count("\n") == source.count("\n")
 
 
+def _one_line(source):
+    """The contract's words on one line: the text that tokens are cut from."""
+    return " ".join(preprocess._words(strip_comments(source)))
+
+
 class TestNormalize:
     def test_punctuation_becomes_space(self):
-        assert normalize("x = 1;") == "x 1"
+        assert _one_line("x = 1;") == "x 1"
 
     def test_empty(self):
-        assert normalize("") == ""
+        assert _one_line("") == ""
 
     def test_whitespace_collapse(self):
-        assert normalize("a\n\n  b") == "a b"
+        assert _one_line("a\n\n  b") == "a b"
 
     def test_tabs_collapse_too(self):
-        assert normalize("a\t\tb") == "a b"
+        assert _one_line("a\t\tb") == "a b"
 
     def test_dotted_version_splits(self):
-        assert normalize("^0.8.0") == "0 8 0"
+        assert _one_line("^0.8.0") == "0 8 0"
 
     def test_underscore_is_punctuation(self):
-        assert normalize("my_var") == "my var"
+        assert _one_line("my_var") == "my var"
 
     @given(st.text(max_size=300))
     def test_idempotent(self, s):
-        assert normalize(normalize(s)) == normalize(s)
+        assert _one_line(_one_line(s)) == _one_line(s)
 
     @given(st.text(max_size=300))
     def test_single_spaced(self, s):
-        out = normalize(s)
+        out = _one_line(s)
         assert "  " not in out
         assert out == out.strip()
 
@@ -197,7 +201,7 @@ class TestPreprocessContract:
 
     @given(st.text(max_size=300))
     def test_tokens_are_the_normalized_words_minus_keywords(self, s):
-        assert list(preprocess_contract(s).tokens) == remove_keywords(normalize(s).split())
+        assert list(preprocess_contract(s).tokens) == remove_keywords(_one_line(s).split())
 
     @given(st.text(max_size=300))
     def test_no_reserved_tokens_survive(self, s):

@@ -47,7 +47,7 @@ class TestDictionary:
 
     def test_repeated_word_one_entry(self):
         d = build_dictionary([["a"], ["a"]])
-        assert len(d) == 1
+        assert len(d.word_to_id) == 1
         assert d.doc_freq[0] == 2
 
     def test_first_seen_order(self):
@@ -56,7 +56,7 @@ class TestDictionary:
 
     def test_ids_are_dense_bijection(self):
         d = build_dictionary([["a", "b", "c"], ["c", "d"]])
-        assert sorted(d.word_to_id.values()) == list(range(len(d)))
+        assert sorted(d.word_to_id.values()) == list(range(len(d.word_to_id)))
         for word, idx in d.word_to_id.items():
             assert d.id_to_word[idx] == word
 
