@@ -136,17 +136,13 @@ def kmeans_assign(X, centers):
     """Nearest-center assignment (squared-distance ties go to the lowest id).
 
     Returns the int64 cluster id of each row and the within-cluster sum of
-    squared distances.
+    squared distances. All k x n distances come from one k x n x dim float64
+    difference: about 1 MB for 300 rows of dim 50 at k=8, 64 MB for 20 000.
     """
-    best_d = np.full(X.shape[0], np.inf)
-    ids = np.zeros(X.shape[0], dtype=np.int64)
-    for c in range(centers.shape[0]):
-        diff = X - centers[c]
-        d = np.einsum("ij,ij->i", diff, diff)
-        closer = d < best_d
-        ids[closer] = c
-        best_d[closer] = d[closer]
-    return ids, float(best_d.sum())
+    diff = X - centers[:, None]
+    d = np.einsum("kij,kij->ki", diff, diff)
+    # argmin returns the first minimum, so a tie goes to the lowest id
+    return d.argmin(axis=0), float(d.min(axis=0).sum())
 
 
 def kmeans_update(X, ids, k):

@@ -94,7 +94,10 @@ class ClusterModel:
 
 def kmeans_fit(X: np.ndarray, k: int, max_iterations: int = MAX_ITERATIONS, *,
                seed: int) -> ClusterModel:
-    """Lloyd's algorithm from k distinct seeded random rows.
+    """Lloyd's algorithm from k seeded random rows.
+
+    The k row indices are distinct, but their values may repeat, so two
+    starting centers can coincide when ``X`` has fewer than k distinct rows.
 
     Iterates nearest-center assignment and mean update until assignments
     stop changing or ``max_iterations`` is hit; the stored assignments are
@@ -123,7 +126,8 @@ def kmeans_fit(X: np.ndarray, k: int, max_iterations: int = MAX_ITERATIONS, *,
         for c in range(k):
             if counts[c] == 0:
                 # re-seed the empty cluster on the row farthest from its old center
-                dist = np.einsum("ij,ij->i", X - centers[c], X - centers[c])
+                diff = X - centers[c]
+                dist = np.einsum("ij,ij->i", diff, diff)
                 centers[c] = X[int(np.argmax(dist))]
             else:
                 centers[c] = sums[c] / counts[c]

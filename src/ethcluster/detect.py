@@ -59,7 +59,8 @@ def detect_tx_origin(lines: Sequence[str]) -> int:
 def detect_unchecked_call(lines: Sequence[str]) -> int:
     """1 iff some line has a low-level call site with no same-line result check."""
     for line in lines:
-        if _UNCHECKED_POSTFIX.search(line) and not _UNCHECKED_PREFIX.search(line):
+        # the call-site pattern ends in "(", so a line without one cannot match
+        if "(" in line and _UNCHECKED_POSTFIX.search(line) and not _UNCHECKED_PREFIX.search(line):
             return 1
     return 0
 

@@ -127,7 +127,7 @@ def select_keywords(bags: Sequence[Sequence[tuple[int, int]]],
 def doc_vector_values(tokens: Sequence[str], keyword_map: Mapping[str, np.ndarray],
                       dim: int) -> np.ndarray:
     """Average the unique mapped tokens' vectors; zero vector when none map."""
-    picked = [keyword_map[w] for w in sorted(set(tokens)) if w in keyword_map]
+    picked = [keyword_map[w] for w in sorted(keyword_map.keys() & tokens)]
     if not picked:
         return np.zeros(dim)
     return np.mean(np.array(picked, dtype=np.float64), axis=0)

@@ -7,7 +7,9 @@ the whole buffer, then trim to 5). The acceptance suite re-runs this table.
 """
 
 import pytest
+from hypothesis import given, strategies as st
 
+from ethcluster import detect
 from ethcluster.detect import (
     KINDS,
     REGEX_KINDS,
@@ -210,3 +212,13 @@ class TestProperties:
     def test_purity_same_lines_same_flag(self):
         lines = [CALL, PAD, BAL]
         assert detect_reentrancy(lines) == detect_reentrancy(list(lines)) == 1
+
+    # ".call(" and ".send" as pieces too, so that a quarter of the drawn
+    # contracts hold a call site and most lines have no "("
+    @given(st.lists(st.lists(st.sampled_from(
+        [".", "(", ")", "call", "send", "require", "if", "success", "x", " ", ";",
+         ".call(", ".send", "delegatecall"]), max_size=10).map("".join), max_size=5))
+    def test_unchecked_call_is_the_two_regex_rule(self, lines):
+        expected = int(any(detect._UNCHECKED_POSTFIX.search(line)
+                           and not detect._UNCHECKED_PREFIX.search(line) for line in lines))
+        assert detect_unchecked_call(lines) == expected

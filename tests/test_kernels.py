@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from ethcluster import _kernels
+from ethcluster.cluster import kmeans_fit
 from ethcluster.embed import EmbeddingConfig, train_embedding
 
 _MAX_SCORE = 30.0
@@ -111,6 +112,39 @@ def oracle_kmeans_assign(X, centers, out):
         out[i] = best
         total += best_d
     return total
+
+
+def reference_kmeans_assign(X, centers):
+    """The per-center numpy loop that the one-pass kernel replaced: a row moves
+    to center c only on a strictly smaller distance, so ties keep the lowest id."""
+    best_d = np.full(X.shape[0], np.inf)
+    ids = np.zeros(X.shape[0], dtype=np.int64)
+    for c in range(centers.shape[0]):
+        diff = X - centers[c]
+        d = np.einsum("ij,ij->i", diff, diff)
+        closer = d < best_d
+        ids[closer] = c
+        best_d[closer] = d[closer]
+    return ids, float(best_d.sum())
+
+
+def _assign_case(case, seed):
+    """(X, centers) for one shape of assignment that training or scan meets."""
+    rng = np.random.default_rng(500 + seed)
+    n, k, dim = int(rng.integers(2, 60)), int(rng.integers(2, 9)), int(rng.integers(1, 60))
+    if case == "exact-ties":
+        # small integer coordinates: distances are exact, so ties are frequent
+        X = rng.integers(-2, 3, size=(n, dim)).astype(np.float64)
+        return X, rng.integers(-2, 3, size=(k, dim)).astype(np.float64)
+    if case == "duplicate-centers":
+        # fewer distinct rows than clusters, centers seeded from the rows
+        X = rng.normal(size=(3, dim))[rng.integers(0, 3, size=n)]
+        return X, X[rng.choice(n, size=min(n, k + 3), replace=False)].copy()
+    if case == "one-row":
+        return rng.normal(size=(1, dim)), rng.normal(size=(8, dim))
+    if case == "k=1":
+        return rng.normal(size=(n, dim)), rng.normal(size=(1, dim))
+    return rng.normal(size=(n, dim)) * 10.0 ** int(rng.integers(-8, 9)), rng.normal(size=(k, dim))
 
 
 def oracle_kmeans_update(X, assign, sums, counts):
@@ -336,6 +370,31 @@ class TestKmeans:
         oracle_total = oracle_kmeans_assign(X, centers, expected)
         assert np.array_equal(got, expected)
         assert total == pytest.approx(oracle_total, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("case",
+                             ["random", "exact-ties", "duplicate-centers", "one-row", "k=1"])
+    def test_assign_bit_equal_to_per_center_loop(self, case, seed):
+        X, centers = _assign_case(case, seed)
+        ids, total = _kernels.kmeans_assign(X, centers)
+        expected_ids, expected_total = reference_kmeans_assign(X, centers)
+        assert ids.dtype == np.int64
+        assert np.array_equal(ids, expected_ids)
+        assert total.hex() == expected_total.hex()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fit_with_duplicate_centers_matches_per_center_loop(self, monkeypatch, seed):
+        # 3 distinct rows and k=5: two seeded centers coincide, the later one
+        # gets no members, and kmeans_fit re-seeds it
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(3, 4))[rng.integers(0, 3, size=30)]
+        expected = kmeans_fit(X, k=5, seed=seed)
+        monkeypatch.setattr(_kernels, "kmeans_assign", reference_kmeans_assign)
+        got = kmeans_fit(X, k=5, seed=seed)
+        assert np.array_equal(got.centers, expected.centers)
+        assert np.array_equal(got.assignments, expected.assignments)
+        assert got.objective_history == expected.objective_history
+        assert got.iterations_run == expected.iterations_run
 
     def test_exact_ties_go_to_lowest_id(self):
         # integer coordinates: every distance is exact, so ties are real ties

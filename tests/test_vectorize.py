@@ -1,7 +1,9 @@
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from ethcluster.embed import EmbeddingConfig, EmbeddingModel, load_model
 from ethcluster.errors import AlignmentError, EmptyCorpus, FormatError, InvalidInput
@@ -251,6 +253,20 @@ class TestDocumentVectors:
         picked = np.array([keyword_map[w] for w in set(tokens)])
         assert np.all(values >= picked.min(axis=0) - 1e-12)
         assert np.all(values <= picked.max(axis=0) + 1e-12)
+
+    @given(tokens=st.lists(st.sampled_from(["a", "b", "c", "call", "send", "zz", "q"]),
+                           max_size=30),
+           mapped=st.sets(st.sampled_from(["a", "b", "c", "call", "send", "w"])),
+           wrap=st.sampled_from([dict, MappingProxyType]),
+           seed=st.integers(0, 2**16))
+    @example(tokens=[], mapped={"a"}, wrap=dict, seed=0)
+    def test_values_equal_the_sorted_distinct_token_form(self, tokens, mapped, wrap, seed):
+        rng = np.random.default_rng(seed)
+        keyword_map = wrap({w: rng.standard_normal(3) for w in sorted(mapped)})
+        picked = [keyword_map[w] for w in sorted(set(tokens)) if w in keyword_map]
+        expected = np.mean(np.array(picked), axis=0) if picked else np.zeros(3)
+        got = doc_vector_values(tokens, keyword_map, 3)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestPersistence:
