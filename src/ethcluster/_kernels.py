@@ -7,14 +7,16 @@ differs from it, in row order, each scored against its output row as the
 words before it left that row.
 
 Both kernels hand a step to ``_negative_step``, which does it in one gather,
-one matrix-vector product and one scatter. That rests on two facts about the
+one matrix-vector product and one scatter, with one int64 index array for
+both the gather and the scatter. That rests on two facts about the
 order. The input vector ``h`` is fixed within a step: skip-gram adds the
 input gradient only after the step, and CBOW's hidden vector is a fresh
 array. And an output row moves only through its own updates, ``u += g * h``.
 So a word seen earlier in the step with summed coefficient ``c`` now has the
 row ``u0 + c * h``: its score is ``u0 . h + c * (h . h)``, and it adds
 ``g * u0 + g * c * h`` to the input gradient. Results match the one-word-at-
-a-time loop to rounding.
+a-time loop to rounding, and ``tests/test_kernels.py`` pins them bit for bit
+against the step before its numpy calls were trimmed.
 
 All pseudo-randomness (window sizes, negative samples) is drawn outside the
 kernels, so the random stream never depends on how a kernel is written.
@@ -48,7 +50,7 @@ def _negative_step(w_out, h, words, alpha):
     slots = {}
     for word in words:
         slots.setdefault(word, len(slots))
-    idx = list(slots)
+    idx = np.array(list(slots))
     rows = w_out.take(idx, axis=0)
     scores = rows.dot(h).tolist()
     coef = [0.0] * len(idx)
@@ -66,7 +68,10 @@ def _negative_step(w_out, h, words, alpha):
             if hh is None:
                 hh = float(h.dot(h))
             f += prior * hh
-        f = min(max(f, -_MAX_SCORE), _MAX_SCORE)
+        if f > _MAX_SCORE:
+            f = _MAX_SCORE
+        elif f < -_MAX_SCORE:
+            f = -_MAX_SCORE
         sig = 1.0 / (1.0 + exp(-f))
         loss -= log(sig) if label == 1.0 else log(1.0 - sig)
         g = (label - sig) * alpha
@@ -77,7 +82,7 @@ def _negative_step(w_out, h, words, alpha):
     grad = c.dot(rows)
     if repeat:
         grad += repeat * h
-    rows += np.multiply.outer(c, h)
+    rows += c[:, None] * h
     w_out[idx] = rows
     return grad, loss
 

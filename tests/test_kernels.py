@@ -6,6 +6,9 @@ noise word in row order, each updating its output row before the next is
 scored. The kernels must reproduce them to rounding, including when a noise
 row repeats a word, when a noise word equals the target, and when a word is
 its own context.
+
+The ``reference_*`` functions are earlier numpy forms of the kernels. The
+kernels must reproduce them bit for bit.
 """
 
 import math
@@ -13,9 +16,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import clean_source, reentrant_source, timestamp_source
 from ethcluster import _kernels
 from ethcluster.cluster import kmeans_fit
 from ethcluster.embed import EmbeddingConfig, train_embedding
+from ethcluster.preprocess import preprocess_contract
 
 _MAX_SCORE = 30.0
 
@@ -95,6 +100,84 @@ def oracle_cbow(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
         for word in context:
             for d in range(dim):
                 w_in[word, d] += grad_h[d] / n_ctx
+    return loss
+
+
+def reference_negative_step(w_out, h, words, alpha):
+    """The step before its numpy calls were trimmed: it indexes ``w_out`` by a
+    Python list twice, clamps with builtin ``min``/``max`` and forms the row
+    update with ``np.multiply.outer``."""
+    target = words[0]
+    slots = {}
+    for word in words:
+        slots.setdefault(word, len(slots))
+    idx = list(slots)
+    rows = w_out.take(idx, axis=0)
+    scores = rows.dot(h).tolist()
+    coef = [0.0] * len(idx)
+    exp, log = math.exp, math.log
+    loss = repeat = 0.0
+    hh = None
+    label = 1.0
+    for word in words:
+        if label == 0.0 and word == target:
+            continue
+        s = slots[word]
+        prior = coef[s]
+        f = scores[s]
+        if prior:
+            if hh is None:
+                hh = float(h.dot(h))
+            f += prior * hh
+        f = min(max(f, -_MAX_SCORE), _MAX_SCORE)
+        sig = 1.0 / (1.0 + exp(-f))
+        loss -= log(sig) if label == 1.0 else log(1.0 - sig)
+        g = (label - sig) * alpha
+        repeat += g * prior
+        coef[s] = prior + g
+        label = 0.0
+    c = np.array(coef)
+    grad = c.dot(rows)
+    if repeat:
+        grad += repeat * h
+    rows += np.multiply.outer(c, h)
+    w_out[idx] = rows
+    return grad, loss
+
+
+def reference_skipgram_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
+    words = doc.tolist()
+    noise = negatives.tolist()
+    loss = 0.0
+    pair = 0
+    for i, center in enumerate(words):
+        v = w_in[center]
+        alpha = float(alphas[i])
+        for j in range(int(win_lo[i]), int(win_hi[i]) + 1):
+            if j == i:
+                continue
+            grad, step_loss = reference_negative_step(w_out, v, [words[j]] + noise[pair], alpha)
+            v += grad
+            loss += step_loss
+            pair += 1
+    return loss
+
+
+def reference_cbow_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
+    words = doc.tolist()
+    noise = negatives.tolist()
+    loss = 0.0
+    for i, center in enumerate(words):
+        lo, hi = int(win_lo[i]), int(win_hi[i])
+        n_ctx = hi - lo
+        if n_ctx <= 0:
+            continue
+        ctx = words[lo:i] + words[i + 1:hi + 1]
+        hidden = w_in[ctx].sum(axis=0) / n_ctx
+        grad_h, step_loss = reference_negative_step(w_out, hidden, [center] + noise[i],
+                                                    float(alphas[i]))
+        loss += step_loss
+        np.add.at(w_in, ctx, grad_h / n_ctx)
     return loss
 
 
@@ -344,6 +427,92 @@ class TestTrainingWithOracleKernels:
         got = train_embedding(docs, config)
         assert got.vocab == expected.vocab
         np.testing.assert_allclose(got.vectors, expected.vectors, rtol=0, atol=1e-12)
+
+
+def _step_case(case, dim):
+    """(w_out, h, words) for one step, words being the target and then the noise."""
+    rng = np.random.default_rng(700 + dim)
+    w_out = rng.normal(0.0, dim ** -0.5, size=(8, dim))
+    h = rng.normal(0.0, dim ** -0.5, size=dim)
+    repeated = [1, 4, 2, 4, 4, 3]
+    if case == "target-in-noise":
+        return w_out, h, [2, 5, 2, 6, 2, 5]
+    if case == "all-noise-is-target":
+        return w_out, h, [3] * 6
+    if case == "no-negatives":
+        return w_out, h, [5]
+    if case in ("above+30", "below-30"):
+        # each row scores h at a drawn value beyond the clamp
+        sign = 1.0 if case == "above+30" else -1.0
+        w_out = sign * rng.uniform(31.0, 60.0, size=(8, 1)) * h / h.dot(h)
+    elif case == "exactly+-30":
+        # h picks the first coordinate, so each score is that entry, exactly
+        h = np.zeros(dim)
+        h[0] = 1.0
+        w_out[:, 0] = [30.0, -30.0] * 4
+    return w_out, h, repeated
+
+
+class TestBitEqualToReferenceStep:
+    """The kernels against the ``reference_*`` step: equal ``w_in`` and
+    ``w_out`` arrays and a loss with the same ``float.hex()``."""
+
+    @pytest.mark.parametrize("dim", [1, 10, 300])
+    @pytest.mark.parametrize("case", ["repeated-noise", "target-in-noise", "all-noise-is-target",
+                                      "no-negatives", "above+30", "below-30", "exactly+-30"])
+    def test_step(self, case, dim):
+        w_out, h, words = _step_case(case, dim)
+        scores = w_out[sorted(set(words))].dot(h)
+        # the case must make the scores it names
+        assert {"above+30": (scores > _MAX_SCORE).all(),
+                "below-30": (scores < -_MAX_SCORE).all(),
+                "exactly+-30": set(np.abs(scores)) == {_MAX_SCORE}}.get(case, True)
+        a_out, b_out = w_out.copy(), w_out.copy()
+        grad, loss = _kernels._negative_step(a_out, h.copy(), words, 0.3)
+        expected_grad, expected_loss = reference_negative_step(b_out, h.copy(), words, 0.3)
+        assert np.array_equal(grad, expected_grad)
+        assert np.array_equal(a_out, b_out)
+        assert loss.hex() == expected_loss.hex()
+        assert not np.array_equal(a_out, w_out)
+
+    @pytest.mark.parametrize("dim", [1, 10, 300])
+    @pytest.mark.parametrize("scale", [1.0, 50.0])
+    @pytest.mark.parametrize("kernel, reference, rows_per_pair", [
+        ("skipgram_doc", reference_skipgram_doc, True),
+        ("cbow_doc", reference_cbow_doc, False),
+    ])
+    def test_document(self, kernel, reference, rows_per_pair, scale, dim):
+        # scale 50 puts most scores beyond the clamp at every dim
+        w_in, w_out, args = _training_case(0, dim, rows_per_pair)
+        w_in *= scale
+        w_out *= scale
+        a_in, a_out = w_in.copy(), w_out.copy()
+        b_in, b_out = w_in.copy(), w_out.copy()
+        loss = getattr(_kernels, kernel)(a_in, a_out, *args)
+        expected = reference(b_in, b_out, *args)
+        assert np.array_equal(a_in, b_in) and np.array_equal(a_out, b_out)
+        assert loss.hex() == expected.hex()
+        assert not np.array_equal(a_in, w_in) and not np.array_equal(a_out, w_out)
+
+
+class TestTrainingWithReferenceKernels:
+    """``train_embedding`` on the reference kernels gives byte-equal vectors
+    in both benchmark regimes: dim 10 over 5 epochs and dim 300 over 1."""
+
+    @pytest.mark.parametrize("dim, epochs", [(10, 5), (300, 1)])
+    @pytest.mark.parametrize("sg, name, reference", [
+        (1, "skipgram_doc", reference_skipgram_doc),
+        (0, "cbow_doc", reference_cbow_doc),
+    ])
+    def test_byte_equal_vectors(self, monkeypatch, sg, name, reference, dim, epochs):
+        docs = [preprocess_contract(source(i)).tokens
+                for source in (reentrant_source, clean_source, timestamp_source) for i in range(3)]
+        config = EmbeddingConfig(vector_size=dim, epochs=epochs, sg=sg, seed=5)
+        expected = train_embedding(docs, config)
+        monkeypatch.setattr(_kernels, name, reference)
+        got = train_embedding(docs, config)
+        assert got.vocab == expected.vocab
+        assert got.vectors.tobytes() == expected.vectors.tobytes()
 
 
 class TestKmeans:
