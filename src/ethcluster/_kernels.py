@@ -1,22 +1,21 @@
 """Hot numeric loops over numpy arrays.
 
-There is one implementation of each kernel. The SGD kernels keep the word2vec
-update order: one (center, target) pair per skip-gram step, one center word
-per CBOW step, and within a step the target first, then each noise word that
-differs from it, in row order, each scored against its output row as the
-words before it left that row.
+There is one implementation of each kernel. The SGD kernel keeps the word2vec
+update order: one (center, target) pair per skip-gram step, and within a step
+the target first, then each noise word that differs from it, in row order,
+each scored against its output row as the words before it left that row.
 
-Both kernels hand a step to ``_negative_step``, which does it in one gather,
-one matrix-vector product and one scatter, with one int64 index array for
-both the gather and the scatter. That rests on two facts about the
-order. The input vector ``h`` is fixed within a step: skip-gram adds the
-input gradient only after the step, and CBOW's hidden vector is a fresh
-array. And an output row moves only through its own updates, ``u += g * h``.
-So a word seen earlier in the step with summed coefficient ``c`` now has the
-row ``u0 + c * h``: its score is ``u0 . h + c * (h . h)``, and it adds
-``g * u0 + g * c * h`` to the input gradient. Results match the one-word-at-
-a-time loop to rounding, and ``tests/test_kernels.py`` pins them bit for bit
-against the step before its numpy calls were trimmed.
+``skipgram_doc`` hands each step to ``_negative_step``, which does it in one
+gather, one matrix-vector product and one scatter, with one int64 index array
+for both the gather and the scatter. That rests on two facts about the order.
+The input vector ``h`` is fixed within a step: skip-gram adds the input
+gradient only after the step. And an output row moves only through its own
+updates, ``u += g * h``. So a word seen earlier in the step with summed
+coefficient ``c`` now has the row ``u0 + c * h``: its score is
+``u0 . h + c * (h . h)``, and it adds ``g * u0 + g * c * h`` to the input
+gradient. Results match the one-word-at-a-time loop to rounding, and
+``tests/test_kernels.py`` pins them bit for bit against the step before its
+numpy calls were trimmed.
 
 All pseudo-randomness (window sizes, negative samples) is drawn outside the
 kernels, so the random stream never depends on how a kernel is written.
@@ -113,28 +112,9 @@ def skipgram_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
     return loss
 
 
-def cbow_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
-    """One CBOW pass over a single document.
-
-    The context mean predicts the center word; negatives has one row per
-    position. The input-side gradient is split evenly over the context words.
-    """
-    words = doc.tolist()
-    noise = negatives.tolist()
-    loss = 0.0
-    for i, center in enumerate(words):
-        lo, hi = int(win_lo[i]), int(win_hi[i])
-        n_ctx = hi - lo
-        if n_ctx <= 0:
-            continue
-        ctx = words[lo:i] + words[i + 1:hi + 1]
-        # an axis-0 sum adds the context rows one after another
-        hidden = w_in[ctx].sum(axis=0) / n_ctx
-        grad_h, step_loss = _negative_step(w_out, hidden, [center] + noise[i], float(alphas[i]))
-        loss += step_loss
-        # unbuffered, so a context word that repeats gets each share in turn
-        np.add.at(w_in, ctx, grad_h / n_ctx)
-    return loss
+def cbow_doc(*args):
+    # No trainer calls this; perfbench/spans.py still wraps it by name.
+    raise NotImplementedError("only skip-gram is trained")
 
 
 def kmeans_assign(X, centers):

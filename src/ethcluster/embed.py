@@ -1,9 +1,9 @@
 """Word embeddings over the token corpus.
 
-Skip-gram or CBOW with negative sampling, trained by plain SGD with a linear
+Skip-gram with negative sampling, trained by plain SGD with a linear
 learning-rate decay. All randomness (window shrinking, noise words) comes
 from one seeded numpy generator drawn outside the hot loops, so training is
-bit-reproducible. The per-document SGD loops live in ``_kernels``.
+bit-reproducible. The per-document SGD loop lives in ``_kernels``.
 """
 
 from __future__ import annotations
@@ -18,11 +18,8 @@ from . import _kernels
 from ._artifact import floats, pack, read_json, strings, write_json
 from .errors import EmptyCorpus, FormatError, InvalidInput, VersionError
 
-SKIP_GRAM = 1
-CBOW = 0
-
 _FORMAT_NAME = "ethcluster-embedding"
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 _V1_TEXT_HEADER = b"ethcluster-embedding 1 "
 
 #: word2vec's defaults (Mikolov et al. 2013, arXiv:1310.4546): the largest
@@ -44,7 +41,6 @@ NOISE_POWER = 0.75
 @dataclass(frozen=True)
 class EmbeddingConfig:
     vector_size: int = 100
-    sg: int = SKIP_GRAM
     epochs: int = 5
     seed: int = DEFAULT_SEED
 
@@ -54,8 +50,6 @@ class EmbeddingConfig:
                 raise InvalidInput(f"embedding field {name!r} must be an int; got {value!r}")
         if self.vector_size < 1 or self.epochs < 1 or self.seed < 0:
             raise InvalidInput("vector_size and epochs must be >= 1, and seed >= 0")
-        if self.sg not in (SKIP_GRAM, CBOW):
-            raise InvalidInput("sg must be 0 (CBOW) or 1 (skip-gram)")
 
 
 class EmbeddingModel:
@@ -157,7 +151,6 @@ def train_embedding(docs: Sequence[Sequence[str]], config: EmbeddingConfig) -> E
     w_out = np.zeros((vocab_size, dim))
 
     total_positions = config.epochs * sum(len(d) for d in encoded)
-    kernel = _kernels.skipgram_doc if config.sg == SKIP_GRAM else _kernels.cbow_doc
 
     position = 0
     for _ in range(config.epochs):
@@ -167,15 +160,14 @@ def train_embedding(docs: Sequence[Sequence[str]], config: EmbeddingConfig) -> E
             pos = np.arange(n)
             lo = np.maximum(0, pos - b)
             hi = np.minimum(n - 1, pos + b)
-            n_rows = int((hi - lo).sum()) if config.sg == SKIP_GRAM else n
-            u = rng.random((n_rows, NEGATIVE))
+            u = rng.random((int((hi - lo).sum()), NEGATIVE))
             negs = np.minimum(np.searchsorted(cdf, u, side="right"), vocab_size - 1)
             negs = negs.astype(np.int64)
             decay = (position + pos) / max(1, total_positions)
             alphas = LEARNING_RATE - (LEARNING_RATE - MIN_LEARNING_RATE) * decay
             alphas = np.maximum(MIN_LEARNING_RATE, alphas)
             position += n
-            kernel(w_in, w_out, doc, lo, hi, negs, alphas)
+            _kernels.skipgram_doc(w_in, w_out, doc, lo, hi, negs, alphas)
 
     return EmbeddingModel(vocab=vocab, vectors=w_in, config=config)
 

@@ -93,6 +93,8 @@ class ContractRecord:
               compiler_version: str = "", fetched_at: str | None = None) -> "ContractRecord":
         if fetched_at is None:
             fetched_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        # the store reads back only string fields (see decode)
+        strings([chain, address, source, compiler_version, fetched_at])
         return cls(
             chain=chain,
             address=_check_address(address),
@@ -193,6 +195,8 @@ class ExplorerClient:
             payload = resp.json()
         except ValueError as exc:
             raise TransportError(f"{chain} returned non-JSON payload for {address}") from exc
+        if not isinstance(payload, dict):
+            raise TransportError(f"{chain} returned a non-object payload for {address}")
         result = payload.get("result")
         if isinstance(result, str):
             # explorers report throttling as status "0" with a message string
@@ -201,15 +205,21 @@ class ExplorerClient:
             raise TransportError(f"{chain}: unexpected result {result!r}")
         if not result:
             raise NotVerified(f"{chain} has no source entry for {address}")
-        entry = result[0]
+        entry = result[0] if isinstance(result, list) else None
+        if not isinstance(entry, dict):
+            raise TransportError(f"{chain}: result for {address} is not a list of source entries")
         source = entry.get("SourceCode", "")
+        compiler_version = entry.get("CompilerVersion", "")
+        if not isinstance(source, str) or not isinstance(compiler_version, str):
+            raise TransportError(f"{chain}: SourceCode or CompilerVersion of {address} "
+                                 "is not a string")
         if not source.strip():
             raise NotVerified(f"contract {address} on {chain} is not verified")
         return ContractRecord.build(
             chain=chain,
             address=address,
             source=source,
-            compiler_version=entry.get("CompilerVersion", ""),
+            compiler_version=compiler_version,
         )
 
 

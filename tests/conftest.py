@@ -14,7 +14,9 @@ class _ExplorerHandler(BaseHTTPRequestHandler):
     """Canned get-source-code responses keyed by address.
 
     The server's ``behaviors`` dict maps an address to one of:
-    ("ok", source_text), ("empty",), ("http", status_code).
+    ("ok", source_text), ("empty",), ("http", status_code),
+    ("http_once", status_code, source_text), ("ratemsg",), or ("raw", body),
+    which answers HTTP 200 with ``body`` encoded as JSON, whatever its shape.
     Unknown addresses answer with a default source derived from the address.
     """
 
@@ -33,16 +35,11 @@ class _ExplorerHandler(BaseHTTPRequestHandler):
             self.send_response(behavior[1])
             self.end_headers()
             return
-        if behavior[0] == "ratemsg":
+        if behavior[0] == "raw":
+            body = behavior[1]
+        elif behavior[0] == "ratemsg":
             body = {"status": "0", "message": "NOTOK", "result": "Max rate limit reached"}
-            payload = json.dumps(body).encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-            return
-        if behavior[0] == "empty":
+        elif behavior[0] == "empty":
             body = {"status": "1", "message": "OK",
                     "result": [{"SourceCode": "", "ABI": "", "CompilerVersion": ""}]}
         else:

@@ -139,7 +139,7 @@ CASES = [
     ("float-seed", embed.load_model, _set("config", "seed", 1.5), FormatError),
     ("bool-seed", embed.load_model, _set("config", "seed", True), FormatError),
     ("float-epochs", embed.load_model, _set("config", "epochs", 2.5), FormatError),
-    ("bool-sg", embed.load_model, _set("config", "sg", True), FormatError),
+    ("bool-epochs", embed.load_model, _set("config", "epochs", True), FormatError),
     ("null-float", vectorize.load_vectors, _set("values", "f8", None), FormatError),
     ("scalar-values", vectorize.load_vectors, _set("values", 1.0), FormatError),
     ("ragged", vectorize.load_vectors, lambda p: _set("hashes", p["hashes"][1:])(p), FormatError),

@@ -576,6 +576,26 @@ class TestIngestCli:
         assert "stored=1" in out
         assert sleeps, "a 429 should trigger a backoff sleep before the retry"
 
+    def test_malformed_payloads_fail_and_the_loop_goes_on(self, mock_explorer, tmp_path,
+                                                           capsys):
+        url = explorer_url(mock_explorer)
+        malformed = [[], {"result": [{"SourceCode": "contract A {}", "CompilerVersion": None}]}]
+        addresses = ["0x" + f"{i:040x}" for i in range(1, len(malformed) + 2)]
+        for address, body in zip(addresses, malformed):
+            mock_explorer.behaviors[address] = ("raw", body)
+        mock_explorer.behaviors[addresses[-1]] = ("ok", "contract Last {}")
+        listing = tmp_path / "a.txt"
+        listing.write_text("\n".join(addresses) + "\n", "utf-8")
+        store_path = tmp_path / "store.ndjson"
+        argv = ["ingest", "--chain", "etherscan", "--addresses", str(listing),
+                "--store", str(store_path), "--endpoint", url, "--rate", "1000"]
+        assert main(argv) == 0
+        assert f"stored=1 duplicate=0 failed={len(malformed)}" in capsys.readouterr().out
+        # a null CompilerVersion once left a line that made every later open fail
+        assert [r.source for r in ContractStore(store_path).records()] == ["contract Last {}"]
+        assert main(argv) == 0
+        assert f"stored=0 duplicate=1 failed={len(malformed)}" in capsys.readouterr().out
+
     def test_ingest_skips_unverified(self, mock_explorer, tmp_path, capsys):
         url = explorer_url(mock_explorer)
         mock_explorer.behaviors[ADDR_1] = ("empty",)

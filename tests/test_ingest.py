@@ -120,6 +120,18 @@ class TestFetch:
         with pytest.raises(RateLimited):
             client.fetch_verified_source("etherscan", ADDR_A)
 
+    @pytest.mark.parametrize("body", [
+        [],
+        {"result": {"SourceCode": "contract A {}"}},
+        {"result": ["contract A {}"]},
+        {"result": [{"SourceCode": None, "CompilerVersion": "v0.8.19"}]},
+        {"result": [{"SourceCode": "contract A {}", "CompilerVersion": None}]},
+    ], ids=["list-payload", "dict-result", "string-entry", "null-source", "null-compiler"])
+    def test_malformed_payload_is_a_transport_error(self, mock_explorer, client, body):
+        mock_explorer.behaviors[ADDR_A] = ("raw", body)
+        with pytest.raises(TransportError):
+            client.fetch_verified_source("etherscan", ADDR_A)
+
     def test_http_failure(self, mock_explorer, client):
         mock_explorer.behaviors[ADDR_A] = ("http", 500)
         with pytest.raises(TransportError):
@@ -240,6 +252,14 @@ class TestStore:
                 fh.write(bad + "\n" + _record("contract B{}", address=ADDR_B).to_json() + "\n")
             with pytest.raises(StoreError, match="line 2"):
                 ContractStore(path)
+
+    @pytest.mark.parametrize("field", ["chain", "compiler_version", "fetched_at"])
+    def test_build_refuses_what_the_store_cannot_read(self, field):
+        # the same check as decode, so no record is stored that poisons later reopens
+        fields = {"chain": "etherscan", "address": ADDR_A, "source": "contract A{}",
+                  "compiler_version": "v0.8.0", "fetched_at": "2024-01-01T00:00:00+00:00"}
+        with pytest.raises(FormatError):
+            ContractRecord.build(**{**fields, field: 3})
 
 
 class TestBuildMixedDataset:

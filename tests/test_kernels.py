@@ -65,44 +65,6 @@ def oracle_skipgram(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
     return loss
 
 
-def oracle_cbow(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
-    dim = w_in.shape[1]
-    loss = 0.0
-    for i in range(doc.shape[0]):
-        center = doc[i]
-        n_ctx = win_hi[i] - win_lo[i]
-        if n_ctx <= 0:
-            continue
-        context = [doc[j] for j in range(win_lo[i], win_hi[i] + 1) if j != i]
-        hidden = [0.0] * dim
-        for word in context:
-            for d in range(dim):
-                hidden[d] += w_in[word, d]
-        hidden = [h / n_ctx for h in hidden]
-        grad_h = [0.0] * dim
-        for s in range(negatives.shape[1] + 1):
-            if s == 0:
-                word, label = center, 1.0
-            else:
-                word, label = negatives[i, s - 1], 0.0
-                if word == center:
-                    continue
-            f = 0.0
-            for d in range(dim):
-                f += hidden[d] * w_out[word, d]
-            sig, term = _sigmoid_loss(f, label)
-            loss += term
-            g = (label - sig) * alphas[i]
-            for d in range(dim):
-                grad_h[d] += g * w_out[word, d]
-            for d in range(dim):
-                w_out[word, d] += g * hidden[d]
-        for word in context:
-            for d in range(dim):
-                w_in[word, d] += grad_h[d] / n_ctx
-    return loss
-
-
 def reference_negative_step(w_out, h, words, alpha):
     """The step before its numpy calls were trimmed: it indexes ``w_out`` by a
     Python list twice, clamps with builtin ``min``/``max`` and forms the row
@@ -160,24 +122,6 @@ def reference_skipgram_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
             v += grad
             loss += step_loss
             pair += 1
-    return loss
-
-
-def reference_cbow_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
-    words = doc.tolist()
-    noise = negatives.tolist()
-    loss = 0.0
-    for i, center in enumerate(words):
-        lo, hi = int(win_lo[i]), int(win_hi[i])
-        n_ctx = hi - lo
-        if n_ctx <= 0:
-            continue
-        ctx = words[lo:i] + words[i + 1:hi + 1]
-        hidden = w_in[ctx].sum(axis=0) / n_ctx
-        grad_h, step_loss = reference_negative_step(w_out, hidden, [center] + noise[i],
-                                                    float(alphas[i]))
-        loss += step_loss
-        np.add.at(w_in, ctx, grad_h / n_ctx)
     return loss
 
 
@@ -256,7 +200,7 @@ def _skewed(rng, vocab, size):
     return rng.choice(vocab, size=size, p=p / p.sum()).astype(np.int64)
 
 
-def _training_case(seed, dim, rows_per_pair):
+def _training_case(seed, dim):
     """A vocabulary of 40 at a training dimension, with five skewed noise
     words per step; weights scaled so scores stay O(1) at any dim."""
     rng = np.random.default_rng(300 + seed)
@@ -265,8 +209,7 @@ def _training_case(seed, dim, rows_per_pair):
     w_out = rng.normal(0.0, dim ** -0.5, size=(vocab, dim))
     doc = _skewed(rng, vocab, 24)
     lo, hi = _spans(rng, len(doc), 5)
-    n_rows = int((hi - lo).sum()) if rows_per_pair else len(doc)
-    negatives = _skewed(rng, vocab, (n_rows, 5))
+    negatives = _skewed(rng, vocab, (int((hi - lo).sum()), 5))
     alphas = np.linspace(0.5, 0.05, len(doc))
     return w_in, w_out, (doc, lo, hi, negatives, alphas)
 
@@ -317,7 +260,7 @@ class TestSkipgram:
     @pytest.mark.parametrize("dim", [10, 300])
     @pytest.mark.parametrize("seed", range(2))
     def test_training_shapes(self, seed, dim):
-        w_in, w_out, args = _training_case(seed, dim, rows_per_pair=True)
+        w_in, w_out, args = _training_case(seed, dim)
         _run_both(_kernels.skipgram_doc, oracle_skipgram, w_in, w_out, args)
 
     def test_one_noise_word_in_every_slot_and_target_alone(self):
@@ -344,86 +287,22 @@ class TestSkipgram:
                   (doc, lo, hi, negatives, np.full(4, 0.3)))
 
 
-class TestCbow:
-    def test_repeated_context_and_noise_words(self):
-        w_in, w_out = _weights(2, 5, 8)
-        doc = np.array([1, 1, 3, 1, 0], dtype=np.int64)
-        lo = np.array([0, 0, 0, 1, 3], dtype=np.int64)
-        hi = np.array([1, 3, 4, 4, 4], dtype=np.int64)
-        negatives = np.array([
-            [4, 4, 4],
-            [1, 2, 2],  # the center (1) among the noise words
-            [3, 0, 3],
-            [2, 2, 1],
-            [0, 4, 0],
-        ], dtype=np.int64)
-        alphas = np.array([0.5, 0.4, 0.3, 0.2, 0.1])
-        _run_both(_kernels.cbow_doc, oracle_cbow, w_in, w_out,
-                  (doc, lo, hi, negatives, alphas))
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_documents(self, seed):
-        rng = np.random.default_rng(200 + seed)
-        vocab, dim = 4, int(rng.integers(1, 9))
-        w_in, w_out = _weights(seed, vocab, dim)
-        doc = rng.integers(0, vocab, size=12).astype(np.int64)
-        lo, hi = _spans(rng, len(doc), 3)
-        negatives = rng.integers(0, vocab, size=(len(doc), 4)).astype(np.int64)
-        alphas = np.linspace(0.5, 0.05, len(doc))
-        _run_both(_kernels.cbow_doc, oracle_cbow, w_in, w_out,
-                  (doc, lo, hi, negatives, alphas))
-
-    @pytest.mark.parametrize("dim", [10, 300])
-    @pytest.mark.parametrize("seed", range(2))
-    def test_training_shapes(self, seed, dim):
-        w_in, w_out, args = _training_case(seed, dim, rows_per_pair=False)
-        _run_both(_kernels.cbow_doc, oracle_cbow, w_in, w_out, args)
-
-    def test_one_noise_word_in_every_slot_and_center_alone(self):
-        w_in, w_out = _weights(6, 6, 10)
-        doc = np.array([1, 2, 3, 1], dtype=np.int64)
-        lo = np.array([0, 0, 1, 2], dtype=np.int64)
-        hi = np.array([1, 2, 3, 3], dtype=np.int64)
-        negatives = np.array([
-            [4] * 5,  # one noise word five times
-            [2] * 5,  # every noise word is the center
-            [5] * 5,
-            [1] * 5,
-        ], dtype=np.int64)
-        _run_both(_kernels.cbow_doc, oracle_cbow, w_in, w_out,
-                  (doc, lo, hi, negatives, np.array([0.5, 0.4, 0.3, 0.2])))
-
-    def test_single_word_document_is_a_no_op(self):
-        w_in, w_out = _weights(4, 2, 3)
-        doc = np.array([1], dtype=np.int64)
-        zero = np.zeros(1, dtype=np.int64)
-        a_in, a_out = w_in.copy(), w_out.copy()
-        loss = _kernels.cbow_doc(a_in, a_out, doc, zero, zero,
-                                 np.zeros((1, 2), dtype=np.int64), np.ones(1))
-        assert loss == 0.0
-        assert np.array_equal(a_in, w_in) and np.array_equal(a_out, w_out)
-
-
 class TestTrainingWithOracleKernels:
     """``train_embedding`` run on the oracles gives the same vectors.
 
     This pins the argument layout the two sides agree on (one noise row per
-    skip-gram pair or CBOW position, inclusive spans), which the per-kernel
-    cases above take as given.
+    skip-gram pair, inclusive spans), which the per-kernel cases above take
+    as given.
     """
 
-    @pytest.mark.parametrize("sg, name, oracle", [
-        (1, "skipgram_doc", oracle_skipgram),
-        (0, "cbow_doc", oracle_cbow),
-    ])
-    def test_same_vectors(self, monkeypatch, sg, name, oracle):
+    def test_same_vectors(self, monkeypatch):
         rng = np.random.default_rng(11)
         words = ["call", "value", "balance", "msg", "sender", "send", "require",
                  "now", "owner", "transfer", "amount", "mapping"]
         docs = [[words[i] for i in _skewed(rng, len(words), n)] for n in (14, 9, 20, 12)]
-        config = EmbeddingConfig(vector_size=6, epochs=3, sg=sg, seed=3)
+        config = EmbeddingConfig(vector_size=6, epochs=3, seed=3)
         expected = train_embedding(docs, config)
-        monkeypatch.setattr(_kernels, name, oracle)
+        monkeypatch.setattr(_kernels, "skipgram_doc", oracle_skipgram)
         got = train_embedding(docs, config)
         assert got.vocab == expected.vocab
         np.testing.assert_allclose(got.vectors, expected.vectors, rtol=0, atol=1e-12)
@@ -477,19 +356,15 @@ class TestBitEqualToReferenceStep:
 
     @pytest.mark.parametrize("dim", [1, 10, 300])
     @pytest.mark.parametrize("scale", [1.0, 50.0])
-    @pytest.mark.parametrize("kernel, reference, rows_per_pair", [
-        ("skipgram_doc", reference_skipgram_doc, True),
-        ("cbow_doc", reference_cbow_doc, False),
-    ])
-    def test_document(self, kernel, reference, rows_per_pair, scale, dim):
+    def test_document(self, scale, dim):
         # scale 50 puts most scores beyond the clamp at every dim
-        w_in, w_out, args = _training_case(0, dim, rows_per_pair)
+        w_in, w_out, args = _training_case(0, dim)
         w_in *= scale
         w_out *= scale
         a_in, a_out = w_in.copy(), w_out.copy()
         b_in, b_out = w_in.copy(), w_out.copy()
-        loss = getattr(_kernels, kernel)(a_in, a_out, *args)
-        expected = reference(b_in, b_out, *args)
+        loss = _kernels.skipgram_doc(a_in, a_out, *args)
+        expected = reference_skipgram_doc(b_in, b_out, *args)
         assert np.array_equal(a_in, b_in) and np.array_equal(a_out, b_out)
         assert loss.hex() == expected.hex()
         assert not np.array_equal(a_in, w_in) and not np.array_equal(a_out, w_out)
@@ -500,16 +375,12 @@ class TestTrainingWithReferenceKernels:
     in both benchmark regimes: dim 10 over 5 epochs and dim 300 over 1."""
 
     @pytest.mark.parametrize("dim, epochs", [(10, 5), (300, 1)])
-    @pytest.mark.parametrize("sg, name, reference", [
-        (1, "skipgram_doc", reference_skipgram_doc),
-        (0, "cbow_doc", reference_cbow_doc),
-    ])
-    def test_byte_equal_vectors(self, monkeypatch, sg, name, reference, dim, epochs):
+    def test_byte_equal_vectors(self, monkeypatch, dim, epochs):
         docs = [preprocess_contract(source(i)).tokens
                 for source in (reentrant_source, clean_source, timestamp_source) for i in range(3)]
-        config = EmbeddingConfig(vector_size=dim, epochs=epochs, sg=sg, seed=5)
+        config = EmbeddingConfig(vector_size=dim, epochs=epochs, seed=5)
         expected = train_embedding(docs, config)
-        monkeypatch.setattr(_kernels, name, reference)
+        monkeypatch.setattr(_kernels, "skipgram_doc", reference_skipgram_doc)
         got = train_embedding(docs, config)
         assert got.vocab == expected.vocab
         assert got.vectors.tobytes() == expected.vectors.tobytes()

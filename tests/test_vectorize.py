@@ -303,7 +303,7 @@ class TestPersistence:
         load_vectors: '{"hashes": ["h"], "values": {"shape": [1, 1], "f8": "x!"}}',
         load_keyword_map: '{"words": ["call"], "vectors": {"shape": [1, 1], "f8": "x!"}}',
         load_model: '{"config": {"vector_size": 1}, "format": "ethcluster-embedding", '
-                    '"vectors": {"shape": [1, 1], "f8": "x!"}, "version": 4, "words": ["call"]}',
+                    '"vectors": {"shape": [1, 1], "f8": "x!"}, "version": 5, "words": ["call"]}',
     }
 
     @pytest.mark.parametrize("loader", list(_NON_NUMERIC), ids=lambda f: f.__name__)
