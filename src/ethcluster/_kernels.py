@@ -6,8 +6,9 @@ the target first, then each noise word that differs from it, in row order,
 each scored against its output row as the words before it left that row.
 
 ``skipgram_doc`` hands each step to ``_negative_step``, which does it in one
-gather, one matrix-vector product and one scatter, with one int64 index array
-for both the gather and the scatter. That rests on two facts about the order.
+gather, one matrix-vector product, one k=1 product for the row update and one
+scatter, with one int64 index array for both the gather and the scatter.
+That rests on two facts about the order.
 The input vector ``h`` is fixed within a step: skip-gram adds the input
 gradient only after the step. And an output row moves only through its own
 updates, ``u += g * h``. So a word seen earlier in the step with summed
@@ -15,7 +16,8 @@ coefficient ``c`` now has the row ``u0 + c * h``: its score is
 ``u0 . h + c * (h . h)``, and it adds ``g * u0 + g * c * h`` to the input
 gradient. Results match the one-word-at-a-time loop to rounding, and
 ``tests/test_kernels.py`` pins them bit for bit against the step before its
-numpy calls were trimmed.
+numpy calls were trimmed, save that the k=1 product gives -0.0 as +0.0: that
+moves only a -0.0 in ``w_out``, which training never makes (zero start).
 
 All pseudo-randomness (window sizes, negative samples) is drawn outside the
 kernels, so the random stream never depends on how a kernel is written.
@@ -81,7 +83,7 @@ def _negative_step(w_out, h, words, alpha):
     grad = c.dot(rows)
     if repeat:
         grad += repeat * h
-    rows += c[:, None] * h
+    rows += np.dot(c[:, None], h[None, :])  # each entry is the one product c_i * h_j
     w_out[idx] = rows
     return grad, loss
 

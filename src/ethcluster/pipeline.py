@@ -228,39 +228,44 @@ def run_pipeline(config: PipelineConfig) -> MetricsReport:
 
 
 @functools.lru_cache(maxsize=len(detect.KINDS))
-def _scan_artifacts(out: Path, model_stamp: tuple, keywords_stamp: tuple):
-    """The parsed keyword map and cluster model of one stage dir.
+def _scan_artifacts(out: str, model_stamp: tuple, keywords_stamp: tuple):
+    """The parsed keyword map of one stage dir, and a memo of its cluster
+    model's label per keyword-hit set (a label depends on nothing else).
 
     Cached under the (inode, mtime, size) stamps of both files: a retrain
     replaces them, so its stamps differ and the next scan reloads.
     """
-    keyword_map = vectorize.load_keyword_map(out / "keywords.json")
-    return keyword_map, cl.load_cluster_model(out / "model.json")
+    keyword_map = vectorize.load_keyword_map(os.path.join(out, "keywords.json"))
+    cmodel = cl.load_cluster_model(os.path.join(out, "model.json"))
+
+    @functools.lru_cache(maxsize=4096)  # a call that raises is not memoized
+    def label(hits: frozenset) -> str:
+        # Size the vector from the trained model, not from the caller's config.
+        return cl.predict(cmodel, vectorize.doc_vector_values(hits, keyword_map, cmodel.input_dim))
+
+    return keyword_map, label
 
 
 def scan_contract(config: PipelineConfig, source: str) -> dict:
     """Classify one contract against the persisted pipeline artifacts.
 
     Returns the predicted label plus, for vulnerabilities backed by a regex
-    pattern, that pattern's flag on this contract. The parsed artifacts are
-    reused by later calls until their files change.
+    pattern, that pattern's flag on this contract. The parsed artifacts and
+    labels are reused by later calls until the artifact files change.
     """
-    out = config.stage_dir()
+    out = os.path.join(config.workdir, config.vulnerability)  # stage_dir(), without pathlib
     try:
-        stamps = [os.stat(out / name) for name in ("model.json", "keywords.json")]
+        stamps = [os.stat(os.path.join(out, name)) for name in ("model.json", "keywords.json")]
     except (FileNotFoundError, NotADirectoryError):
         raise ModelNotFound(
             f"no trained artifacts for {config.vulnerability!r} under {out}"
         ) from None
-    keyword_map, cmodel = _scan_artifacts(
+    keyword_map, label = _scan_artifacts(
         out, *((st.st_ino, st.st_mtime_ns, st.st_size) for st in stamps))
 
     doc = preprocess_contract(source)
-    # Size the vector from the trained model, not from the caller's config.
-    values = vectorize.doc_vector_values(doc.tokens, keyword_map, cmodel.input_dim)
-    label = cl.predict(cmodel, values)
-
-    result: dict = {"vulnerability": config.vulnerability, "label": label}
+    result: dict = {"vulnerability": config.vulnerability,
+                    "label": label(frozenset(keyword_map.keys() & doc.tokens))}
     kind = config.regex_kind
     if kind is not None:
         result["flags"] = {kind: detect.detector_for(kind)(doc.lines)}

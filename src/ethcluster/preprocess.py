@@ -15,6 +15,7 @@ import logging
 import re
 import string
 from dataclasses import dataclass
+from itertools import filterfalse
 from pathlib import Path
 
 from ._artifact import nonempty, read_json, strings, write_json
@@ -51,8 +52,10 @@ class TokenDoc:
 # opener inside an earlier comment starts nothing, ``/*/`` is unterminated
 # and a trailing ``/`` is kept. Group 1 is an unterminated block comment.
 # The shared leading ``/`` is factored out so the engine jumps from slash to
-# slash instead of trying every alternative at every character.
-_COMMENT_RE = re.compile(r"/(?:/[^\n]*|\*.*?\*/|(\*.*))", re.DOTALL)
+# slash instead of trying every alternative at every character. The block
+# alternative is ``\*.*?\*/`` with the loop unrolled (non-stars, then stars not
+# before ``/``): it ends at the same first ``*/``, without a step per character.
+_COMMENT_RE = re.compile(r"/(?:/[^\n]*|\*[^*]*\*+(?:[^/*][^*]*\*+)*/|(\*.*))", re.DOTALL)
 
 
 def strip_comments(source: str) -> str:
@@ -78,7 +81,7 @@ def _words(stripped: str) -> list[str]:
 
 def remove_keywords(words: list[str]) -> list[str]:
     """Drop reserved Solidity keywords, preserving the order of survivors."""
-    return [w for w in words if w not in SOLIDITY_KEYWORDS]
+    return list(filterfalse(SOLIDITY_KEYWORDS.__contains__, words))
 
 
 def preprocess_contract(source: str, contract_hash: str = "") -> TokenDoc:

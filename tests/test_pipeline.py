@@ -14,11 +14,12 @@ from conftest import (
     unchecked_source,
     write_corpus,
 )
-from ethcluster import _artifact, embed, pipeline
+from ethcluster import _artifact, embed, pipeline, vectorize
 from ethcluster import cluster as cl
 from ethcluster.cluster import load_cluster_model, save_cluster_model
 from ethcluster.detect import KINDS, REGEX_KINDS, detector_for
 from ethcluster.errors import (
+    DimError,
     EthClusterError,
     InvalidInput,
     ModelNotFound,
@@ -425,6 +426,79 @@ class TestScan:
         result = scan_contract(config, access_control_source(0))
         assert "flags" not in result
         assert result["label"] in ("vulnerable", "clean")
+
+
+def _uncached_label(config, source):
+    """The label of ``source`` from freshly loaded artifacts, with no cache or memo."""
+    out = config.stage_dir()
+    keyword_map = vectorize.load_keyword_map(out / "keywords.json")
+    model = load_cluster_model(out / "model.json")
+    tokens = preprocess_contract(source).tokens
+    return cl.predict(model, vectorize.doc_vector_values(tokens, keyword_map, model.input_dim))
+
+
+def _scan_keeping_memo(monkeypatch, config, source):
+    """Scan ``source``; the label memo the scan used, and the scan's error or None."""
+    seen = []
+    real = pipeline._scan_artifacts
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(pipeline, "_scan_artifacts", spy)
+    try:
+        scan_contract(config, source)
+        error = None
+    except EthClusterError as exc:
+        error = exc
+    return seen[-1][1], error
+
+
+class TestLabelMemo:
+    def test_first_and_memoized_labels_equal_the_uncached_prediction(self, reentrancy_run,
+                                                                     monkeypatch):
+        config, _ = reentrancy_run
+        training = [record.source for record in Dataset.load(config.dataset).records]
+        heldout = ([reentrant_source(i) for i in range(15, 30)]
+                   + [clean_source(i) for i in range(40, 60)]
+                   + [make(i) for make in (timestamp_source, tx_origin_source,
+                                           unchecked_source, access_control_source)
+                      for i in range(5)] + ["", "contract Zzyzx { }"])
+        sources = training + heldout
+        expected = [_uncached_label(config, s) for s in sources]
+        pipeline._scan_artifacts.cache_clear()
+        first = [scan_contract(config, s)["label"] for s in sources]
+        second = [scan_contract(config, s)["label"] for s in sources]
+        assert first == expected
+        assert second == expected
+        memo, error = _scan_keeping_memo(monkeypatch, config, sources[0])
+        assert error is None
+        info = memo.cache_info()
+        # one miss per distinct hit set; every other scan was served by the memo
+        assert info.misses == info.currsize < len(sources)
+        assert info.hits == 2 * len(sources) + 1 - info.misses
+
+    def test_a_failure_is_never_memoized(self, tmp_path, monkeypatch):
+        config = train_reentrancy(tmp_path, [reentrant_source(i) for i in range(9)],
+                                  [clean_source(i) for i in range(30)])
+        path = config.stage_dir() / "keywords.json"
+        keyword_map = vectorize.load_keyword_map(path)
+        assert keyword_map
+        # one column narrower than the model's input: any hit raises DimError
+        vectorize.save_keyword_map({w: v[:-1] for w, v in keyword_map.items()}, path)
+        source = " ".join(keyword_map)
+        with pytest.raises(DimError):
+            scan_contract(config, source)
+        memo, error = _scan_keeping_memo(monkeypatch, config, source)
+        assert isinstance(error, DimError)
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+    def test_the_bound_is_fixed(self, reentrancy_run, monkeypatch):
+        config, _ = reentrancy_run
+        memo, _ = _scan_keeping_memo(monkeypatch, config, clean_source(0))
+        assert memo.cache_info().maxsize == 4096
 
 
 # Pieces of Solidity-like text for the stages that read raw source: comment

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 from unittest import mock
 
 import pytest
@@ -48,6 +49,11 @@ def oracle_strip_comments(source):
     return "".join(out), unterminated
 
 
+# ``_COMMENT_RE`` before its block alternative was unrolled: the lazy form,
+# kept as the reference the unrolled pattern must split exactly like.
+REFERENCE_COMMENT_RE = re.compile(r"/(?:/[^\n]*|\*.*?\*/|(\*.*))", re.DOTALL)
+
+
 def strip_and_warned(source):
     """``strip_comments`` output, and whether it logged a warning."""
     with mock.patch.object(preprocess.logger, "warning") as warning:
@@ -80,6 +86,27 @@ class TestStripCommentsAgainstOracle:
     @given(_marker_text)
     def test_matches_oracle_and_warns_when_it_meets_an_unterminated_block(self, source):
         assert strip_and_warned(source) == oracle_strip_comments(source)
+
+
+# Text dense in slashes, stars, runs of stars and newlines.
+_star_text = st.lists(st.sampled_from(["/", "*", "**", "***", "\n", "a", " "]),
+                      max_size=60).map("".join)
+
+_STAR_CASES = ["/**/", "/***/", "/* ** */", "/*a*b*/c*/", "/*/*/", "/*\n*/", "/**"]
+
+
+class TestUnrolledBlockComment:
+    @pytest.mark.parametrize("source", _STAR_CASES)
+    def test_star_cases_match_the_oracle(self, source):
+        assert strip_and_warned(source) == oracle_strip_comments(source)
+
+    @pytest.mark.parametrize("source", _STAR_CASES)
+    def test_star_cases_split_like_the_lazy_pattern(self, source):
+        assert preprocess._COMMENT_RE.split(source) == REFERENCE_COMMENT_RE.split(source)
+
+    @given(_star_text)
+    def test_splits_like_the_lazy_pattern(self, source):
+        assert preprocess._COMMENT_RE.split(source) == REFERENCE_COMMENT_RE.split(source)
 
 
 class TestStripComments:
