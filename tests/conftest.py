@@ -15,16 +15,23 @@ class _ExplorerHandler(BaseHTTPRequestHandler):
 
     The server's ``behaviors`` dict maps an address to one of:
     ("ok", source_text), ("empty",), ("http", status_code),
-    ("http_once", status_code, source_text), ("ratemsg",), or ("raw", body),
-    which answers HTTP 200 with ``body`` encoded as JSON, whatever its shape.
+    ("http_once", status_code, source_text), ("ratemsg",), ("raw", body),
+    which answers HTTP 200 with ``body`` encoded as JSON, whatever its shape,
+    ("short",), which sends half the body it announces and hangs up, or
+    ("garbage",), which answers with a line that is not an HTTP status line.
     Unknown addresses answer with a default source derived from the address.
+    The server's ``queries`` list gets each request's parsed query string.
     """
 
     def do_GET(self):
         query = parse_qs(urlparse(self.path).query)
+        self.server.queries.append(query)
         address = query.get("address", [""])[0].lower()
         behavior = self.server.behaviors.get(address, ("ok", None))
 
+        if behavior[0] == "garbage":
+            self.wfile.write(b"this is not http\r\n\r\n")
+            return
         if behavior[0] == "http":
             self.send_response(behavior[1])
             self.end_headers()
@@ -43,7 +50,10 @@ class _ExplorerHandler(BaseHTTPRequestHandler):
             body = {"status": "1", "message": "OK",
                     "result": [{"SourceCode": "", "ABI": "", "CompilerVersion": ""}]}
         else:
-            source = behavior[1] if behavior[1] is not None else f"contract C_{address[-6:]} {{}}"
+            if behavior[0] == "ok" and behavior[1] is not None:
+                source = behavior[1]
+            else:
+                source = f"contract C_{address[-6:]} {{}}"
             body = {"status": "1", "message": "OK",
                     "result": [{"SourceCode": source, "CompilerVersion": "v0.8.19"}]}
         payload = json.dumps(body).encode("utf-8")
@@ -51,7 +61,7 @@ class _ExplorerHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
-        self.wfile.write(payload)
+        self.wfile.write(payload[:len(payload) // 2] if behavior[0] == "short" else payload)
 
     def log_message(self, *args):
         pass
@@ -61,6 +71,7 @@ class _ExplorerHandler(BaseHTTPRequestHandler):
 def mock_explorer():
     server = HTTPServer(("127.0.0.1", 0), _ExplorerHandler)
     server.behaviors = {}
+    server.queries = []
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:

@@ -142,6 +142,34 @@ class TestFetch:
                             rate_per_second=1000.0) as client, pytest.raises(TransportError):
             client.fetch_verified_source("etherscan", ADDR_A)
 
+    @pytest.mark.parametrize("behavior", ["short", "garbage"],
+                             ids=["truncated-body", "non-http-status-line"])
+    def test_broken_reply_is_a_transport_error(self, mock_explorer, client, behavior):
+        mock_explorer.behaviors[ADDR_A] = (behavior,)
+        with pytest.raises(TransportError):
+            client.fetch_verified_source("etherscan", ADDR_A)
+
+    def test_file_endpoint_is_refused(self, tmp_path):
+        payload = tmp_path / "payload.json"
+        payload.write_text(json.dumps({"result": [{"SourceCode": "contract Local {}",
+                                                   "CompilerVersion": "v0.8.19"}]}), "utf-8")
+        # the fragment swallows the query, so a client that opened file URLs
+        # would read the payload and return a record
+        endpoint = payload.resolve().as_uri() + "#"
+        with ExplorerClient(endpoints={"etherscan": endpoint},
+                            rate_per_second=1000.0) as client, pytest.raises(TransportError):
+            client.fetch_verified_source("etherscan", ADDR_A)
+
+    def test_endpoint_query_is_kept(self, mock_explorer):
+        endpoint = explorer_url(mock_explorer) + "?chainid=1"
+        with ExplorerClient(endpoints={"etherscan": endpoint}, rate_per_second=1000.0) as client:
+            client.fetch_verified_source("etherscan", ADDR_A)
+        [query] = mock_explorer.queries
+        assert query["chainid"] == ["1"]
+        assert query["module"] == ["contract"]
+        assert query["action"] == ["getsourcecode"]
+        assert query["address"] == [ADDR_A]
+
     def test_unknown_chain(self, client):
         with pytest.raises(InvalidInput):
             client.fetch_verified_source("nochain", ADDR_A)
