@@ -43,10 +43,8 @@ def cmd_ingest(args) -> int:
         endpoints = dict(DEFAULT_ENDPOINTS)
         endpoints[args.chain] = args.endpoint
     store = ContractStore(args.store)
-    addresses = [
-        line.strip() for line in Path(args.addresses).read_text("utf-8").splitlines()
-        if line.strip() and not line.startswith("#")
-    ]
+    lines = [line.strip() for line in Path(args.addresses).read_text("utf-8").splitlines()]
+    addresses = [line for line in lines if line and not line.startswith("#")]
     outcomes = {"stored": 0, "duplicate": 0, "failed": 0}
     with ExplorerClient(endpoints=endpoints, rate_per_second=args.rate) as client:
         for address in addresses:

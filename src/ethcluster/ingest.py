@@ -10,16 +10,19 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import threading
 import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from http.client import HTTPException
 from pathlib import Path
 from typing import Iterator
-
-import requests
+from urllib.error import HTTPError
+from urllib.parse import urlencode
+from urllib.request import urlopen
 
 from ._artifact import nonempty, read_json, strings, write_json
 from .errors import (
@@ -123,11 +126,12 @@ class ContractRecord:
 
 
 class TokenBucket:
-    """Token-bucket rate limiter holding one second's worth of requests."""
+    """Token-bucket rate limiter holding one second's worth of requests, and at least one."""
 
     def __init__(self, rate: float):
         self.rate = rate
-        self._tokens = rate
+        self._capacity = max(rate, 1.0)
+        self._tokens = self._capacity
         self._last = time.monotonic()
         self._lock = threading.Lock()
 
@@ -135,7 +139,7 @@ class TokenBucket:
         while True:
             with self._lock:
                 now = time.monotonic()
-                self._tokens = min(self.rate, self._tokens + (now - self._last) * self.rate)
+                self._tokens = min(self._capacity, self._tokens + (now - self._last) * self.rate)
                 self._last = now
                 if self._tokens >= 1.0:
                     self._tokens -= 1.0
@@ -149,18 +153,19 @@ class ExplorerClient:
 
     API keys are read from ``ETHCLUSTER_APIKEY_<CHAIN>`` (chain upper-cased).
     Fetches for distinct addresses may run concurrently; the per-chain token
-    bucket bounds the request rate. ``close()``, or leaving a ``with`` block,
-    closes the pooled connections.
+    bucket bounds the request rate. Each fetch opens its own connection, so
+    ``close()`` has nothing to release.
     """
 
     def __init__(self, endpoints: dict[str, str] | None = None,
                  rate_per_second: float = RATE_PER_SECOND):
+        if not (math.isfinite(rate_per_second) and rate_per_second > 0):
+            raise InvalidInput(f"rate must be a finite number > 0, got {rate_per_second}")
         self.endpoints = dict(DEFAULT_ENDPOINTS if endpoints is None else endpoints)
-        self._session = requests.Session()
         self._buckets = {chain: TokenBucket(rate_per_second) for chain in self.endpoints}
 
     def close(self) -> None:
-        self._session.close()
+        pass
 
     def __enter__(self) -> "ExplorerClient":
         return self
@@ -176,23 +181,30 @@ class ExplorerClient:
         if chain not in self.endpoints:
             raise InvalidInput(f"unknown chain {chain!r}; configured: {sorted(self.endpoints)}")
         address = _check_address(address)
+        endpoint = self.endpoints[chain]
+        if not endpoint.lower().startswith(("http://", "https://")):
+            raise TransportError(f"{chain} endpoint {endpoint!r} is not an http(s) URL")
         self._buckets[chain].acquire()
-        params = {
+        query = urlencode({
             "module": "contract",
             "action": "getsourcecode",
             "address": address,
             "apikey": self.api_key(chain),
-        }
+        })
+        url = endpoint + ("&" if "?" in endpoint else "?") + query
         try:
-            resp = self._session.get(self.endpoints[chain], params=params, timeout=TIMEOUT_S)
-        except requests.RequestException as exc:
+            with urlopen(url, timeout=TIMEOUT_S) as resp:
+                status, body = resp.status, resp.read()
+        except HTTPError as exc:
+            status = exc.code
+        except (OSError, HTTPException) as exc:
             raise TransportError(f"{chain} request failed: {exc}") from exc
-        if resp.status_code == 429:
+        if status == 429:
             raise RateLimited(f"{chain} returned HTTP 429 for {address}")
-        if resp.status_code != 200:
-            raise TransportError(f"{chain} returned HTTP {resp.status_code} for {address}")
+        if status != 200:
+            raise TransportError(f"{chain} returned HTTP {status} for {address}")
         try:
-            payload = resp.json()
+            payload = json.loads(body)
         except ValueError as exc:
             raise TransportError(f"{chain} returned non-JSON payload for {address}") from exc
         if not isinstance(payload, dict):

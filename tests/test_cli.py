@@ -541,7 +541,7 @@ class TestIngestCli:
         mock_explorer.behaviors[ADDR_2] = ("ok", same_source)
 
         addresses_a = tmp_path / "a.txt"
-        addresses_a.write_text(ADDR_1 + "\n", "utf-8")
+        addresses_a.write_text(ADDR_1 + "\n  # an indented comment\n", "utf-8")
         addresses_b = tmp_path / "b.txt"
         addresses_b.write_text(ADDR_2 + "\n", "utf-8")
         store_path = tmp_path / "store.ndjson"
@@ -554,7 +554,8 @@ class TestIngestCli:
                      "--rate", "1000"]) == 0
 
         out = capsys.readouterr().out
-        assert "stored=1" in out and "duplicate=1" in out
+        assert "stored=1 duplicate=0 failed=0" in out
+        assert "stored=0 duplicate=1 failed=0" in out
         records = ContractStore(store_path).records()
         assert len(records) == 1
         assert records[0].source == same_source
@@ -595,6 +596,25 @@ class TestIngestCli:
         assert [r.source for r in ContractStore(store_path).records()] == ["contract Last {}"]
         assert main(argv) == 0
         assert f"stored=0 duplicate=1 failed={len(malformed)}" in capsys.readouterr().out
+
+    def test_ingest_below_one_request_per_second(self, mock_explorer, tmp_path, capsys):
+        # the bucket once held at most 0.5 tokens at rate 0.5 and never fetched
+        addresses = tmp_path / "a.txt"
+        addresses.write_text(ADDR_1 + "\n", "utf-8")
+        assert main(["ingest", "--chain", "etherscan", "--addresses", str(addresses),
+                     "--store", str(tmp_path / "store.ndjson"),
+                     "--endpoint", explorer_url(mock_explorer), "--rate", "0.5"]) == 0
+        assert "stored=1 duplicate=0 failed=0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("rate", ["0", "-1", "nan", "inf"])
+    def test_ingest_refuses_a_bad_rate(self, mock_explorer, tmp_path, capsys, rate):
+        addresses = tmp_path / "a.txt"
+        addresses.write_text(ADDR_1 + "\n", "utf-8")
+        assert main(["ingest", "--chain", "etherscan", "--addresses", str(addresses),
+                     "--store", str(tmp_path / "store.ndjson"),
+                     "--endpoint", explorer_url(mock_explorer), "--rate", rate]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidInput"
+        assert mock_explorer.queries == []
 
     def test_ingest_skips_unverified(self, mock_explorer, tmp_path, capsys):
         url = explorer_url(mock_explorer)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +23,7 @@ from ethcluster.ingest import (
     ContractStore,
     Dataset,
     ExplorerClient,
+    TokenBucket,
     build_mixed_dataset,
     records_from_dir,
     source_hash,
@@ -193,6 +195,27 @@ class TestFetch:
             results = list(pool.map(fetch_and_put, addresses))
         assert results == [STORED] * 8  # mock gives each address distinct source
         assert len(store.records()) == 8
+
+
+class TestTokenBucket:
+    @pytest.fixture()
+    def sleeps(self, monkeypatch):
+        """The seconds slept, on a fake clock that each sleep moves on."""
+        slept = []
+        monkeypatch.setattr(time, "monotonic", lambda: sum(slept))
+        monkeypatch.setattr(time, "sleep", slept.append)
+        return slept
+
+    @pytest.mark.parametrize("rate, acquires, waited", [
+        (0.5, 3, 4.0),   # one at once, then one every 2 s
+        (1.0, 3, 2.0),
+        (4.0, 6, 0.5),   # a second's worth at once, then one every 0.25 s
+    ])
+    def test_bucket_waits_for_each_token(self, sleeps, rate, acquires, waited):
+        bucket = TokenBucket(rate)
+        for _ in range(acquires):
+            bucket.acquire()
+        assert sum(sleeps) == pytest.approx(waited)
 
 
 class TestStore:

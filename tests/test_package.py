@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import ethcluster
@@ -12,3 +15,14 @@ def test_version_matches_pyproject():
     section = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
     version = re.search(r'^version\s*=\s*"([^"]+)"\s*$', section.group(1), re.M)
     assert ethcluster.__version__ == version.group(1)
+
+
+def test_cli_imports_without_requests():
+    # the explorer client uses the standard library; a None entry in
+    # sys.modules makes any import of requests fail
+    package_root = str(Path(ethcluster.__file__).resolve().parents[1])
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    code = 'import sys; sys.modules["requests"] = None; import ethcluster.cli'
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert result.returncode == 0, result.stderr
