@@ -1,5 +1,7 @@
-"""The artifact format: atomic writes, one JSON reader, one float encoder and
-the decoders every loader reads its values through.
+"""The artifact format: atomic writes, one JSON reader and writer, which own the
+header ``{"format": "ethcluster-<name>", "version": VERSION}`` at the top level
+of each stage artifact (files users build or edit, and reports, carry none), one
+float encoder and the decoders every loader reads its values through.
 
 Every float array is stored as the payload ``pack`` writes, ``{"shape":
 [...], "f8": "<base64 of little-endian float64 bytes>"}``; ``floats`` is its
@@ -26,6 +28,8 @@ import numpy as np
 
 from .errors import FormatError, InvalidInput, VersionError
 
+VERSION = 5  # of every artifact header; a change to any artifact's layout bumps it
+
 
 def write_text(text: str, path: str | Path) -> None:
     path = Path(path)
@@ -40,19 +44,27 @@ def write_text(text: str, path: str | Path) -> None:
         raise
 
 
-def write_json(payload, path: str | Path) -> None:
-    """Compact JSON with sorted keys: without ``indent`` CPython encodes in C."""
+def write_json(payload, path: str | Path, name: str | None = None) -> None:
+    """Compact JSON with sorted keys (CPython encodes it in C), with artifact ``name``'s header."""
+    if name:
+        payload = {**payload, "format": f"ethcluster-{name}", "version": VERSION}
     write_text(json.dumps(payload, sort_keys=True), path)
 
 
-def read_json(path: str | Path, decode):
+def read_json(path: str | Path, decode, name: str | None = None):
     """``decode`` of the file's UTF-8 JSON; a missing file is an ``OSError``.
 
-    The lookups ``decode`` makes validate the payload: any error they raise,
-    and any ``FormatError`` or ``VersionError``, comes out naming the file.
+    Artifact ``name``'s header comes first: none or another version is a
+    ``VersionError``, another name a ``FormatError``. Then the lookups ``decode``
+    makes validate the payload: any error, typed or not, comes out naming the file.
     """
     try:
-        return decode(json.loads(Path(path).read_text("utf-8")))
+        payload = json.loads(Path(path).read_text("utf-8"))
+        if name and (type(payload) is not dict or payload.get("version") != VERSION):
+            raise VersionError(f"no version-{VERSION} header; rerun `ethcluster run` to rebuild it")
+        if name and payload["format"] != f"ethcluster-{name}":
+            raise FormatError(f"holds {payload['format']!r}, not ethcluster-{name}")
+        return decode(payload)
     except (FormatError, VersionError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
     except (AttributeError, IndexError, InvalidInput, KeyError, OverflowError, TypeError,

@@ -208,7 +208,7 @@ def save_cluster_model(model: ClusterModel, path: str | Path) -> None:
             "components": pack(pca.components),
             "num_components": pca.num_components,
         },
-    }, path)
+    }, path, "model")
 
 
 def _cluster_model(payload: dict) -> ClusterModel:
@@ -228,4 +228,4 @@ def _cluster_model(payload: dict) -> ClusterModel:
 
 
 def load_cluster_model(path: str | Path) -> ClusterModel:
-    return read_json(path, _cluster_model)
+    return read_json(path, _cluster_model, "model")

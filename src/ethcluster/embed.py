@@ -18,8 +18,6 @@ from . import _kernels
 from ._artifact import floats, pack, read_json, strings, write_json
 from .errors import EmptyCorpus, FormatError, InvalidInput, VersionError
 
-_FORMAT_NAME = "ethcluster-embedding"
-_FORMAT_VERSION = 5
 _V1_TEXT_HEADER = b"ethcluster-embedding 1 "
 
 #: word2vec's defaults (Mikolov et al. 2013, arXiv:1310.4546): the largest
@@ -176,16 +174,11 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
     """Write the model as a JSON artifact whose ``vectors`` are a ``pack``
     payload of float64 bytes, one row per word, so they round-trip exactly."""
     words = sorted(model.vocab, key=model.vocab.__getitem__)
-    write_json({"format": _FORMAT_NAME, "version": _FORMAT_VERSION, "config": asdict(model.config),
-                "words": words, "vectors": pack(model.vectors)}, path)
+    write_json({"config": asdict(model.config), "words": words, "vectors": pack(model.vectors)},
+               path, "embedding")
 
 
 def _decode_model(payload: dict) -> EmbeddingModel:
-    if payload["format"] != _FORMAT_NAME:
-        raise FormatError("not an embedding model file")
-    if payload["version"] != _FORMAT_VERSION:
-        raise VersionError(f"unsupported format version {payload['version']!r}; "
-                           "rerun `ethcluster run` to rebuild it")
     config = EmbeddingConfig(**payload["config"])
     words = strings(payload["words"])
     vocab = {word: i for i, word in enumerate(words)}
@@ -201,4 +194,4 @@ def load_model(path: str | Path) -> EmbeddingModel:
         if fh.read(len(_V1_TEXT_HEADER)) == _V1_TEXT_HEADER:
             raise VersionError(f"{path}: format version 1 is no longer read; "
                                "rerun `ethcluster run` to rebuild it")
-    return read_json(path, _decode_model)
+    return read_json(path, _decode_model, "embedding")

@@ -37,14 +37,14 @@ class InvalidKind(EthClusterError):
     """Unknown vulnerability kind, or one with no regex pattern."""
 
 
-# --- embed ----------------------------------------------------------------
+# --- artifacts ------------------------------------------------------------
 
 class FormatError(EthClusterError):
-    """A persisted file (model, dataset, tokens, flags) is malformed or truncated."""
+    """A dataset, config, tokens, flags, embedding, vectors, keywords or model file is malformed."""
 
 
 class VersionError(EthClusterError):
-    """A persisted model file carries an unsupported format version."""
+    """A persisted artifact carries no header or an unsupported format version."""
 
 
 # --- vectorize ------------------------------------------------------------

@@ -60,8 +60,8 @@ class PipelineConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise InvalidInput(f"config field {f.name!r} must be {f.type}; got {value!r}")
-            if value < (least := _LEAST.get(f.name, value)):
-                raise InvalidInput(f"config field {f.name!r} must be >= {least}; got {value!r}")
+            if (least := _LEAST.get(f.name)) is not None and not least <= value < float("inf"):
+                raise InvalidInput(f"config field {f.name!r} must be finite, >= {least}: {value!r}")
         self.embedding_config()  # refuses a negative seed, or epochs or vector_size below 1
 
     @classmethod
@@ -122,7 +122,7 @@ def detect_corpus(docs: Sequence[TokenDoc], kind: str | None) -> dict:
 
 
 def save_detection(payload: dict, path: str | Path) -> None:
-    write_json(payload, path)
+    write_json(payload, path, "detect")
 
 
 def _detection(payload: dict) -> dict:
@@ -135,7 +135,7 @@ def _detection(payload: dict) -> dict:
 
 
 def load_detection(path: str | Path) -> dict:
-    return read_json(path, _detection)
+    return read_json(path, _detection, "detect")
 
 
 def vectorize_corpus(docs: Sequence[TokenDoc], model: embed.EmbeddingModel, threshold: float,
@@ -143,10 +143,12 @@ def vectorize_corpus(docs: Sequence[TokenDoc], model: embed.EmbeddingModel, thre
                      ) -> tuple[dict[str, np.ndarray], list[vectorize.DocumentVector]]:
     """Keyword map and one document vector per document.
 
-    Keywords score above ``threshold`` by TF-IDF; when ``detection``, which
-    must cover exactly ``docs``, flags any document, its kind's pattern words
-    are forced in.
+    Keywords score above ``threshold``, which must be finite and >= 0, by
+    TF-IDF; when ``detection``, which must cover exactly ``docs``, flags any
+    document, its kind's pattern words are forced in.
     """
+    if not 0 <= threshold < float("inf"):
+        raise InvalidInput(f"threshold must be finite and >= 0; got {threshold!r}")
     forced: Sequence[str] = ()
     if detection is not None:
         cl.check_aligned(detection["hashes"], [d.contract_hash for d in docs], "the flags")

@@ -99,15 +99,13 @@ def preprocess_contract(source: str, contract_hash: str = "") -> TokenDoc:
 
 def save_tokendocs(docs: list[TokenDoc], path: str | Path) -> None:
     """Write token documents as ``preprocess.json``, in corpus order."""
-    payload = [
-        {"contract_hash": d.contract_hash, "tokens": list(d.tokens), "lines": list(d.lines)}
-        for d in docs
-    ]
-    write_json(payload, path)
+    rows = [{"contract_hash": d.contract_hash, "tokens": list(d.tokens), "lines": list(d.lines)}
+            for d in docs]
+    write_json({"docs": rows}, path, "preprocess")
 
 
-def _tokendocs(payload: list) -> list[TokenDoc]:
-    payload = nonempty(payload)
+def _tokendocs(payload: dict) -> list[TokenDoc]:
+    payload = nonempty(payload["docs"])
     hashes = strings([d["contract_hash"] for d in payload])
     return [TokenDoc(h, tuple(strings(d["tokens"])), tuple(strings(d["lines"])))
             for h, d in zip(hashes, payload)]
@@ -115,4 +113,4 @@ def _tokendocs(payload: list) -> list[TokenDoc]:
 
 def load_tokendocs(path: str | Path) -> list[TokenDoc]:
     """Read token documents written by :func:`save_tokendocs`."""
-    return read_json(path, _tokendocs)
+    return read_json(path, _tokendocs, "preprocess")

@@ -147,7 +147,7 @@ def document_vectors(docs: Sequence[TokenDoc], keyword_map: Mapping[str, np.ndar
 def save_vectors(vectors: Sequence[DocumentVector], path: str | Path) -> None:
     """``{"hashes": [...], "values": <[n, dim] payload>}``: row i is document i's vector."""
     write_json({"hashes": [v.contract_hash for v in vectors],
-                "values": pack([v.values for v in vectors])}, path)
+                "values": pack([v.values for v in vectors])}, path, "vectors")
 
 
 def _vectors(payload: dict) -> list[DocumentVector]:
@@ -157,15 +157,15 @@ def _vectors(payload: dict) -> list[DocumentVector]:
 
 def load_vectors(path: str | Path) -> list[DocumentVector]:
     """The saved document vectors; each row is a read-only view of one matrix."""
-    return read_json(path, _vectors)
+    return read_json(path, _vectors, "vectors")
 
 
 def save_keyword_map(keyword_map: Mapping[str, np.ndarray], path: str | Path) -> None:
     """``{"words": [...], "vectors": <[n, dim] payload>}``: the words sorted, and
     row i is word i's vector; an empty map is ``{"words": [], "vectors": null}``."""
     words = sorted(keyword_map)
-    write_json({"words": words,
-                "vectors": pack([keyword_map[w] for w in words]) if words else None}, path)
+    vectors = pack([keyword_map[w] for w in words]) if words else None
+    write_json({"words": words, "vectors": vectors}, path, "keywords")
 
 
 def _keyword_map(payload: dict) -> dict[str, np.ndarray]:
@@ -179,4 +179,4 @@ def _keyword_map(payload: dict) -> dict[str, np.ndarray]:
 
 def load_keyword_map(path: str | Path) -> dict[str, np.ndarray]:
     """The keyword -> vector map; an empty map is valid (nothing was selected)."""
-    return read_json(path, _keyword_map)
+    return read_json(path, _keyword_map, "keywords")

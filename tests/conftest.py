@@ -72,7 +72,9 @@ def mock_explorer():
     server = HTTPServer(("127.0.0.1", 0), _ExplorerHandler)
     server.behaviors = {}
     server.queries = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll: shutdown() waits out the current one at every teardown
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     try:
         yield server

@@ -1,5 +1,6 @@
-"""Every artifact loader turns malformed content into a typed error, and the
-float payload round-trips bit for bit.
+"""Every artifact loader turns malformed content into a typed error, checks
+the artifact header before the payload, and the float payload round-trips bit
+for bit.
 
 Each loader case saves a valid artifact with the module's own writer, breaks
 one field of the decoded payload and writes it back. The loader must raise
@@ -17,7 +18,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from conftest import clean_source, reentrant_source, write_corpus
 from ethcluster import cluster as cl
 from ethcluster import embed, pipeline, vectorize
-from ethcluster._artifact import floats, pack
+from ethcluster._artifact import VERSION, floats, pack
 from ethcluster.errors import FormatError, VersionError
 from ethcluster.ingest import Dataset, build_mixed_dataset, records_from_dir
 from ethcluster.preprocess import load_tokendocs, preprocess_contract, save_tokendocs
@@ -101,6 +102,18 @@ def _poke(*keys_and_value):
     return mutate
 
 
+def _header(payload) -> dict:
+    """The header of an artifact's decoded ``payload``, without its payload keys."""
+    return {"format": payload["format"], "version": payload["version"]}
+
+
+def _headerless(payload):
+    """``payload`` as the layouts before the header wrote it: without the header
+    keys, and with ``preprocess.json``'s documents as the top-level list."""
+    payload = {k: v for k, v in payload.items() if k not in ("format", "version")}
+    return payload.get("docs", payload)
+
+
 def _as_version_3(payload):
     """The model as version 3 wrote it: the vectors as a JSON list of lists."""
     return {**payload, "version": 3, "vectors": floats(payload["vectors"], 2).tolist()}
@@ -110,11 +123,11 @@ V1_TEXT = 'ethcluster-embedding 1 1 1 {"vector_size": 1}\ncall 0.5\n'
 
 # (case id, loader, mutation of the decoded payload or replacement text, error)
 CASES = [
-    ("null-token", load_tokendocs, _set(0, "tokens", [None]), FormatError),
-    ("scalar-tokens", load_tokendocs, _set(0, "tokens", "call"), FormatError),
-    ("int-hash", load_tokendocs, _set(0, "contract_hash", 7), FormatError),
-    ("dict-top", load_tokendocs, lambda payload: {}, FormatError),
-    ("empty-list", load_tokendocs, lambda payload: [], FormatError),
+    ("null-token", load_tokendocs, _set("docs", 0, "tokens", [None]), FormatError),
+    ("scalar-tokens", load_tokendocs, _set("docs", 0, "tokens", "call"), FormatError),
+    ("int-hash", load_tokendocs, _set("docs", 0, "contract_hash", 7), FormatError),
+    ("dict-top", load_tokendocs, _header, FormatError),
+    ("empty-list", load_tokendocs, lambda p: {**_header(p), "docs": []}, FormatError),
     ("null-flag", pipeline.load_detection, _set("flags", 0, None), FormatError),
     ("bool-flag", pipeline.load_detection, _set("flags", 0, True), FormatError),
     ("float-flag", pipeline.load_detection, _set("flags", 0, 1.0), FormatError),
@@ -132,7 +145,7 @@ CASES = [
     ("ragged", embed.load_model, _set("vectors", "shape", 1, 4), FormatError),
     ("float-list", embed.load_model, lambda p: _set("vectors", floats(p["vectors"], 2).tolist())(p),
      FormatError),
-    ("non-dict-top", embed.load_model, lambda payload: [payload], FormatError),
+    ("non-dict-top", embed.load_model, lambda payload: [payload], VersionError),
     ("zero-dim-config", embed.load_model, _set("config", "vector_size", 0), FormatError),
     ("duplicate-word", embed.load_model, lambda p: _set("words", 1, p["words"][0])(p),
      FormatError),
@@ -145,12 +158,12 @@ CASES = [
     ("ragged", vectorize.load_vectors, lambda p: _set("hashes", p["hashes"][1:])(p), FormatError),
     ("hash-per-row", vectorize.load_vectors, lambda p: _set("hashes", [*p["hashes"], "h9"])(p),
      FormatError),
-    ("dict-top", vectorize.load_vectors, lambda payload: {}, FormatError),
+    ("dict-top", vectorize.load_vectors, _header, FormatError),
     ("empty-list", vectorize.load_vectors,
-     lambda p: {"hashes": [], "values": {"shape": [0, 3], "f8": ""}}, FormatError),
+     lambda p: {**_header(p), "hashes": [], "values": {"shape": [0, 3], "f8": ""}}, FormatError),
     ("row-list", vectorize.load_vectors, lambda p: [
         {"contract_hash": h, "values": pack(row)}
-        for h, row in zip(p["hashes"], floats(p["values"], 2))], FormatError),
+        for h, row in zip(p["hashes"], floats(p["values"], 2))], VersionError),
     ("int-hash", vectorize.load_vectors, _set("hashes", 0, 7), FormatError),
     ("infinite-float", vectorize.load_vectors, _poke("values", float("inf")), FormatError),
     ("float-list", vectorize.load_vectors,
@@ -163,7 +176,7 @@ CASES = [
     ("vectors-without-words", vectorize.load_keyword_map, _set("words", []), FormatError),
     ("int-word", vectorize.load_keyword_map, _set("words", 0, 7), FormatError),
     ("word-keys", vectorize.load_keyword_map, lambda p: dict(
-        zip(p["words"], map(pack, floats(p["vectors"], 2)))), FormatError),
+        zip(p["words"], map(pack, floats(p["vectors"], 2)))), VersionError),
     ("labels-list", cl.load_cluster_model, _set("labels", ["vulnerable", "clean"]), FormatError),
     ("null-float", cl.load_cluster_model, _set("centers", "f8", None), FormatError),
     ("nan-mean", cl.load_cluster_model, _poke("pca", "mean", float("nan")), FormatError),
@@ -208,8 +221,39 @@ def test_malformed_artifact_raises_typed_error(tmp_path, case_id, loader, mutati
 def test_empty_keyword_map_loads(tmp_path):
     path = tmp_path / "keywords.json"
     vectorize.save_keyword_map({}, path)
-    assert json.loads(path.read_text("utf-8")) == {"words": [], "vectors": None}
+    assert json.loads(path.read_text("utf-8")) == {
+        "format": "ethcluster-keywords", "version": VERSION, "words": [], "vectors": None}
     assert vectorize.load_keyword_map(path) == {}
+
+
+# --- the header -------------------------------------------------------------
+
+# The loaders of the six headed artifacts. OTHER maps each to the next one in
+# the list, whose valid file is the other artifact the loader is handed.
+HEADED = [load_tokendocs, pipeline.load_detection, embed.load_model, vectorize.load_keyword_map,
+          vectorize.load_vectors, cl.load_cluster_model]
+OTHER = dict(zip(HEADED, HEADED[1:] + HEADED[:1]))
+
+# (case id, the artifact the file is written as, mutation, error, words of the message)
+HEADER_CASES = [
+    ("no-header", lambda loader: loader, _headerless, VersionError, "rerun `ethcluster run`"),
+    ("version-4", lambda loader: loader, _set("version", 4), VersionError,
+     "rerun `ethcluster run`"),
+    ("other-artifact", OTHER.get, lambda payload: payload, FormatError, "not ethcluster-"),
+]
+
+
+@pytest.mark.parametrize("loader", HEADED, ids=lambda loader: loader.__qualname__)
+@pytest.mark.parametrize("case_id, written_as, mutation, error, words", HEADER_CASES,
+                         ids=[c[0] for c in HEADER_CASES])
+def test_header_is_checked_before_the_payload(tmp_path, loader, case_id, written_as, mutation,
+                                              error, words):
+    path = tmp_path / "artifact"
+    WRITERS[written_as(loader)](path)
+    path.write_text(json.dumps(mutation(json.loads(path.read_text("utf-8")))), "utf-8")
+    with pytest.raises(error) as info:
+        loader(path)
+    assert str(path) in str(info.value) and words in str(info.value)
 
 
 # --- the float payload ------------------------------------------------------

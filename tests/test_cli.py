@@ -14,6 +14,7 @@ from conftest import (
     unchecked_source,
     write_corpus,
 )
+from ethcluster._artifact import write_json
 from ethcluster.cli import build_parser, main
 from ethcluster.cluster import PCA_DIM
 from ethcluster.detect import KINDS
@@ -60,7 +61,7 @@ class TestStagewiseCli:
 
         assert main(["preprocess", "--in", str(root / "dataset.json"),
                      "--out", str(root / "tokens.json")]) == 0
-        docs = json.loads((root / "tokens.json").read_text("utf-8"))
+        docs = json.loads((root / "tokens.json").read_text("utf-8"))["docs"]
         assert len(docs) == 30
         first = docs[0]["tokens"]
         assert first
@@ -134,7 +135,7 @@ class TestStagewiseCli:
         dataset = json.loads((tmp_path / "dataset.json").read_text("utf-8"))
         assert main(["preprocess", "--in", str(tmp_path / "dataset.json"),
                      "--out", str(tmp_path / "tokens.json")]) == 0
-        docs = json.loads((tmp_path / "tokens.json").read_text("utf-8"))
+        docs = json.loads((tmp_path / "tokens.json").read_text("utf-8"))["docs"]
         assert len(docs) == len(dataset["entries"]) == 10
 
     def test_flags_of_another_corpus_are_an_alignment_error(self, tmp_path, capsys):
@@ -172,6 +173,19 @@ class TestStagewiseCli:
         assert info.value.code == 2 and "--threshold" in capsys.readouterr().err
         assert not vectors.exists() and not (root / "keywords.json").exists()
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+    def test_vectorize_refuses_a_bad_threshold(self, staged_corpus, capsys, threshold):
+        root = staged_corpus
+        tokens, vec, vectors = root / "tokens.json", root / "model.vec", root / "vectors.json"
+        assert main(["preprocess", "--in", build_dataset(root), "--out", str(tokens)]) == 0
+        assert main(["train-embedding", "--in", str(tokens), "--dim", "4", "--epochs", "1",
+                     "--out", str(vec)]) == 0
+        capsys.readouterr()
+        assert main(["vectorize", "--in", str(tokens), "--embedding", str(vec),
+                     "--threshold", threshold, "--out", str(vectors)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidInput"
+        assert not vectors.exists() and not (root / "keywords.json").exists()
+
     def test_token_directory_is_a_path_error(self, staged_corpus, capsys):
         # token documents are one file; a directory is not a tokens file
         root = staged_corpus
@@ -181,7 +195,7 @@ class TestStagewiseCli:
 
     def test_non_numeric_vectors_are_a_format_error(self, tmp_path, capsys):
         path = tmp_path / "vectors.json"
-        path.write_text('{"hashes": ["h"], "values": {"shape": [1, 1], "f8": "x!"}}', "utf-8")
+        write_json({"hashes": ["h"], "values": {"shape": [1, 1], "f8": "x!"}}, path, "vectors")
         assert main(["cluster", "--vectors", str(path), "--k", "2",
                      "--out", str(tmp_path / "model.json")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
@@ -202,10 +216,10 @@ class TestStagewiseCli:
         assert len(err) == 1 and json.loads(err[0])["error"] == "FormatError"
         assert not (tmp_path / "model.json").exists()
 
-    @pytest.mark.parametrize("text", ["{}", "[]"], ids=["object", "empty"])
-    def test_detect_on_no_documents_writes_no_flags(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("payload", [{}, {"docs": []}], ids=["object", "empty"])
+    def test_detect_on_no_documents_writes_no_flags(self, tmp_path, capsys, payload):
         tokens, flags = tmp_path / "tokens.json", tmp_path / "flags.json"
-        tokens.write_text(text, "utf-8")
+        write_json(payload, tokens, "preprocess")
         assert main(["detect", "--kind", "reentrancy", "--in", str(tokens),
                      "--out", str(flags)]) == 1
         [line] = capsys.readouterr().err.splitlines()
@@ -615,6 +629,16 @@ class TestIngestCli:
                      "--endpoint", explorer_url(mock_explorer), "--rate", rate]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidInput"
         assert mock_explorer.queries == []
+
+    def test_undecodable_address_line_fails_without_a_request(self, mock_explorer, tmp_path,
+                                                              capsys):
+        addresses = tmp_path / "a.txt"
+        addresses.write_bytes(b"\xff\xfe" + ADDR_1.encode() + b"\n" + ADDR_2.encode() + b"\n")
+        assert main(["ingest", "--chain", "etherscan", "--addresses", str(addresses),
+                     "--store", str(tmp_path / "store.ndjson"),
+                     "--endpoint", explorer_url(mock_explorer), "--rate", "1000"]) == 0
+        assert "stored=1 duplicate=0 failed=1" in capsys.readouterr().out
+        assert [query["address"] for query in mock_explorer.queries] == [[ADDR_2]]
 
     def test_ingest_skips_unverified(self, mock_explorer, tmp_path, capsys):
         url = explorer_url(mock_explorer)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ethcluster._artifact import write_json
 from ethcluster.cluster import (
     ClusterModel,
     assign,
@@ -406,6 +407,6 @@ class TestPersistence:
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text("{\"k\": 2}", "utf-8")
+        write_json({"k": 2}, path, "model")
         with pytest.raises(FormatError):
             load_cluster_model(path)

@@ -165,6 +165,8 @@ class TestConfigResolution:
     @pytest.mark.parametrize("build, field, value", _both_ways([
         ("seed--1", "seed", -1), ("epochs-0", "epochs", 0), ("vector_size-0", "vector_size", 0),
         ("num_clusters-0", "num_clusters", 0), ("tfidf_threshold--5.0", "tfidf_threshold", -5.0),
+        ("tfidf_threshold-nan", "tfidf_threshold", float("nan")),
+        ("tfidf_threshold-inf", "tfidf_threshold", float("inf")),
     ]))
     def test_out_of_range_embedding_setting_is_refused(self, build, field, value):
         with pytest.raises(InvalidInput, match=field):

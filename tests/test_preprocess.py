@@ -257,7 +257,7 @@ class TestTokenDocsFile:
         path = tmp_path / "tokens.json"
         save_tokendocs([preprocess_contract(s) for s in self.SOURCES], path)
         payload = json.loads(path.read_text("utf-8"))
-        del payload[2]["lines"]
+        del payload["docs"][2]["lines"]
         path.write_text(json.dumps(payload), "utf-8")
         with pytest.raises(FormatError):
             load_tokendocs(path)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from ethcluster._artifact import write_json
 from ethcluster.embed import EmbeddingConfig, EmbeddingModel, load_model
 from ethcluster.errors import AlignmentError, EmptyCorpus, FormatError, InvalidInput
 from ethcluster.pipeline import vectorize_corpus
@@ -300,10 +301,11 @@ class TestPersistence:
     # One artifact per loader with non-base64 text where float bytes belong;
     # the model is otherwise a valid one-word, dim-1 model.
     _NON_NUMERIC = {
-        load_vectors: '{"hashes": ["h"], "values": {"shape": [1, 1], "f8": "x!"}}',
-        load_keyword_map: '{"words": ["call"], "vectors": {"shape": [1, 1], "f8": "x!"}}',
-        load_model: '{"config": {"vector_size": 1}, "format": "ethcluster-embedding", '
-                    '"vectors": {"shape": [1, 1], "f8": "x!"}, "version": 5, "words": ["call"]}',
+        load_vectors: ("vectors", {"hashes": ["h"], "values": {"shape": [1, 1], "f8": "x!"}}),
+        load_keyword_map: ("keywords",
+                           {"words": ["call"], "vectors": {"shape": [1, 1], "f8": "x!"}}),
+        load_model: ("embedding", {"config": {"vector_size": 1}, "words": ["call"],
+                                   "vectors": {"shape": [1, 1], "f8": "x!"}}),
     }
 
     @pytest.mark.parametrize("loader", list(_NON_NUMERIC), ids=lambda f: f.__name__)
@@ -311,7 +313,8 @@ class TestPersistence:
     def test_malformed_artifact_is_a_format_error(self, tmp_path, loader, bad):
         path = tmp_path / "artifact"
         if bad == "non_numeric":
-            path.write_text(self._NON_NUMERIC[loader], "utf-8")
+            name, payload = self._NON_NUMERIC[loader]
+            write_json(payload, path, name)
         else:
             path.write_bytes(b"\xff\xfe{\x80}")
         with pytest.raises(FormatError):

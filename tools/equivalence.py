@@ -156,7 +156,11 @@ def named_rows(value) -> dict:
     """A decoded ``vectors.json`` or ``keywords.json`` as its names in order and
     one ``[n, dim]`` matrix of their rows. Either layout: a list of
     ``{"contract_hash", "values"}`` or a word -> row map, one entry per row; or
-    ``{"hashes" | "words": [...], "values" | "vectors": <matrix or null>}``."""
+    ``{"hashes" | "words": [...], "values" | "vectors": <matrix or null>}``. The
+    ``format`` and ``version`` keys of the artifact header are kept beside them."""
+    header = {}
+    if isinstance(value, dict):
+        header = {key: value.pop(key) for key in ("format", "version") if key in value}
     if isinstance(value, list):
         pairs = [(v["contract_hash"], v["values"]) for v in value]
     elif value.keys() in ({"hashes", "values"}, {"words", "vectors"}) and isinstance(
@@ -165,7 +169,8 @@ def named_rows(value) -> dict:
         pairs = list(zip(names, [] if matrix is None else matrix))
     else:
         pairs = list(value.items())
-    return {"names": [name for name, _ in pairs], "rows": np.array([row for _, row in pairs])}
+    return {**header, "names": [name for name, _ in pairs],
+            "rows": np.array([row for _, row in pairs])}
 
 
 NAMED_ROWS = {"vectors.json", "keywords.json"}
