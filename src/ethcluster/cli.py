@@ -109,9 +109,8 @@ def cmd_vectorize(args) -> int:
     docs = load_tokendocs(args.input)
     model = embed.load_model(args.embedding)
     detection = pipeline.load_detection(args.flags) if args.flags else None
-    keyword_map, vectors = pipeline.vectorize_corpus(docs, model, args.threshold, detection)
-    vectorize.save_vectors(vectors, args.out)
-    vectorize.save_keyword_map(keyword_map, Path(args.out).parent / "keywords.json")
+    keyword_map, vectors = pipeline.vectorize_corpus(docs, model, args.threshold, detection,
+                                                     args.out)
     print(f"{len(vectors)} vectors (dim {model.config.vector_size}, "
           f"{len(keyword_map)} keywords) -> {args.out}")
     return 0

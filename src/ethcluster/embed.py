@@ -16,9 +16,7 @@ import numpy as np
 
 from . import _kernels
 from ._artifact import floats, pack, read_json, strings, write_json
-from .errors import EmptyCorpus, FormatError, InvalidInput, VersionError
-
-_V1_TEXT_HEADER = b"ethcluster-embedding 1 "
+from .errors import EmptyCorpus, FormatError, InvalidInput
 
 #: word2vec's defaults (Mikolov et al. 2013, arXiv:1310.4546): the largest
 #: context window, noise words per pair and the initial learning rate.
@@ -190,8 +188,4 @@ def _decode_model(payload: dict) -> EmbeddingModel:
 
 def load_model(path: str | Path) -> EmbeddingModel:
     """Read a model written by :func:`save_model`; bit-exact round trip."""
-    with open(path, "rb") as fh:
-        if fh.read(len(_V1_TEXT_HEADER)) == _V1_TEXT_HEADER:
-            raise VersionError(f"{path}: format version 1 is no longer read; "
-                               "rerun `ethcluster run` to rebuild it")
     return read_json(path, _decode_model, "embedding")

@@ -104,7 +104,7 @@ def stage(name: str):
 # One function per stage, from in-memory inputs to the stage's artifact.
 # ``run_pipeline`` chains them with ``embed.train_embedding``; the CLI stage
 # subcommands load their input files, call the same function and save its
-# result.
+# result, which ``vectorize_corpus`` saves itself.
 
 def preprocess_corpus(dataset: Dataset) -> list[TokenDoc]:
     """One token document per record, in dataset order, named by its checked ``source_hash``."""
@@ -139,13 +139,16 @@ def load_detection(path: str | Path) -> dict:
 
 
 def vectorize_corpus(docs: Sequence[TokenDoc], model: embed.EmbeddingModel, threshold: float,
-                     detection: dict | None = None
+                     detection: dict | None, path: str | Path
                      ) -> tuple[dict[str, np.ndarray], list[vectorize.DocumentVector]]:
-    """Keyword map and one document vector per document.
+    """Keyword map and one document vector per document, saved as
+    ``keywords.json`` beside the vectors at ``path``.
 
     Keywords score above ``threshold``, which must be finite and >= 0, by
     TF-IDF; when ``detection``, which must cover exactly ``docs``, flags any
-    document, its kind's pattern words are forced in.
+    document, its kind's pattern words are forced in. ``scan`` reads the
+    ``model.json`` beside a keyword map, so once the inputs pass these checks
+    that model is removed: it was fit on other keywords.
     """
     if not 0 <= threshold < float("inf"):
         raise InvalidInput(f"threshold must be finite and >= 0; got {threshold!r}")
@@ -154,12 +157,15 @@ def vectorize_corpus(docs: Sequence[TokenDoc], model: embed.EmbeddingModel, thre
         cl.check_aligned(detection["hashes"], [d.contract_hash for d in docs], "the flags")
         if detection["kind"] is not None and 1 in detection["flags"]:
             forced = detect.KINDS[detection["kind"]].keywords
-    token_lists = [list(d.tokens) for d in docs]
-    dictionary = vectorize.build_dictionary(token_lists)
+    out = Path(path).parent
+    (out / "model.json").unlink(missing_ok=True)
+    dictionary = vectorize.build_dictionary([d.tokens for d in docs])
     tfidf = vectorize.TfidfModel(dictionary)
-    bags = [vectorize.doc2bow(dictionary, toks) for toks in token_lists]
+    bags = [vectorize.doc2bow(dictionary, d.tokens) for d in docs]
     keyword_map = vectorize.select_keywords(bags, tfidf, model, threshold, forced)
     vectors = vectorize.document_vectors(docs, keyword_map, model.config.vector_size)
+    vectorize.save_keyword_map(keyword_map, out / "keywords.json")
+    vectorize.save_vectors(vectors, path)
     return keyword_map, vectors
 
 
@@ -209,12 +215,8 @@ def run_pipeline(config: PipelineConfig) -> MetricsReport:
         embed.save_model(model, out / "embedding.vec")
 
     with stage("vectorize"):
-        # scan reads model.json with keywords.json: a failure from here on
-        # must leave no model beside a new keyword map
-        (out / "model.json").unlink(missing_ok=True)
-        keyword_map, vectors = vectorize_corpus(docs, model, config.tfidf_threshold, detection)
-        vectorize.save_keyword_map(keyword_map, out / "keywords.json")
-        vectorize.save_vectors(vectors, out / "vectors.json")
+        _, vectors = vectorize_corpus(docs, model, config.tfidf_threshold, detection,
+                                      out / "vectors.json")
 
     with stage("cluster"):
         cmodel = cluster_vectors(vectors, config.num_clusters, cl.MAX_ITERATIONS, config.seed,

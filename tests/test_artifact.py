@@ -137,7 +137,7 @@ CASES = [
     ("int-hash", pipeline.load_detection, _set("hashes", 0, 7), FormatError),
     ("hash-per-flag", pipeline.load_detection, lambda p: _set("hashes", p["hashes"][1:])(p),
      FormatError),
-    ("v1-text", embed.load_model, V1_TEXT, VersionError),
+    ("v1-text", embed.load_model, V1_TEXT, FormatError),
     ("v3-float-lists", embed.load_model, _as_version_3, VersionError),
     ("null-float", embed.load_model, _set("vectors", "f8", None), FormatError),
     ("nan-float", embed.load_model, _poke("vectors", float("nan")), FormatError),

@@ -481,6 +481,49 @@ class TestRunAndScanCli:
         assert main(["scan", str(contract), "--config", config_path]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ModelNotFound"
 
+    def _run(self, root) -> Path:
+        """The stage dir of a ``run`` on ``staged_corpus``."""
+        build_dataset(root)
+        assert main(["run", "--config", self._config_file(root)]) == 0
+        return root / "work" / "reentrancy"
+
+    @staticmethod
+    def _vectorize(stage, flags) -> int:
+        """``vectorize`` into ``stage`` at a threshold other than the run's 0.7."""
+        return main(["vectorize", "--in", str(stage / "preprocess.json"),
+                     "--embedding", str(stage / "embedding.vec"), "--flags", str(flags),
+                     "--threshold", "0.05", "--out", str(stage / "vectors.json")])
+
+    def test_stage_vectorize_after_run_leaves_no_model_for_scan(self, staged_corpus, capsys):
+        stage = self._run(staged_corpus)
+        keywords = (stage / "keywords.json").read_bytes()
+        assert self._vectorize(stage, stage / "detect.json") == 0
+        assert (stage / "keywords.json").read_bytes() != keywords
+        assert not (stage / "model.json").exists()
+
+        contract = staged_corpus / "candidate.sol"
+        contract.write_text(reentrant_source(2), "utf-8")
+        capsys.readouterr()
+        assert main(["scan", str(contract), "--config", str(staged_corpus / "config.json")]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ModelNotFound"
+
+    def test_stage_vectorize_with_another_corpus_flags_keeps_the_model(self, staged_corpus,
+                                                                       capsys):
+        stage = self._run(staged_corpus)
+        root = staged_corpus / "other"
+        write_corpus(root / "vuln", [reentrant_source(i) for i in range(20, 23)])
+        write_corpus(root / "clean", [clean_source(i) for i in range(30, 33)])
+        assert main(["preprocess", "--in", build_dataset(root, fraction="0.5"),
+                     "--out", str(root / "tokens.json")]) == 0
+        assert main(["detect", "--kind", "reentrancy", "--in", str(root / "tokens.json"),
+                     "--out", str(root / "flags.json")]) == 0
+        kept = {name: (stage / name).read_bytes()
+                for name in ("model.json", "keywords.json", "vectors.json")}
+        capsys.readouterr()
+        assert self._vectorize(stage, root / "flags.json") == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "AlignmentError"
+        assert {name: (stage / name).read_bytes() for name in kept} == kept
+
     def test_out_of_range_config_value_writes_nothing(self, staged_corpus, capsys):
         root = staged_corpus
         assert main(["build-dataset", "--vuln", str(root / "vuln"),

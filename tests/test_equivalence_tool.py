@@ -1,0 +1,96 @@
+"""``tools/equivalence.py``'s comparison on two tiny synthetic output trees.
+
+The tool is loaded by path and only its ``compare`` runs: no pipeline is
+trained, so the trees hold hand-written artifacts in the layout
+``run_pipeline`` writes.
+"""
+
+import base64
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ethcluster._artifact import pack, write_json
+
+SPEC = importlib.util.spec_from_file_location(
+    "equivalence", Path(__file__).resolve().parents[1] / "tools" / "equivalence.py")
+equivalence = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(equivalence)
+
+RUNS = [{"name": "mix-reentrancy-1", "config": {"vulnerability": "reentrancy"}}]
+
+
+def _tree(out: Path) -> Path:
+    """One run's outputs under ``out``; returns its stage dir."""
+    stage = out / "mix-reentrancy-1" / "reentrancy"
+    stage.mkdir(parents=True)
+    rows = np.arange(6, dtype=np.float64).reshape(3, 2) / 7
+    write_json({"hashes": ["h0", "h1", "h2"], "values": pack(rows)},
+               stage / "vectors.json", "vectors")
+    write_json({"labels": {"0": "vulnerable", "1": "clean"}, "assignments": [0, 1, 1],
+                "centers": pack(rows[:2]), "hashes": ["h0", "h1", "h2"]},
+               stage / "model.json", "model")
+    (stage / "report.txt").write_text("ACC 100.00\n", "utf-8")
+    scans = [{"vulnerability": "reentrancy", "label": "clean"}] * 2
+    (out / "mix-reentrancy-1.scans.json").write_text(json.dumps(scans), "utf-8")
+    return stage
+
+
+def _edit_vectors(stage: Path, edit) -> None:
+    path = stage / "vectors.json"
+    payload = json.loads(path.read_text("utf-8"))
+    edit(payload)
+    path.write_text(json.dumps(payload, sort_keys=True), "utf-8")
+
+
+def _flip_a_byte(payload: dict) -> None:
+    raw = bytearray(base64.b64decode(payload["values"]["f8"]))
+    raw[8] ^= 1  # the lowest mantissa byte of the second float
+    payload["values"]["f8"] = base64.b64encode(bytes(raw)).decode("ascii")
+
+
+@pytest.fixture
+def trees(tmp_path):
+    _tree(tmp_path / "a")
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    return tmp_path / "a", tmp_path / "b"
+
+
+def _count(lines: list[str], key: str) -> str:
+    [line] = [line for line in lines if line.startswith(f"{key}: ")]
+    return line.removeprefix(f"{key}: ")
+
+
+def test_identical_trees_are_ok(trees):
+    lines, ok = equivalence.compare(*trees, RUNS)
+    assert ok
+    assert _count(lines, "byte-identical files") == "3/3 identical"
+    assert _count(lines, "files identical by value") == "3/3 identical"
+    assert _count(lines, "scan results") == "2/2 identical"
+    assert not any(line.startswith("differences") for line in lines)
+
+
+def test_one_changed_payload_byte_is_a_float_difference(trees):
+    _edit_vectors(trees[1] / "mix-reentrancy-1" / "reentrancy", _flip_a_byte)
+    lines, ok = equivalence.compare(*trees, RUNS)
+    assert not ok
+    assert _count(lines, "files identical by value") == "2/3 identical"
+    [worst] = [line for line in lines if "vectors.json " in line]
+    assert worst.startswith("  mix-reentrancy: ")
+    assert float(worst.split("vectors.json ")[1].split(",")[0]) > 0
+    assert not any(line.startswith("differences") for line in lines)
+
+
+def test_changed_header_version_is_a_value_difference(trees):
+    _edit_vectors(trees[1] / "mix-reentrancy-1" / "reentrancy",
+                  lambda payload: payload.update(version=payload["version"] + 1))
+    lines, ok = equivalence.compare(*trees, RUNS)
+    assert not ok
+    assert _count(lines, "files identical by value") == "2/3 identical"
+    assert "  1 x vectors.json.version: value" in lines
+    [note] = [line for line in lines if line.startswith("  mix-reentrancy-1/")]
+    assert note.startswith("  mix-reentrancy-1/vectors.json.version: ")

@@ -19,7 +19,12 @@ import pytest
 from conftest import clean_source, reentrant_source, timestamp_source
 from ethcluster import _kernels
 from ethcluster.cluster import kmeans_fit
-from ethcluster.embed import EmbeddingConfig, train_embedding
+from ethcluster.embed import (
+    EmbeddingConfig,
+    negative_sampling_gradients,
+    negative_sampling_loss,
+    train_embedding,
+)
 from ethcluster.preprocess import preprocess_contract
 
 _MAX_SCORE = 30.0
@@ -388,6 +393,33 @@ class TestBitEqualToReferenceStep:
         assert np.array_equal(a_in, b_in) and np.array_equal(a_out, b_out)
         assert loss.hex() == expected.hex()
         assert not np.array_equal(a_in, w_in) and not np.array_equal(a_out, w_out)
+
+
+class TestStepDescendsTheObjective:
+    """A step whose target and noise words are distinct is one SGD step on
+    ``negative_sampling_loss``, the objective the gradient check differentiates:
+    ``w_out`` moves by ``-alpha * g_out``, the returned gradient is
+    ``-alpha * g_in[center]``, and the returned loss is the objective's."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_step_is_sgd_on_the_loss(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        for _ in range(10):
+            vocab, dim = int(rng.integers(8, 30)), int(rng.integers(1, 20))
+            w_in = rng.uniform(-1.0, 1.0, size=(vocab, dim))
+            w_out = rng.uniform(-1.0, 1.0, size=(vocab, dim))
+            center = int(rng.integers(vocab))
+            target, *noise = rng.choice(vocab, size=int(rng.integers(1, 8)), replace=False).tolist()
+            alpha = float(rng.uniform(0.001, 0.5))
+            pairs = [(center, target, noise)]
+            g_in, g_out = negative_sampling_gradients(w_in, w_out, pairs)
+            moved = w_out.copy()
+            grad, loss = _kernels._negative_step(moved, w_in[center].copy(), [target, *noise],
+                                                 alpha)
+            np.testing.assert_allclose(grad, -alpha * g_in[center], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(moved - w_out, -alpha * g_out, rtol=0, atol=1e-12)
+            assert loss == pytest.approx(negative_sampling_loss(w_in, w_out, pairs),
+                                         rel=0, abs=1e-12)
 
 
 class TestTrainingWithReferenceKernels:

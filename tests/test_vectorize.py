@@ -209,13 +209,15 @@ class TestSelectKeywords:
         selected = select_keywords(bags, TfidfModel(d), embedding, 0.0)
         assert selected == {}  # shared scores 0 everywhere; others not in vocab
 
-    def test_misaligned_flags_rejected(self):
+    def test_misaligned_flags_rejected(self, tmp_path):
         docs = [TokenDoc(h, ("alpha", "beta"), ()) for h in ("h1", "h2", "h3")]
         # too few flags, the same documents reordered, another corpus
         for hashes in (["h1"], ["h1", "h3", "h2"], ["x1", "x2", "x3"]):
             detection = {"kind": "reentrancy", "flags": [1] * len(hashes), "hashes": hashes}
             with pytest.raises(AlignmentError):
-                vectorize_corpus(docs, _embedding(["alpha", "beta", "call"]), 0.5, detection)
+                vectorize_corpus(docs, _embedding(["alpha", "beta", "call"]), 0.5, detection,
+                                 tmp_path / "vectors.json")
+        assert not any(tmp_path.iterdir())
 
 
 

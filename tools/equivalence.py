@@ -21,12 +21,9 @@ Each tree then runs ``run_pipeline`` and ``scan_contract`` in its own
 subprocess with ``PYTHONPATH=<tree>/src``; only those two functions and
 ``PipelineConfig.resolve`` are called, so any two trees with that API
 compare. Artifacts are compared by decoded value, not by bytes: JSON is
-parsed, every array of numbers becomes a float64 array (as does a
-``{"shape": [...], <key>: "<base64 of little-endian float64>"}`` payload),
-and the ``dataset`` and ``workdir`` paths are dropped. ``vectors.json`` and
-``keywords.json`` are compared as their ordered (name, row) pairs, whether a
-tree stores them as one entry per row or as names beside one matrix, and the
-report says so. Other files are compared as text. The report counts, each
+parsed, every ``{"shape": [...], "f8": "<base64 of little-endian float64>"}``
+payload becomes a float64 array, and the ``dataset`` and ``workdir`` paths
+are dropped. Other files are compared as text. The report counts, each
 separately: byte-identical files, files identical by value, the largest
 absolute float difference per artifact, identical training predictions,
 cluster labels and k-means partitions (cluster ids per training row), and
@@ -134,55 +131,22 @@ def run(tree: Path, inputs: Path, out: Path) -> None:
 # --- phase 3: comparison --------------------------------------------------
 
 def decode(value):
-    """JSON value with float arrays as numpy arrays and path keys dropped."""
+    """JSON value with each float payload as a numpy array and path keys dropped."""
     if isinstance(value, dict):
-        payload = [v for k, v in value.items() if k != "shape" and isinstance(v, str)]
-        if "shape" in value and len(value) == 2 and len(payload) == 1:
-            raw = np.frombuffer(base64.b64decode(payload[0]), dtype="<f8")
-            return raw.reshape(value["shape"]).astype(np.float64)
+        if value.keys() == {"shape", "f8"}:
+            return np.frombuffer(base64.b64decode(value["f8"]), "<f8").reshape(value["shape"])
         return {k: decode(v) for k, v in value.items() if k not in PATH_KEYS}
     if isinstance(value, list):
-        try:
-            arr = np.array(value)
-        except ValueError:  # ragged
-            arr = None
-        if arr is not None and arr.size and arr.dtype.kind in "fiu":
-            return arr.astype(np.float64)
         return [decode(v) for v in value]
     return value
-
-
-def named_rows(value) -> dict:
-    """A decoded ``vectors.json`` or ``keywords.json`` as its names in order and
-    one ``[n, dim]`` matrix of their rows. Either layout: a list of
-    ``{"contract_hash", "values"}`` or a word -> row map, one entry per row; or
-    ``{"hashes" | "words": [...], "values" | "vectors": <matrix or null>}``. The
-    ``format`` and ``version`` keys of the artifact header are kept beside them."""
-    header = {}
-    if isinstance(value, dict):
-        header = {key: value.pop(key) for key in ("format", "version") if key in value}
-    if isinstance(value, list):
-        pairs = [(v["contract_hash"], v["values"]) for v in value]
-    elif value.keys() in ({"hashes", "values"}, {"words", "vectors"}) and isinstance(
-            names := value.get("hashes", value.get("words")), list):
-        matrix = value.get("values", value.get("vectors"))
-        pairs = list(zip(names, [] if matrix is None else matrix))
-    else:
-        pairs = list(value.items())
-    return {**header, "names": [name for name, _ in pairs],
-            "rows": np.array([row for _, row in pairs])}
-
-
-NAMED_ROWS = {"vectors.json", "keywords.json"}
 
 
 def read(path: Path):
     text = path.read_text("utf-8")
     try:
-        value = decode(json.loads(text))
+        return decode(json.loads(text))
     except json.JSONDecodeError:
         return text
-    return named_rows(value) if path.name in NAMED_ROWS else value
 
 
 def differences(a, b, where: str, floats: dict[str, float]) -> list[tuple[str, str, str]]:
@@ -262,7 +226,6 @@ def compare(out_a: Path, out_b: Path, runs: list[dict]) -> tuple[list[str], bool
               max(len(scans_a), len(scans_b)))
 
     lines = [f"{key}: {same}/{total} identical" for key, (same, total) in counts.items()]
-    lines.append(f"{' and '.join(sorted(NAMED_ROWS))}: compared by their (name, row) pairs")
     lines.append("largest absolute float difference per artifact, over the runs of each family:")
     families = sorted({key.split(" ")[0] for key in worst})
     lines += [f"  {family}: " + ", ".join(f"{key.split(' ')[1]} {diff:.3g}" for key, diff
