@@ -17,12 +17,9 @@ import threading
 import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from http.client import HTTPException
 from pathlib import Path
 from typing import Iterator
-from urllib.error import HTTPError
 from urllib.parse import urlencode
-from urllib.request import urlopen
 
 from ._artifact import nonempty, read_json, strings, write_json
 from .errors import (
@@ -154,7 +151,8 @@ class ExplorerClient:
     API keys are read from ``ETHCLUSTER_APIKEY_<CHAIN>`` (chain upper-cased).
     Fetches for distinct addresses may run concurrently; the per-chain token
     bucket bounds the request rate. Each fetch opens its own connection, so
-    ``close()`` has nothing to release.
+    ``close()`` has nothing to release. The HTTP modules load on the first
+    fetch, so no command but ``ingest`` loads them.
     """
 
     def __init__(self, endpoints: dict[str, str] | None = None,
@@ -178,6 +176,10 @@ class ExplorerClient:
 
     def fetch_verified_source(self, chain: str, address: str) -> ContractRecord:
         """Fetch one verified contract's source and wrap it as a record."""
+        from http.client import HTTPException
+        from urllib.error import HTTPError
+        from urllib.request import urlopen
+
         if chain not in self.endpoints:
             raise InvalidInput(f"unknown chain {chain!r}; configured: {sorted(self.endpoints)}")
         address = _check_address(address)

@@ -17,12 +17,21 @@ def test_version_matches_pyproject():
     assert ethcluster.__version__ == version.group(1)
 
 
-def test_cli_imports_without_requests():
-    # the explorer client uses the standard library; a None entry in
-    # sys.modules makes any import of requests fail
+HTTP_MODULES = ("urllib.request", "urllib.error", "http.client", "ssl", "socket", "email")
+
+
+def test_cli_imports_without_http_or_requests():
+    # only ingest's fetch talks HTTP, so importing the CLI must not load the
+    # HTTP stack; the diff against the interpreter's own start-up set keeps
+    # modules that site hooks load out. A None entry in sys.modules makes any
+    # import of requests fail: the explorer client uses the standard library.
     package_root = str(Path(ethcluster.__file__).resolve().parents[1])
     path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
-    code = 'import sys; sys.modules["requests"] = None; import ethcluster.cli'
+    code = ('import sys; sys.modules["requests"] = None; before = set(sys.modules); '
+            'import ethcluster.cli; print(" ".join(sorted(set(sys.modules) - before)))')
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": path}, timeout=60)
     assert result.returncode == 0, result.stderr
+    added = result.stdout.split()
+    assert "ethcluster.cli" in added
+    assert [m for m in added if m in HTTP_MODULES or m.startswith("email.")] == []
