@@ -634,6 +634,24 @@ class TestIngestCli:
         assert "stored=1" in out
         assert sleeps, "a 429 should trigger a backoff sleep before the retry"
 
+    def test_ingest_gives_up_after_six_rate_limited_tries(self, mock_explorer, tmp_path,
+                                                          capsys, monkeypatch):
+        import ethcluster.cli as cli_mod
+
+        sleeps = []
+        monkeypatch.setattr(cli_mod.time, "sleep", sleeps.append)
+        mock_explorer.behaviors[ADDR_1] = ("http", 429)
+        addresses = tmp_path / "a.txt"
+        addresses.write_text(ADDR_1 + "\n", "utf-8")
+        assert main(["ingest", "--chain", "etherscan", "--addresses", str(addresses),
+                     "--store", str(tmp_path / "store.ndjson"),
+                     "--endpoint", explorer_url(mock_explorer), "--rate", "1000"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(mock_explorer.queries) == 6
+        assert sleeps == [2.0, 4.0, 8.0, 16.0, 30.0]
+        assert f"{ADDR_1} failed: rate limited after 6 tries" in out
+        assert "stored=0 duplicate=0 failed=1" in out[-1]
+
     def test_malformed_payloads_fail_and_the_loop_goes_on(self, mock_explorer, tmp_path,
                                                            capsys):
         url = explorer_url(mock_explorer)

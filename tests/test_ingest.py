@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -199,12 +200,22 @@ class TestFetch:
 
 class TestTokenBucket:
     @pytest.fixture()
-    def sleeps(self, monkeypatch):
-        """The seconds slept, on a fake clock that each sleep moves on."""
-        slept = []
-        monkeypatch.setattr(time, "monotonic", lambda: sum(slept))
-        monkeypatch.setattr(time, "sleep", slept.append)
-        return slept
+    def clock(self, monkeypatch):
+        """A fake clock at ``now`` seconds; each sleep is recorded in ``slept`` and moves it on."""
+        clock = SimpleNamespace(now=0.0, slept=[])
+
+        def sleep(seconds):
+            clock.slept.append(seconds)
+            clock.now += seconds
+
+        monkeypatch.setattr(time, "monotonic", lambda: clock.now)
+        monkeypatch.setattr(time, "sleep", sleep)
+        return clock
+
+    @pytest.fixture()
+    def sleeps(self, clock):
+        """The seconds slept on the fake clock."""
+        return clock.slept
 
     @pytest.mark.parametrize("rate, acquires, waited", [
         (0.5, 3, 4.0),   # one at once, then one every 2 s
@@ -216,6 +227,22 @@ class TestTokenBucket:
         for _ in range(acquires):
             bucket.acquire()
         assert sum(sleeps) == pytest.approx(waited)
+        assert all(seconds > 0 for seconds in sleeps)
+
+    @pytest.mark.parametrize("rate, bursts, waited", [
+        (2.5, [(0.0, 3)], 0.2),              # a capacity of 2.5 lends half a token
+        (4.0, [(0.0, 4), (0.5, 3)], 0.25),   # half a second idle refills two tokens
+        (0.5, [(0.0, 1), (10.0, 2)], 2.0),   # idling never fills past the capacity of 1
+    ])
+    def test_bucket_refills_while_idle(self, clock, rate, bursts, waited):
+        """``bursts`` holds (seconds idle, then acquires) pairs."""
+        bucket = TokenBucket(rate)
+        for idle, acquires in bursts:
+            clock.now += idle
+            for _ in range(acquires):
+                bucket.acquire()
+        assert sum(clock.slept) == pytest.approx(waited)
+        assert all(seconds > 0 for seconds in clock.slept)
 
 
 class TestStore:
