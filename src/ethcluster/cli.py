@@ -46,27 +46,21 @@ def cmd_ingest(args) -> int:
     lines = map(str.strip, Path(args.addresses).read_text("utf-8", errors="replace").splitlines())
     addresses = [line for line in lines if line and not line.startswith("#")]
     outcomes = {"stored": 0, "duplicate": 0, "failed": 0}
-    with ExplorerClient(endpoints=endpoints, rate_per_second=args.rate) as client:
-        for address in addresses:
-            attempt = 0
-            while True:
-                try:
-                    record = client.fetch_verified_source(args.chain, address)
-                    result = store.put(record)
-                    outcomes[result] += 1
-                    print(f"{address} {result}")
-                    break
-                except RateLimited:
-                    attempt += 1
-                    if attempt > RATE_LIMIT_RETRIES:
-                        outcomes["failed"] += 1
-                        print(f"{address} failed: rate limited after {attempt} tries")
-                        break
+    client = ExplorerClient(endpoints=endpoints, rate_per_second=args.rate)
+    for address in addresses:
+        for attempt in range(1, RATE_LIMIT_RETRIES + 2):
+            try:
+                result = store.put(client.fetch_verified_source(args.chain, address))
+                break
+            except RateLimited:
+                result = f"failed: rate limited after {attempt} tries"
+                if attempt <= RATE_LIMIT_RETRIES:
                     time.sleep(min(2.0 ** attempt, 30.0))
-                except EthClusterError as exc:
-                    outcomes["failed"] += 1
-                    print(f"{address} failed: {exc}")
-                    break
+            except EthClusterError as exc:
+                result = f"failed: {exc}"
+                break
+        outcomes[result.partition(":")[0]] += 1
+        print(f"{address} {result}")
     print(f"stored={outcomes['stored']} duplicate={outcomes['duplicate']} "
           f"failed={outcomes['failed']} store={args.store}")
     return 0
@@ -267,15 +261,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except PipelineStageError as exc:
         payload = {"error": type(exc.cause).__name__, "message": str(exc.cause), "stage": exc.stage}
-        print(json.dumps(payload), file=sys.stderr)
-        return 1
     except EthClusterError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(payload), file=sys.stderr)
-        return 1
     except OSError as exc:
-        print(json.dumps({"error": "PathError", "message": str(exc)}), file=sys.stderr)
-        return 1
+        payload = {"error": "PathError", "message": str(exc)}
+    print(json.dumps(payload), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -123,26 +123,25 @@ class ContractRecord:
 
 
 class TokenBucket:
-    """Token-bucket rate limiter holding one second's worth of requests, and at least one."""
+    """Token-bucket rate limiter holding one second's worth of requests, and at least one.
+
+    It is held as one timestamp, the time the bucket is next full (GCRA's virtual
+    scheduling, ITU-T I.371): ``acquire`` books its start under the lock and sleeps until it.
+    """
 
     def __init__(self, rate: float):
         self.rate = rate
         self._capacity = max(rate, 1.0)
-        self._tokens = self._capacity
-        self._last = time.monotonic()
+        self._full_at = time.monotonic()
         self._lock = threading.Lock()
 
     def acquire(self) -> None:
-        while True:
-            with self._lock:
-                now = time.monotonic()
-                self._tokens = min(self._capacity, self._tokens + (now - self._last) * self.rate)
-                self._last = now
-                if self._tokens >= 1.0:
-                    self._tokens -= 1.0
-                    return
-                wait = (1.0 - self._tokens) / self.rate
-            time.sleep(wait)
+        with self._lock:
+            now = time.monotonic()
+            self._full_at = max(self._full_at, now) + 1.0 / self.rate
+            start = self._full_at - self._capacity / self.rate
+        if start > now:
+            time.sleep(start - now)
 
 
 class ExplorerClient:
@@ -150,9 +149,9 @@ class ExplorerClient:
 
     API keys are read from ``ETHCLUSTER_APIKEY_<CHAIN>`` (chain upper-cased).
     Fetches for distinct addresses may run concurrently; the per-chain token
-    bucket bounds the request rate. Each fetch opens its own connection, so
-    ``close()`` has nothing to release. The HTTP modules load on the first
-    fetch, so no command but ``ingest`` loads them.
+    bucket bounds the request rate. Each fetch opens its own connection. The
+    HTTP modules load on the first fetch, so no command but ``ingest`` loads
+    them.
     """
 
     def __init__(self, endpoints: dict[str, str] | None = None,
@@ -161,15 +160,6 @@ class ExplorerClient:
             raise InvalidInput(f"rate must be a finite number > 0, got {rate_per_second}")
         self.endpoints = dict(DEFAULT_ENDPOINTS if endpoints is None else endpoints)
         self._buckets = {chain: TokenBucket(rate_per_second) for chain in self.endpoints}
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "ExplorerClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def api_key(self, chain: str) -> str:
         return os.environ.get(APIKEY_ENV_PREFIX + chain.upper(), "")

@@ -255,12 +255,12 @@ def test_criterion_9_cross_chain_dedup(mock_explorer, tmp_path):
         mock_explorer.behaviors[addr_b] = ("ok", source)
 
         store = ContractStore(tmp_path / "store.ndjson")
-        with ExplorerClient(
+        client = ExplorerClient(
             endpoints={"etherscan": url, "bscscan": url},
             rate_per_second=1000.0,
-        ) as client:
-            first = client.fetch_verified_source("etherscan", addr_a)
-            second = client.fetch_verified_source("bscscan", addr_b)
+        )
+        first = client.fetch_verified_source("etherscan", addr_a)
+        second = client.fetch_verified_source("bscscan", addr_b)
         # simulate differing explorer metadata for the same code
         second = ContractRecord(
             chain=second.chain, address=second.address, source=second.source,

@@ -95,9 +95,8 @@ class TestAddressValidation:
 class TestFetch:
     @pytest.fixture()
     def client(self, mock_explorer):
-        with ExplorerClient(endpoints={"etherscan": explorer_url(mock_explorer)},
-                            rate_per_second=1000.0) as client:
-            yield client
+        return ExplorerClient(endpoints={"etherscan": explorer_url(mock_explorer)},
+                              rate_per_second=1000.0)
 
     def test_fixed_payload(self, mock_explorer, client):
         mock_explorer.behaviors[ADDR_A] = ("ok", "contract Fixed { uint x; }")
@@ -141,8 +140,9 @@ class TestFetch:
             client.fetch_verified_source("etherscan", ADDR_A)
 
     def test_connection_refused(self):
-        with ExplorerClient(endpoints={"etherscan": "http://127.0.0.1:1/api"},
-                            rate_per_second=1000.0) as client, pytest.raises(TransportError):
+        client = ExplorerClient(endpoints={"etherscan": "http://127.0.0.1:1/api"},
+                                rate_per_second=1000.0)
+        with pytest.raises(TransportError):
             client.fetch_verified_source("etherscan", ADDR_A)
 
     @pytest.mark.parametrize("behavior", ["short", "garbage"],
@@ -159,14 +159,14 @@ class TestFetch:
         # the fragment swallows the query, so a client that opened file URLs
         # would read the payload and return a record
         endpoint = payload.resolve().as_uri() + "#"
-        with ExplorerClient(endpoints={"etherscan": endpoint},
-                            rate_per_second=1000.0) as client, pytest.raises(TransportError):
+        client = ExplorerClient(endpoints={"etherscan": endpoint}, rate_per_second=1000.0)
+        with pytest.raises(TransportError):
             client.fetch_verified_source("etherscan", ADDR_A)
 
     def test_endpoint_query_is_kept(self, mock_explorer):
         endpoint = explorer_url(mock_explorer) + "?chainid=1"
-        with ExplorerClient(endpoints={"etherscan": endpoint}, rate_per_second=1000.0) as client:
-            client.fetch_verified_source("etherscan", ADDR_A)
+        client = ExplorerClient(endpoints={"etherscan": endpoint}, rate_per_second=1000.0)
+        client.fetch_verified_source("etherscan", ADDR_A)
         [query] = mock_explorer.queries
         assert query["chainid"] == ["1"]
         assert query["module"] == ["contract"]
@@ -179,9 +179,9 @@ class TestFetch:
 
     def test_api_key_from_environment(self, monkeypatch):
         monkeypatch.setenv("ETHCLUSTER_APIKEY_ETHERSCAN", "sekrit")
-        with ExplorerClient() as client:
-            assert client.api_key("etherscan") == "sekrit"
-            assert client.api_key("bscscan") == ""
+        client = ExplorerClient()
+        assert client.api_key("etherscan") == "sekrit"
+        assert client.api_key("bscscan") == ""
 
     def test_concurrent_fetches_into_one_store(self, mock_explorer, client, tmp_path):
         from concurrent.futures import ThreadPoolExecutor
