@@ -127,21 +127,22 @@ class TokenBucket:
 
     It is held as one timestamp, the time the bucket is next full (GCRA's virtual
     scheduling, ITU-T I.371): ``acquire`` books its start under the lock and sleeps until it.
+    Time is counted in token intervals (seconds * rate), so each booking adds exactly 1.
     """
 
     def __init__(self, rate: float):
         self.rate = rate
         self._capacity = max(rate, 1.0)
-        self._full_at = time.monotonic()
+        self._full_at = time.monotonic() * rate
         self._lock = threading.Lock()
 
     def acquire(self) -> None:
         with self._lock:
-            now = time.monotonic()
-            self._full_at = max(self._full_at, now) + 1.0 / self.rate
-            start = self._full_at - self._capacity / self.rate
+            now = time.monotonic() * self.rate
+            self._full_at = max(self._full_at, now) + 1.0
+            start = self._full_at - self._capacity
         if start > now:
-            time.sleep(start - now)
+            time.sleep((start - now) / self.rate)
 
 
 class ExplorerClient:

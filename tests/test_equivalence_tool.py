@@ -94,3 +94,10 @@ def test_changed_header_version_is_a_value_difference(trees):
     assert "  1 x vectors.json.version: value" in lines
     [note] = [line for line in lines if line.startswith("  mix-reentrancy-1/")]
     assert note.startswith("  mix-reentrancy-1/vectors.json.version: ")
+
+
+def test_environment_names_numpy_and_its_blas():
+    env = equivalence.environment()
+    assert set(env) == {"numpy", "openblas configuration", "kernel"}
+    assert env["numpy"] == np.__version__
+    assert all(isinstance(value, str) and value for value in env.values())

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import sys
+import threading
 import time
 from types import SimpleNamespace
 
@@ -243,6 +245,32 @@ class TestTokenBucket:
                 bucket.acquire()
         assert sum(clock.slept) == pytest.approx(waited)
         assert all(seconds > 0 for seconds in clock.slept)
+
+    def test_concurrent_acquires_book_distinct_starts(self, monkeypatch):
+        """On a stopped clock, 400 acquires from 8 threads at rate 100 take the
+        100 tokens at once and book one start every 0.01 s after them; a lost
+        update of the booking would repeat a start."""
+        slept = []
+        monkeypatch.setattr(time, "monotonic", lambda: 0.0)
+        monkeypatch.setattr(time, "sleep", slept.append)
+        bucket = TokenBucket(100.0)
+
+        def acquire_50():
+            for _ in range(50):
+                bucket.acquire()
+
+        threads = [threading.Thread(target=acquire_50) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(slept) == pytest.approx([(i + 1) / 100 for i in range(300)])
 
 
 class TestStore:

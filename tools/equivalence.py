@@ -32,6 +32,11 @@ every difference other than in float values: first one count per kind (the
 path with list indices dropped, and what differs: its keys, its shape or its
 value), then each entry.
 
+Each tree's ``run`` phase also writes ``environment.json``: the numpy
+version, numpy's ``openblas configuration`` string and the kernel the loaded
+OpenBLAS picked. The report prints both, and says when they differ, because
+the learned artifacts' bytes change with the OpenBLAS kernel.
+
 Exit status: 0 when every count but the byte count is complete, 1
 otherwise. Needs only the standard library and numpy (the input phase
 imports ``tests/conftest.py``, which imports pytest); it is not part of the
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import base64
+import ctypes
 import json
 import os
 import random
@@ -69,6 +75,9 @@ MIXES = {
     "unchecked_call": ((3, 2, 5), {}),
 }
 PATH_KEYS = ("dataset", "workdir")
+# the kernel-name getter of a plain OpenBLAS and of numpy's wheel build, 32- and 64-bit int
+CORENAME_SYMBOLS = tuple(f"{prefix}openblas_get_corename{suffix}"
+                         for prefix in ("", "scipy_") for suffix in ("", "64_"))
 LIST_INDEX = re.compile(r"\[\d+\]")
 
 
@@ -113,12 +122,44 @@ def prepare(tree: Path, inputs: Path, seeds: int) -> None:
 
 # --- phase 2: one tree's outputs ------------------------------------------
 
+def environment() -> dict[str, str]:
+    """numpy's version, its OpenBLAS build and the kernel that build picked at
+    load time: the learned artifacts' bytes hold only for all three."""
+    try:
+        configuration = np.show_config(mode="dicts")["Build Dependencies"]["blas"].get(
+            "openblas configuration", "unknown")
+    except (TypeError, KeyError):
+        configuration = "unknown"
+    return {"numpy": np.__version__, "openblas configuration": configuration,
+            "kernel": _openblas_kernel()}
+
+
+def _openblas_kernel() -> str:
+    """The ``*get_corename*`` answer of the OpenBLAS this process loaded, found
+    through ``/proc/self/maps``; ``"unknown"`` where there is none."""
+    try:
+        maps = Path("/proc/self/maps").read_text("utf-8")
+    except OSError:
+        return "unknown"
+    paths = {parts[5] for parts in map(str.split, maps.splitlines())
+             if len(parts) == 6 and "openblas" in Path(parts[5]).name.lower()}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for symbol in CORENAME_SYMBOLS:
+            corename = getattr(lib, symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode("ascii")
+    return "unknown"
+
+
 def run(tree: Path, inputs: Path, out: Path) -> None:
     """Train and scan every run; the relative workdir keeps paths equal."""
     sys.path.insert(0, str(tree / "src"))
     from ethcluster.pipeline import PipelineConfig, run_pipeline, scan_contract
 
     out.mkdir(parents=True)
+    (out / "environment.json").write_text(json.dumps(environment()), "utf-8")
     os.chdir(out)
     for spec in json.loads((inputs / "runs.json").read_text("utf-8")):
         config = PipelineConfig.resolve({**spec["config"], "workdir": spec["name"]})
@@ -263,7 +304,15 @@ def main(argv: list[str] | None = None) -> int:
             _subprocess(tree, "--phase", "run", str(tree), str(inputs), str(work / side))
         runs = json.loads((inputs / "runs.json").read_text("utf-8"))
         lines, ok = compare(work / "parent", work / "change", runs)
+        envs = [json.loads((work / side / "environment.json").read_text("utf-8"))
+                for side in ("parent", "change")]
     print(f"{len(runs)} runs: parent {trees[0]} vs change {trees[1]}")
+    for side, env in zip(("parent", "change"), envs):
+        print(f"{side} BLAS: numpy {env['numpy']}, {env['openblas configuration']}, "
+              f"kernel {env['kernel']}")
+    if envs[0] != envs[1]:
+        print("the trees ran under different BLAS environments, so the byte counts "
+              "are not comparable")
     print("\n".join(lines))
     return 0 if ok else 1
 
