@@ -1,31 +1,28 @@
 """Hot numeric loops over numpy arrays.
 
-There is one implementation of each kernel. The SGD kernel keeps the word2vec
-update order: one (center, target) pair per skip-gram step, and within a step
-the target first, then each noise word that differs from it, in row order,
-each scored against its output row as the words before it left that row.
+There is one implementation of each kernel. The SGD kernel is minibatch SGD
+on the negative-sampling objective (HogBatch, Ji et al. 2016,
+arXiv:1604.04661). It enumerates the skip-gram (center, target) pairs in
+word2vec's order and cuts them into batches: runs of consecutive center
+positions holding at most ``BATCH`` pairs. Every pair of a batch is scored
+against the weights as they stood before the batch, and each row of ``w_in``
+and ``w_out`` then takes the sum of its pairs' steps. That is one SGD step on
+the batch's summed ``embed.negative_sampling_loss``, at per-pair learning
+rates; a noise word equal to its pair's target counts for nothing.
 
-``skipgram_doc`` hands each step to ``_negative_step``, which does it in one
-gather, one matrix-vector product, one k=1 product for the row update and one
-scatter, with one int64 index array for both the gather and the scatter.
-That rests on two facts about the order.
-The input vector ``h`` is fixed within a step: skip-gram adds the input
-gradient only after the step. And an output row moves only through its own
-updates, ``u += g * h``. So a word seen earlier in the step with summed
-coefficient ``c`` now has the row ``u0 + c * h``: its score is
-``u0 . h + c * (h . h)``, and it adds ``g * u0 + g * c * h`` to the input
-gradient. Results match the one-word-at-a-time loop to rounding, and
-``tests/test_kernels.py`` pins them bit for bit against the step before its
-numpy calls were trimmed, save that the k=1 product gives -0.0 as +0.0: that
-moves only a -0.0 in ``w_out``, which training never makes (zero start).
+A batch works on its distinct input rows ``H`` and distinct output rows
+``U``, found with ``np.unique``. The scores are gathered from ``H @ U.T``,
+the coefficients ``(label - sigma) * alpha`` are summed into the matrix ``C``
+of distinct input rows by distinct output rows, and the rows move by
+``C @ U`` and ``C.T @ H``. So a batch's temporaries hold at most
+``BATCH * (1 + k)`` scores, ``BATCH`` x ``BATCH * (1 + k)`` coefficients and
+distinct-rows x dim row blocks, never a vocabulary-wide array.
 
 All pseudo-randomness (window sizes, negative samples) is drawn outside the
 kernels, so the random stream never depends on how a kernel is written.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -35,82 +32,66 @@ def numba_enabled() -> bool:
     return False
 
 
-# Sigmoid inputs are clamped so math.exp never overflows; sigma(30) is 1 to
+# Sigmoid inputs are clamped so exp never overflows; sigma(30) is 1 to
 # within 1e-13, far below any gradient that still moves a weight.
 _MAX_SCORE = 30.0
 
+#: Most skip-gram pairs in one minibatch SGD step.
+BATCH = 64
 
-def _negative_step(w_out, h, words, alpha):
-    """One negative-sampling step for the input vector ``h``.
 
-    words: the target, then the drawn noise words (those equal to the target
-    are skipped). Updates the rows of ``w_out`` in place and returns the
-    input-side gradient and the step loss.
-    """
-    target = words[0]
-    slots = {}
-    for word in words:
-        slots.setdefault(word, len(slots))
-    idx = np.array(list(slots))
-    rows = w_out.take(idx, axis=0)
-    scores = rows.dot(h).tolist()
-    coef = [0.0] * len(idx)
-    exp, log = math.exp, math.log
-    loss = repeat = 0.0
-    hh = None
-    label = 1.0
-    for word in words:
-        if label == 0.0 and word == target:
-            continue
-        s = slots[word]
-        prior = coef[s]
-        f = scores[s]
-        if prior:  # the row already moved by prior * h in this step
-            if hh is None:
-                hh = float(h.dot(h))
-            f += prior * hh
-        if f > _MAX_SCORE:
-            f = _MAX_SCORE
-        elif f < -_MAX_SCORE:
-            f = -_MAX_SCORE
-        sig = 1.0 / (1.0 + exp(-f))
-        loss -= log(sig) if label == 1.0 else log(1.0 - sig)
-        g = (label - sig) * alpha
-        repeat += g * prior
-        coef[s] = prior + g
-        label = 0.0
-    c = np.array(coef)
-    grad = c.dot(rows)
-    if repeat:
-        grad += repeat * h
-    rows += np.dot(c[:, None], h[None, :])  # each entry is the one product c_i * h_j
-    w_out[idx] = rows
-    return grad, loss
+def _batch_ends(counts):
+    """Pair offsets at which the batches end, given the pairs per position:
+    each batch is the longest run of positions holding at most ``BATCH``
+    pairs, or one position alone when it holds more."""
+    ends = []
+    start = prev = 0
+    for end in np.cumsum(counts).tolist():
+        if end - start > BATCH and prev > start:
+            ends.append(prev)
+            start = prev
+        prev = end
+    if prev > start:
+        ends.append(prev)
+    return ends
 
 
 def skipgram_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
-    """One skip-gram pass over a single document.
+    """Minibatch skip-gram SGD over a run of positions.
 
     doc: int64[n] vocabulary indices; win_lo/win_hi: inclusive context span
-    per position; negatives: int64[n_pairs, k] noise words, rows consumed in
-    pair-enumeration order; alphas: float64[n] per-position learning rate.
-    Updates w_in / w_out in place, returns the summed pair loss.
+    per position, holding the position itself; negatives: int64[n_pairs, k]
+    noise words, one row per pair in pair-enumeration order; alphas:
+    float64[n] per-position learning rate. Updates w_in / w_out in place and
+    returns the summed pair loss, each pair scored at its batch's start.
     """
-    words = doc.tolist()
-    noise = negatives.tolist()
+    counts = win_hi - win_lo
+    pos = np.repeat(np.arange(len(doc)), counts)  # the center position of each pair
+    ctx = np.arange(len(pos)) - np.repeat(np.cumsum(counts) - counts - win_lo, counts)
+    ctx += ctx >= pos  # skip the center itself
+    centers = doc[pos]
+    words = np.column_stack((doc[ctx], negatives))  # the target, then the noise words
+    label = np.zeros(words.shape[1])
+    label[0] = 1.0
+    keep = np.ones(words.shape)
+    keep[:, 1:] = negatives != words[:, :1]
+    rate = alphas[pos][:, None] * keep
     loss = 0.0
-    pair = 0
-    for i, center in enumerate(words):
-        v = w_in[center]
-        alpha = float(alphas[i])
-        for j in range(int(win_lo[i]), int(win_hi[i]) + 1):
-            if j == i:
-                continue
-            # v moves only after the step, so the step sees it fixed
-            grad, step_loss = _negative_step(w_out, v, [words[j]] + noise[pair], alpha)
-            v += grad
-            loss += step_loss
-            pair += 1
+    start = 0
+    for end in _batch_ends(counts):
+        rows_in, ci = np.unique(centers[start:end], return_inverse=True)
+        rows_out, wi = np.unique(words[start:end], return_inverse=True)
+        wi = wi.reshape(end - start, -1)
+        h, u = w_in[rows_in], w_out[rows_out]
+        f = np.clip(h.dot(u.T)[ci[:, None], wi], -_MAX_SCORE, _MAX_SCORE)
+        sig = 1.0 / (1.0 + np.exp(-f))
+        loss -= float((np.log(np.where(label, sig, 1.0 - sig)) * keep[start:end]).sum())
+        flat = (ci[:, None] * len(rows_out) + wi).ravel()
+        g = ((label - sig) * rate[start:end]).ravel()
+        c = np.bincount(flat, g, len(rows_in) * len(rows_out)).reshape(len(rows_in), -1)
+        w_in[rows_in] = h + c.dot(u)
+        w_out[rows_out] = u + c.T.dot(h)
+        start = end
     return loss
 
 

@@ -1,9 +1,12 @@
 """Word embeddings over the token corpus.
 
-Skip-gram with negative sampling, trained by plain SGD with a linear
-learning-rate decay. All randomness (window shrinking, noise words) comes
-from one seeded numpy generator drawn outside the hot loops, so training is
-bit-reproducible. The per-document SGD loop lives in ``_kernels``.
+Skip-gram with negative sampling, trained by minibatch SGD with a linear
+learning-rate decay: each step sums the steps of up to ``BATCH`` consecutive
+skip-gram pairs, all scored at the weights before it (``_kernels``). All
+randomness (window shrinking, noise words) comes from one seeded numpy
+generator drawn per document outside the hot loops, so training is
+bit-reproducible. Consecutive documents share a kernel call until it holds
+``BATCH`` pairs, so short documents still fill whole batches.
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ from .errors import EmptyCorpus, FormatError, InvalidInput
 WINDOW = 5
 NEGATIVE = 5
 LEARNING_RATE = 0.025
+
+#: Most skip-gram pairs per minibatch SGD step; a kernel call holds at least
+#: this many unless the epoch ends first.
+BATCH = _kernels.BATCH
 
 #: Floor of the linear learning-rate decay.
 MIN_LEARNING_RATE = 1e-4
@@ -150,7 +157,8 @@ def train_embedding(docs: Sequence[Sequence[str]], config: EmbeddingConfig) -> E
 
     position = 0
     for _ in range(config.epochs):
-        for doc in encoded:
+        call, offset, pairs = [], 0, 0
+        for i, doc in enumerate(encoded):
             n = len(doc)
             b = rng.integers(1, WINDOW + 1, size=n)
             pos = np.arange(n)
@@ -163,7 +171,13 @@ def train_embedding(docs: Sequence[Sequence[str]], config: EmbeddingConfig) -> E
             alphas = LEARNING_RATE - (LEARNING_RATE - MIN_LEARNING_RATE) * decay
             alphas = np.maximum(MIN_LEARNING_RATE, alphas)
             position += n
-            _kernels.skipgram_doc(w_in, w_out, doc, lo, hi, negs, alphas)
+            # windows shift with the document, so none crosses into another
+            call.append((doc, offset + lo, offset + hi, negs, alphas))
+            offset += n
+            pairs += len(negs)
+            if pairs >= BATCH or i == len(encoded) - 1:
+                _kernels.skipgram_doc(w_in, w_out, *map(np.concatenate, zip(*call)))
+                call, offset, pairs = [], 0, 0
 
     return EmbeddingModel(vocab=vocab, vectors=w_in, config=config)
 

@@ -1,13 +1,14 @@
 """The numpy kernels against scalar reference loops.
 
-The oracles below are plain per-dimension loops with the word2vec update
-order: one (center, target) pair at a time, the target first, then each
-noise word in row order, each updating its output row before the next is
-scored. The kernels must reproduce them to rounding, including when a noise
-row repeats a word, when a noise word equals the target, and when a word is
-its own context.
+The skip-gram oracle is a plain per-dimension loop of the minibatch rule: the
+(center, target) pairs in word2vec's order, cut into runs of consecutive
+positions holding at most ``BATCH`` pairs, and every pair of a run scored
+against the weights as they stood before it, each row then moved by the sum
+of its pairs' steps. The kernel must reproduce it to rounding, including when
+a noise row repeats a word, when a noise word equals the target, and when a
+word is its own context.
 
-The ``reference_*`` functions are earlier numpy forms of the kernels. The
+The ``reference_*`` functions are plain numpy forms of the kernels. The
 kernels must reproduce them bit for bit.
 """
 
@@ -17,7 +18,8 @@ import numpy as np
 import pytest
 
 from conftest import clean_source, reentrant_source, timestamp_source
-from ethcluster import _kernels
+from ethcluster import _kernels, embed
+from ethcluster._kernels import BATCH
 from ethcluster.cluster import kmeans_fit
 from ethcluster.embed import (
     EmbeddingConfig,
@@ -36,97 +38,77 @@ def _sigmoid_loss(f, label):
     return sig, (-math.log(sig) if label == 1.0 else -math.log(1.0 - sig))
 
 
+def _pairs_and_batches(win_lo, win_hi):
+    """The (center, context) positions in enumeration order, and the pair
+    indices of each batch: consecutive positions are taken while the batch
+    holds at most BATCH pairs, and a position holding more is a batch alone."""
+    by_position = []
+    pairs = []
+    for i in range(len(win_lo)):
+        by_position.append(list(range(len(pairs), len(pairs) + win_hi[i] - win_lo[i])))
+        pairs += [(i, j) for j in range(win_lo[i], win_hi[i] + 1) if j != i]
+    batches = [[]]
+    for group in by_position:
+        if batches[-1] and len(batches[-1]) + len(group) > BATCH:
+            batches.append([])
+        batches[-1].extend(group)
+    return pairs, [batch for batch in batches if batch]
+
+
+def _words(doc, negatives, pair, j):
+    """(word, label) of one pair: the target, then the noise words that differ from it."""
+    target = doc[j]
+    return [(target, 1.0)] + [(w, 0.0) for w in negatives[pair] if w != target]
+
+
 def oracle_skipgram(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
     dim = w_in.shape[1]
     loss = 0.0
-    pair = 0
-    for i in range(doc.shape[0]):
-        center = doc[i]
-        for j in range(win_lo[i], win_hi[i] + 1):
-            if j == i:
-                continue
-            target = doc[j]
-            grad_in = [0.0] * dim
-            for s in range(negatives.shape[1] + 1):
-                if s == 0:
-                    word, label = target, 1.0
-                else:
-                    word, label = negatives[pair, s - 1], 0.0
-                    if word == target:
-                        continue
+    pairs, batches = _pairs_and_batches(win_lo, win_hi)
+    for batch in batches:
+        before_in, before_out = w_in.copy(), w_out.copy()
+        for pair in batch:
+            i, j = pairs[pair]
+            center = doc[i]
+            for word, label in _words(doc, negatives, pair, j):
                 f = 0.0
                 for d in range(dim):
-                    f += w_in[center, d] * w_out[word, d]
+                    f += before_in[center, d] * before_out[word, d]
                 sig, term = _sigmoid_loss(f, label)
                 loss += term
                 g = (label - sig) * alphas[i]
                 for d in range(dim):
-                    grad_in[d] += g * w_out[word, d]
-                for d in range(dim):
-                    w_out[word, d] += g * w_in[center, d]
-            for d in range(dim):
-                w_in[center, d] += grad_in[d]
-            pair += 1
+                    w_in[center, d] += g * before_out[word, d]
+                    w_out[word, d] += g * before_in[center, d]
     return loss
 
 
-def reference_negative_step(w_out, h, words, alpha):
-    """The step before its numpy calls were trimmed: it indexes ``w_out`` by a
-    Python list twice, clamps with builtin ``min``/``max`` and forms the row
-    update with ``np.multiply.outer``."""
-    target = words[0]
-    slots = {}
-    for word in words:
-        slots.setdefault(word, len(slots))
-    idx = list(slots)
-    rows = w_out.take(idx, axis=0)
-    scores = rows.dot(h).tolist()
-    coef = [0.0] * len(idx)
-    exp, log = math.exp, math.log
-    loss = repeat = 0.0
-    hh = None
-    label = 1.0
-    for word in words:
-        if label == 0.0 and word == target:
-            continue
-        s = slots[word]
-        prior = coef[s]
-        f = scores[s]
-        if prior:
-            if hh is None:
-                hh = float(h.dot(h))
-            f += prior * hh
-        f = min(max(f, -_MAX_SCORE), _MAX_SCORE)
-        sig = 1.0 / (1.0 + exp(-f))
-        loss -= log(sig) if label == 1.0 else log(1.0 - sig)
-        g = (label - sig) * alpha
-        repeat += g * prior
-        coef[s] = prior + g
-        label = 0.0
-    c = np.array(coef)
-    grad = c.dot(rows)
-    if repeat:
-        grad += repeat * h
-    rows += np.multiply.outer(c, h)
-    w_out[idx] = rows
-    return grad, loss
-
-
 def reference_skipgram_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
-    words = doc.tolist()
-    noise = negatives.tolist()
+    """The minibatch step with the kernel's three products but none of its
+    index arithmetic: pairs and batches enumerated in Python, distinct rows
+    from sorted sets and the coefficients added one at a time."""
+    doc, negatives = doc.tolist(), negatives.tolist()
     loss = 0.0
-    pair = 0
-    for i, center in enumerate(words):
-        v = w_in[center]
-        alpha = float(alphas[i])
-        for j in range(int(win_lo[i]), int(win_hi[i]) + 1):
-            if j == i:
-                continue
-            grad, step_loss = reference_negative_step(w_out, v, [words[j]] + noise[pair], alpha)
-            v += grad
-            loss += step_loss
-            pair += 1
+    pairs, batches = _pairs_and_batches(win_lo.tolist(), win_hi.tolist())
+    for batch in batches:
+        steps = [(doc[pairs[p][0]], _words(doc, negatives, p, pairs[p][1]), float(alphas[pairs[p][0]]))
+                 for p in batch]
+        rows_in = sorted({center for center, _, _ in steps})
+        rows_out = sorted({word for _, words, _ in steps for word, _ in words})
+        h, u = w_in[rows_in], w_out[rows_out]
+        scores = h.dot(u.T)
+        f = np.array([scores[rows_in.index(center), rows_out.index(word)]
+                      for center, words, _ in steps for word, _ in words])
+        sig = (1.0 / (1.0 + np.exp(-np.clip(f, -_MAX_SCORE, _MAX_SCORE)))).tolist()
+        c = np.zeros((len(rows_in), len(rows_out)))
+        k = 0
+        for center, words, alpha in steps:
+            for word, label in words:
+                loss -= math.log(sig[k] if label else 1.0 - sig[k])
+                c[rows_in.index(center), rows_out.index(word)] += (label - sig[k]) * alpha
+                k += 1
+        w_in[rows_in] = h + c.dot(u)
+        w_out[rows_out] = u + c.T.dot(h)
     return loss
 
 
@@ -224,7 +206,8 @@ def _run_both(kernel, oracle, w_in, w_out, args):
     b_in, b_out = w_in.copy(), w_out.copy()
     loss = kernel(a_in, a_out, *args)
     expected = oracle(b_in, b_out, *args)
-    assert loss == pytest.approx(expected, rel=0, abs=1e-12)
+    # the kernel sums each batch's loss pairwise, the oracle term by term
+    assert loss == pytest.approx(expected, rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(a_in, b_in, rtol=0, atol=1e-12)
     np.testing.assert_allclose(a_out, b_out, rtol=0, atol=1e-12)
     # the case must move both matrices, or the comparison shows nothing
@@ -291,6 +274,57 @@ class TestSkipgram:
         _run_both(_kernels.skipgram_doc, oracle_skipgram, w_in, w_out,
                   (doc, lo, hi, negatives, np.full(4, 0.3)))
 
+    def test_one_token_document(self):
+        w_in, w_out = _weights(4, 3, 4)
+        before_in, before_out = w_in.copy(), w_out.copy()
+        loss = _kernels.skipgram_doc(w_in, w_out, np.array([2]), np.array([0]), np.array([0]),
+                                     np.zeros((0, 5), dtype=np.int64), np.array([0.3]))
+        assert loss == 0.0
+        assert np.array_equal(w_in, before_in) and np.array_equal(w_out, before_out)
+
+    @pytest.mark.parametrize("dim", [3, 10])
+    def test_run_longer_than_batch(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        w_in, w_out = _weights(dim, 12, dim)
+        doc = _skewed(rng, 12, 60)
+        lo, hi = _spans(rng, len(doc), 5)
+        negatives = _skewed(rng, 12, (int((hi - lo).sum()), 5))
+        assert len(_pairs_and_batches(lo, hi)[1]) >= 3
+        _run_both(_kernels.skipgram_doc, oracle_skipgram, w_in, w_out,
+                  (doc, lo, hi, negatives, np.linspace(0.3, 0.01, len(doc))))
+
+    def test_batch_boundary_inside_a_document(self):
+        # three documents in one call, as train_embedding concatenates them:
+        # a one-token document, then two whose windows are shifted by offset
+        rng = np.random.default_rng(41)
+        w_in, w_out = _weights(6, 10, 5)
+        lengths = [1, 9, 14]
+        doc = _skewed(rng, 10, sum(lengths))
+        spans = [_spans(rng, n, 5) for n in lengths]
+        offsets = np.cumsum([0] + lengths[:-1])
+        lo = np.concatenate([off + s[0] for off, s in zip(offsets, spans)])
+        hi = np.concatenate([off + s[1] for off, s in zip(offsets, spans)])
+        pairs, batches = _pairs_and_batches(lo, hi)
+        cuts = [pairs[batch[0]][0] for batch in batches[1:]]
+        assert any(offsets[2] < cut < sum(lengths) for cut in cuts)
+        negatives = _skewed(rng, 10, (len(pairs), 5))
+        _run_both(_kernels.skipgram_doc, oracle_skipgram, w_in, w_out,
+                  (doc, lo, hi, negatives, np.linspace(0.3, 0.01, len(doc))))
+
+    def test_position_with_more_pairs_than_batch_is_a_batch_alone(self):
+        rng = np.random.default_rng(42)
+        w_in, w_out = _weights(7, 8, 3)
+        n = BATCH + 6
+        doc = _skewed(rng, 8, n)
+        lo = np.zeros(n, dtype=np.int64)
+        hi = np.minimum(np.arange(n) + 1, n - 1)
+        hi[1] = n - 1  # position 1 sees the whole document
+        pairs, batches = _pairs_and_batches(lo, hi)
+        assert [len(batch) for batch in batches[:2]] == [1, n - 1]
+        negatives = _skewed(rng, 8, (len(pairs), 2))
+        _run_both(_kernels.skipgram_doc, oracle_skipgram, w_in, w_out,
+                  (doc, lo, hi, negatives, np.full(n, 0.05)))
+
 
 class TestTrainingWithOracleKernels:
     """``train_embedding`` run on the oracles gives the same vectors.
@@ -304,13 +338,99 @@ class TestTrainingWithOracleKernels:
         rng = np.random.default_rng(11)
         words = ["call", "value", "balance", "msg", "sender", "send", "require",
                  "now", "owner", "transfer", "amount", "mapping"]
-        docs = [[words[i] for i in _skewed(rng, len(words), n)] for n in (14, 9, 20, 12)]
+        docs = [[words[i] for i in _skewed(rng, len(words), n)] for n in (14, 9, 1, 20, 12)]
         config = EmbeddingConfig(vector_size=6, epochs=3, seed=3)
         expected = train_embedding(docs, config)
         monkeypatch.setattr(_kernels, "skipgram_doc", oracle_skipgram)
         got = train_embedding(docs, config)
         assert got.vocab == expected.vocab
         np.testing.assert_allclose(got.vectors, expected.vectors, rtol=0, atol=1e-12)
+
+
+def _replay_draws(docs, config):
+    """The per-document draws of ``train_embedding``, replayed with its loop:
+    (document, window start, window end, noise words, learning rates) per
+    document and epoch, in order."""
+    vocab, freqs = embed._build_vocab(docs)
+    cdf = embed._noise_cdf(freqs)
+    encoded = [np.array([vocab[w] for w in doc], dtype=np.int64) for doc in docs if doc]
+    rng = np.random.default_rng(config.seed)
+    rng.uniform(size=(len(vocab), config.vector_size))  # the initial w_in
+    total = config.epochs * sum(len(d) for d in encoded)
+    draws, position = [], 0
+    for _ in range(config.epochs):
+        for doc in encoded:
+            pos = np.arange(len(doc))
+            b = rng.integers(1, embed.WINDOW + 1, size=len(doc))
+            lo, hi = np.maximum(0, pos - b), np.minimum(len(doc) - 1, pos + b)
+            u = rng.random((int((hi - lo).sum()), embed.NEGATIVE))
+            negs = np.minimum(np.searchsorted(cdf, u, side="right"), len(vocab) - 1)
+            decay = (position + pos) / total
+            alphas = np.maximum(embed.MIN_LEARNING_RATE, embed.LEARNING_RATE
+                                - (embed.LEARNING_RATE - embed.MIN_LEARNING_RATE) * decay)
+            draws.append((doc, lo, hi, negs, alphas))
+            position += len(doc)
+    return draws
+
+
+class TestKernelCalls:
+    """What ``train_embedding`` hands the kernel: whole documents, in order,
+    with the draws of the per-document loop, windows shifted so that none
+    crosses a document, and calls closed once they hold BATCH pairs."""
+
+    # at seed 23 one call holds exactly BATCH pairs, so it must close there
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 23])
+    def test_calls_replay_the_per_document_draws(self, monkeypatch, seed):
+        rng = np.random.default_rng(60 + seed)
+        words = [f"w{i}" for i in range(15)]
+        lengths = [1, 40] + rng.integers(1, 16, size=8).tolist()
+        rng.shuffle(lengths)
+        docs = [[words[i] for i in _skewed(rng, len(words), n)] for n in lengths]
+        config = EmbeddingConfig(vector_size=4, epochs=2, seed=seed)
+        calls = []
+        kernel = _kernels.skipgram_doc
+
+        def record(w_in, w_out, *args):
+            calls.append([a.copy() for a in args])
+            return kernel(w_in, w_out, *args)
+
+        monkeypatch.setattr(_kernels, "skipgram_doc", record)
+        train_embedding(docs, config)
+
+        draws = _replay_draws(docs, config)
+        per_doc = len(draws) // config.epochs
+        per_epoch = [sum(int((hi - lo).sum()) for _, lo, hi, _, _ in draws[e:e + per_doc])
+                     for e in range(0, len(draws), per_doc)]
+        assert min(per_epoch) > BATCH
+        taken_docs, seen = 0, []
+        for doc, lo, hi, negs, alphas in calls:
+            pairs = int((hi - lo).sum())
+            assert len(negs) == pairs
+            sizes = np.diff([0] + _kernels._batch_ends(hi - lo))
+            assert sizes.sum() == pairs and (sizes <= BATCH).all()
+            if taken_docs % per_doc == 0:
+                seen.append(0)  # a new epoch starts with a new call
+            start = 0
+            while start < len(doc):
+                want_doc, want_lo, want_hi, want_negs, want_alphas = draws[taken_docs]
+                end = start + len(want_doc)
+                # the window stays inside its own document, shifted by start
+                assert np.array_equal(doc[start:end], want_doc)
+                assert np.array_equal(lo[start:end], start + want_lo)
+                assert np.array_equal(hi[start:end], start + want_hi)
+                assert start <= lo[start:end].min() and hi[start:end].max() < end
+                assert np.array_equal(alphas[start:end], want_alphas)
+                last = int((want_hi - want_lo).sum())
+                assert np.array_equal(negs[:last], want_negs)
+                negs = negs[last:]
+                start = end
+                taken_docs += 1
+            # a call closes as soon as it holds BATCH pairs, or at the end of an epoch
+            assert pairs - last < BATCH
+            assert pairs >= BATCH or taken_docs % per_doc == 0
+            seen[-1] += pairs
+        assert taken_docs == len(draws)
+        assert seen == per_epoch
 
 
 def _step_case(case, dim):
@@ -337,9 +457,30 @@ def _step_case(case, dim):
     return w_out, h, repeated
 
 
+def _one_pair(w_out, h, words):
+    """Kernel arguments for one pair: center word 0, whose input row is ``h``,
+    against ``words`` (the target, then the noise)."""
+    w_in = np.zeros_like(w_out)
+    w_in[0] = h
+    doc = np.array([0, words[0]], dtype=np.int64)
+    negatives = np.array([words[1:]], dtype=np.int64).reshape(1, -1)
+    return w_in, (doc, np.array([0, 1]), np.array([1, 1]), negatives, np.array([0.3, 0.3]))
+
+
 class TestBitEqualToReferenceStep:
-    """The kernels against the ``reference_*`` step: equal ``w_in`` and
-    ``w_out`` arrays and a loss with the same ``float.hex()``."""
+    """The kernel against ``reference_skipgram_doc``: equal ``w_in`` and
+    ``w_out`` arrays, and a loss equal to rounding (the kernel sums it
+    pairwise)."""
+
+    @staticmethod
+    def _both(w_in, w_out, args):
+        a_in, a_out = w_in.copy(), w_out.copy()
+        b_in, b_out = w_in.copy(), w_out.copy()
+        loss = _kernels.skipgram_doc(a_in, a_out, *args)
+        expected = reference_skipgram_doc(b_in, b_out, *args)
+        assert a_in.tobytes() == b_in.tobytes() and a_out.tobytes() == b_out.tobytes()
+        assert loss == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        return a_in, a_out
 
     @pytest.mark.parametrize("dim", [1, 10, 300])
     @pytest.mark.parametrize("case", ["repeated-noise", "target-in-noise", "all-noise-is-target",
@@ -351,33 +492,23 @@ class TestBitEqualToReferenceStep:
         assert {"above+30": (scores > _MAX_SCORE).all(),
                 "below-30": (scores < -_MAX_SCORE).all(),
                 "exactly+-30": set(np.abs(scores)) == {_MAX_SCORE}}.get(case, True)
-        a_out, b_out = w_out.copy(), w_out.copy()
-        grad, loss = _kernels._negative_step(a_out, h.copy(), words, 0.3)
-        expected_grad, expected_loss = reference_negative_step(b_out, h.copy(), words, 0.3)
-        assert np.array_equal(grad, expected_grad)
-        assert np.array_equal(a_out, b_out)
-        assert loss.hex() == expected_loss.hex()
-        assert not np.array_equal(a_out, w_out)
+        w_in, args = _one_pair(w_out, h, words)
+        a_in, a_out = self._both(w_in, w_out, args)
+        assert not np.array_equal(a_in, w_in) and not np.array_equal(a_out, w_out)
 
     @pytest.mark.parametrize("dim", [1, 10, 300])
     def test_step_on_negative_zero_rows(self, dim):
-        # The one known deviation: where a row holds -0.0 and its update is a
-        # -0.0 product, the reference adds -0.0 and keeps -0.0, but the
-        # kernel's k=1 np.dot returns the product as +0.0. train_embedding
-        # never meets it, as its w_out starts at +0.0.
+        # train_embedding never meets -0.0 (its w_out starts at +0.0), but a
+        # row the step touches is rewritten as row + update everywhere, so a
+        # -0.0 entry with a zero update turns +0.0, as in the reference
         w_out, h, words = _step_case("repeated-noise", dim)
         w_out[:, ::2] = -0.0
         h[::3] = 0.0
-        a_out, b_out = w_out.copy(), w_out.copy()
-        grad, loss = _kernels._negative_step(a_out, h.copy(), words, 0.3)
-        expected_grad, expected_loss = reference_negative_step(b_out, h.copy(), words, 0.3)
-        assert np.array_equal(grad, expected_grad)
-        assert loss.hex() == expected_loss.hex()
-        assert np.array_equal(a_out, b_out)
-        differ = a_out.view(np.int64) != b_out.view(np.int64)
-        assert differ.any()
-        assert (b_out[differ] == 0).all() and np.signbit(b_out[differ]).all()
-        assert (a_out[differ] == 0).all() and not np.signbit(a_out[differ]).any()
+        w_in, args = _one_pair(w_out, h, words)
+        _, a_out = self._both(w_in, w_out, args)
+        turned = (a_out.view(np.int64) != w_out.view(np.int64)) & (a_out == 0)
+        assert turned.any()
+        assert not np.signbit(a_out[turned]).any()
 
     @pytest.mark.parametrize("dim", [1, 10, 300])
     @pytest.mark.parametrize("scale", [1.0, 50.0])
@@ -386,44 +517,44 @@ class TestBitEqualToReferenceStep:
         w_in, w_out, args = _training_case(0, dim)
         w_in *= scale
         w_out *= scale
-        a_in, a_out = w_in.copy(), w_out.copy()
-        b_in, b_out = w_in.copy(), w_out.copy()
-        loss = _kernels.skipgram_doc(a_in, a_out, *args)
-        expected = reference_skipgram_doc(b_in, b_out, *args)
-        assert np.array_equal(a_in, b_in) and np.array_equal(a_out, b_out)
-        assert loss.hex() == expected.hex()
+        a_in, a_out = self._both(w_in, w_out, args)
         assert not np.array_equal(a_in, w_in) and not np.array_equal(a_out, w_out)
 
 
 class TestStepDescendsTheObjective:
-    """A step whose target and noise words are distinct is one SGD step on
-    ``negative_sampling_loss``, the objective the gradient check differentiates:
-    ``w_out`` moves by ``-alpha * g_out``, the returned gradient is
-    ``-alpha * g_in[center]``, and the returned loss is the objective's."""
+    """Each batch is one SGD step on ``negative_sampling_loss``, the objective
+    the gradient check differentiates: at one learning rate, ``w_in`` and
+    ``w_out`` move by ``-alpha`` times its gradients over the batch's pairs at
+    the weights before the batch, and the returned loss is the objective's.
+    Repeated words, self contexts and noise words equal to the target are
+    all allowed."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_step_is_sgd_on_the_loss(self, seed):
         rng = np.random.default_rng(900 + seed)
         for _ in range(10):
-            vocab, dim = int(rng.integers(8, 30)), int(rng.integers(1, 20))
+            vocab, dim = int(rng.integers(2, 30)), int(rng.integers(1, 20))
             w_in = rng.uniform(-1.0, 1.0, size=(vocab, dim))
             w_out = rng.uniform(-1.0, 1.0, size=(vocab, dim))
-            center = int(rng.integers(vocab))
-            target, *noise = rng.choice(vocab, size=int(rng.integers(1, 8)), replace=False).tolist()
+            doc = rng.integers(vocab, size=int(rng.integers(2, 11))).astype(np.int64)
+            lo, hi = _spans(rng, len(doc), 3)
+            pairs, batches = _pairs_and_batches(lo, hi)
+            assert len(batches) == 1
+            negatives = rng.integers(vocab, size=(len(pairs), int(rng.integers(0, 7))))
             alpha = float(rng.uniform(0.001, 0.5))
-            pairs = [(center, target, noise)]
-            g_in, g_out = negative_sampling_gradients(w_in, w_out, pairs)
-            moved = w_out.copy()
-            grad, loss = _kernels._negative_step(moved, w_in[center].copy(), [target, *noise],
-                                                 alpha)
-            np.testing.assert_allclose(grad, -alpha * g_in[center], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(moved - w_out, -alpha * g_out, rtol=0, atol=1e-12)
-            assert loss == pytest.approx(negative_sampling_loss(w_in, w_out, pairs),
-                                         rel=0, abs=1e-12)
+            objective = [(doc[i], doc[j], negatives[p].tolist()) for p, (i, j) in enumerate(pairs)]
+            g_in, g_out = negative_sampling_gradients(w_in, w_out, objective)
+            moved_in, moved_out = w_in.copy(), w_out.copy()
+            loss = _kernels.skipgram_doc(moved_in, moved_out, doc, lo, hi,
+                                         negatives.astype(np.int64), np.full(len(doc), alpha))
+            np.testing.assert_allclose(moved_in - w_in, -alpha * g_in, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(moved_out - w_out, -alpha * g_out, rtol=0, atol=1e-12)
+            assert loss == pytest.approx(negative_sampling_loss(w_in, w_out, objective),
+                                         rel=1e-12, abs=1e-12)
 
 
 class TestTrainingWithReferenceKernels:
-    """``train_embedding`` on the reference kernels gives byte-equal vectors
+    """``train_embedding`` on the reference kernel gives byte-equal vectors
     in both benchmark regimes: dim 10 over 5 epochs and dim 300 over 1."""
 
     @pytest.mark.parametrize("dim, epochs", [(10, 5), (300, 1)])

@@ -130,6 +130,7 @@ class TestConfigResolution:
             f"window {embed.WINDOW} (`embed.WINDOW`)",
             f"{embed.NEGATIVE} negative samples (`embed.NEGATIVE`)",
             f"learning rate {embed.LEARNING_RATE} (`embed.LEARNING_RATE`)",
+            f"minibatches of at most {embed.BATCH} pairs (`embed.BATCH`)",
             f"PCA to {cl.PCA_DIM} components when vectors are wider than {cl.PCA_DIM}",
             f"at most {cl.MAX_ITERATIONS} k-means iterations",
         ]
