@@ -1,4 +1,5 @@
-"""Unsupervised Solidity vulnerability detection.
+"""Solidity vulnerability detection by clustering, with each cluster labeled
+by a majority vote of its members' truth labels.
 
 Pipeline: explorer ingestion with source-only dedup, source normalization,
 regex pattern flags, word embeddings, TF-IDF keyword selection, PCA, seeded

@@ -3,12 +3,12 @@
 There is one implementation of each kernel. The SGD kernel is minibatch SGD
 on the negative-sampling objective (HogBatch, Ji et al. 2016,
 arXiv:1604.04661). It enumerates the skip-gram (center, target) pairs in
-word2vec's order and cuts them into batches: runs of consecutive center
-positions holding at most ``BATCH`` pairs. Every pair of a batch is scored
-against the weights as they stood before the batch, and each row of ``w_in``
-and ``w_out`` then takes the sum of its pairs' steps. That is one SGD step on
-the batch's summed ``embed.negative_sampling_loss``, at per-pair learning
-rates; a noise word equal to its pair's target counts for nothing.
+word2vec's order and cuts them every ``BATCH`` pairs, so only a call's last
+batch can be shorter. Every pair of a batch is scored against the weights as
+they stood before the batch, and each row of ``w_in`` and ``w_out`` then
+takes the sum of its pairs' steps. That is one SGD step on the batch's
+summed ``embed.negative_sampling_loss``, at per-pair learning rates; a noise
+word equal to its pair's target counts for nothing.
 
 A batch works on its distinct input rows ``H`` and distinct output rows
 ``U``, found with ``np.unique``. The scores are gathered from ``H @ U.T``,
@@ -40,22 +40,6 @@ _MAX_SCORE = 30.0
 BATCH = 64
 
 
-def _batch_ends(counts):
-    """Pair offsets at which the batches end, given the pairs per position:
-    each batch is the longest run of positions holding at most ``BATCH``
-    pairs, or one position alone when it holds more."""
-    ends = []
-    start = prev = 0
-    for end in np.cumsum(counts).tolist():
-        if end - start > BATCH and prev > start:
-            ends.append(prev)
-            start = prev
-        prev = end
-    if prev > start:
-        ends.append(prev)
-    return ends
-
-
 def skipgram_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
     """Minibatch skip-gram SGD over a run of positions.
 
@@ -77,21 +61,20 @@ def skipgram_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
     keep[:, 1:] = negatives != words[:, :1]
     rate = alphas[pos][:, None] * keep
     loss = 0.0
-    start = 0
-    for end in _batch_ends(counts):
-        rows_in, ci = np.unique(centers[start:end], return_inverse=True)
-        rows_out, wi = np.unique(words[start:end], return_inverse=True)
-        wi = wi.reshape(end - start, -1)
+    for start in range(0, len(pos), BATCH):
+        b = slice(start, start + BATCH)
+        rows_in, ci = np.unique(centers[b], return_inverse=True)
+        rows_out, wi = np.unique(words[b], return_inverse=True)
+        wi = wi.reshape(len(ci), -1)
         h, u = w_in[rows_in], w_out[rows_out]
         f = np.clip(h.dot(u.T)[ci[:, None], wi], -_MAX_SCORE, _MAX_SCORE)
         sig = 1.0 / (1.0 + np.exp(-f))
-        loss -= float((np.log(np.where(label, sig, 1.0 - sig)) * keep[start:end]).sum())
+        loss -= float((np.log(np.where(label, sig, 1.0 - sig)) * keep[b]).sum())
         flat = (ci[:, None] * len(rows_out) + wi).ravel()
-        g = ((label - sig) * rate[start:end]).ravel()
+        g = ((label - sig) * rate[b]).ravel()
         c = np.bincount(flat, g, len(rows_in) * len(rows_out)).reshape(len(rows_in), -1)
         w_in[rows_in] = h + c.dot(u)
         w_out[rows_out] = u + c.T.dot(h)
-        start = end
     return loss
 
 

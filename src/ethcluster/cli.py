@@ -169,7 +169,8 @@ def cmd_scan(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ethcluster",
-        description="Unsupervised Solidity vulnerability detection pipeline",
+        description="Solidity vulnerability detection by k-means clusters labeled "
+                    "by their members' truth labels",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

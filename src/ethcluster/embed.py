@@ -6,7 +6,8 @@ skip-gram pairs, all scored at the weights before it (``_kernels``). All
 randomness (window shrinking, noise words) comes from one seeded numpy
 generator drawn per document outside the hot loops, so training is
 bit-reproducible. Consecutive documents share a kernel call until it holds
-``BATCH`` pairs, so short documents still fill whole batches.
+``BATCH`` pairs, and the kernel cuts a call every ``BATCH`` pairs, so short
+documents still fill whole batches.
 """
 
 from __future__ import annotations

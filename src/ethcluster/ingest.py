@@ -27,6 +27,7 @@ from .errors import (
     InsufficientData,
     InvalidInput,
     NotVerified,
+    PathError,
     RateLimited,
     StoreError,
     TransportError,
@@ -359,6 +360,8 @@ def records_from_dir(directory: str | Path) -> list[ContractRecord]:
     taken in sorted-name order, which fixes the dataset truncation order.
     """
     directory = Path(directory)
+    if not directory.is_dir():
+        raise PathError(f"not a directory: {str(directory)!r}")
     records = []
     for path in sorted(directory.rglob("*.sol")):
         source = path.read_text("utf-8", errors="replace")

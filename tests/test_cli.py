@@ -186,6 +186,24 @@ class TestStagewiseCli:
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidInput"
         assert not vectors.exists() and not (root / "keywords.json").exists()
 
+    @pytest.mark.parametrize("option, name, error", [("--vuln", "missing", "PathError"),
+                                                     ("--clean", "vuln/v000.sol", "PathError"),
+                                                     ("--vuln", "empty", "InvalidInput")],
+                             ids=["missing", "file", "empty"])
+    def test_build_dataset_from_a_wrong_directory(self, staged_corpus, capsys, option, name, error):
+        root = staged_corpus
+        (root / "empty").mkdir()
+        paths = {"--vuln": str(root / "vuln"), "--clean": str(root / "clean"),
+                 option: str(root / name)}
+        assert main(["build-dataset", *[a for kv in paths.items() for a in kv],
+                     "--out", str(root / "dataset.json")]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == error
+        # a path error names the path; an empty directory says its lists are empty
+        assert (paths[option] in payload["message"]) == (error == "PathError")
+        assert not (root / "dataset.json").exists()
+
     def test_token_directory_is_a_path_error(self, staged_corpus, capsys):
         # token documents are one file; a directory is not a tokens file
         root = staged_corpus

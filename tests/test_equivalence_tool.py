@@ -32,16 +32,17 @@ def _tree(out: Path) -> Path:
     write_json({"hashes": ["h0", "h1", "h2"], "values": pack(rows)},
                stage / "vectors.json", "vectors")
     write_json({"labels": {"0": "vulnerable", "1": "clean"}, "assignments": [0, 1, 1],
-                "centers": pack(rows[:2]), "hashes": ["h0", "h1", "h2"]},
+                "centers": pack(rows[:2]), "hashes": ["h0", "h1", "h2"], "iterations_run": 2},
                stage / "model.json", "model")
     (stage / "report.txt").write_text("ACC 100.00\n", "utf-8")
     scans = [{"vulnerability": "reentrancy", "label": "clean"}] * 2
     (out / "mix-reentrancy-1.scans.json").write_text(json.dumps(scans), "utf-8")
+    (out / "max_iterations.json").write_text("100", "utf-8")
     return stage
 
 
-def _edit_vectors(stage: Path, edit) -> None:
-    path = stage / "vectors.json"
+def _edit(stage: Path, name: str, edit) -> None:
+    path = stage / name
     payload = json.loads(path.read_text("utf-8"))
     edit(payload)
     path.write_text(json.dumps(payload, sort_keys=True), "utf-8")
@@ -71,11 +72,13 @@ def test_identical_trees_are_ok(trees):
     assert _count(lines, "byte-identical files") == "3/3 identical"
     assert _count(lines, "files identical by value") == "3/3 identical"
     assert _count(lines, "scan results") == "2/2 identical"
+    assert _count(lines, "k-means partitions up to relabeling") == "1/1 identical"
+    assert _count(lines, "runs whose k-means reached MAX_ITERATIONS") == "parent 0/1, change 0/1"
     assert not any(line.startswith("differences") for line in lines)
 
 
 def test_one_changed_payload_byte_is_a_float_difference(trees):
-    _edit_vectors(trees[1] / "mix-reentrancy-1" / "reentrancy", _flip_a_byte)
+    _edit(trees[1] / "mix-reentrancy-1" / "reentrancy", "vectors.json", _flip_a_byte)
     lines, ok = equivalence.compare(*trees, RUNS)
     assert not ok
     assert _count(lines, "files identical by value") == "2/3 identical"
@@ -86,14 +89,40 @@ def test_one_changed_payload_byte_is_a_float_difference(trees):
 
 
 def test_changed_header_version_is_a_value_difference(trees):
-    _edit_vectors(trees[1] / "mix-reentrancy-1" / "reentrancy",
-                  lambda payload: payload.update(version=payload["version"] + 1))
+    _edit(trees[1] / "mix-reentrancy-1" / "reentrancy", "vectors.json",
+          lambda payload: payload.update(version=payload["version"] + 1))
     lines, ok = equivalence.compare(*trees, RUNS)
     assert not ok
     assert _count(lines, "files identical by value") == "2/3 identical"
     assert "  1 x vectors.json.version: value" in lines
     [note] = [line for line in lines if line.startswith("  mix-reentrancy-1/")]
     assert note.startswith("  mix-reentrancy-1/vectors.json.version: ")
+
+
+def _swap_ids(model: dict) -> None:
+    """The same partition and predictions under cluster ids 0 and 1 swapped."""
+    model["labels"] = {"0": "clean", "1": "vulnerable"}
+    model["assignments"] = [1, 0, 0]
+    model["iterations_run"] = 100
+
+
+def test_relabeled_model_is_the_same_partition_up_to_relabeling(trees):
+    _edit(trees[1] / "mix-reentrancy-1" / "reentrancy", "model.json", _swap_ids)
+    lines, ok = equivalence.compare(*trees, RUNS)
+    assert not ok
+    assert _count(lines, "training predictions") == "1/1 identical"
+    assert _count(lines, "cluster labels") == "0/1 identical"
+    assert _count(lines, "k-means partitions") == "0/1 identical"
+    assert _count(lines, "k-means partitions up to relabeling") == "1/1 identical"
+    assert _count(lines, "runs whose k-means reached MAX_ITERATIONS") == "parent 0/1, change 1/1"
+
+
+def test_new_partition_differs_up_to_relabeling(trees):
+    _edit(trees[1] / "mix-reentrancy-1" / "reentrancy", "model.json",
+          lambda model: model.update(assignments=[0, 0, 1]))
+    lines, ok = equivalence.compare(*trees, RUNS)
+    assert not ok
+    assert _count(lines, "k-means partitions up to relabeling") == "0/1 identical"
 
 
 def test_environment_names_numpy_and_its_blas():

@@ -13,6 +13,7 @@ from ethcluster.errors import (
     InsufficientData,
     InvalidInput,
     NotVerified,
+    PathError,
     RateLimited,
     StoreError,
     TransportError,
@@ -466,3 +467,12 @@ class TestRecordsFromDir:
         for r in records:
             assert r.source_hash == source_hash(r.source)
             assert r.address == "0x" + r.source_hash[:40]
+
+    @pytest.mark.parametrize("name", ["missing", "a.sol"])
+    def test_not_a_directory_is_a_path_error(self, tmp_path, name):
+        (tmp_path / "a.sol").write_text("contract A {}", "utf-8")
+        with pytest.raises(PathError, match=name):
+            records_from_dir(tmp_path / name)
+
+    def test_empty_directory_has_no_records(self, tmp_path):
+        assert records_from_dir(tmp_path) == []

@@ -1,12 +1,11 @@
 """The numpy kernels against scalar reference loops.
 
 The skip-gram oracle is a plain per-dimension loop of the minibatch rule: the
-(center, target) pairs in word2vec's order, cut into runs of consecutive
-positions holding at most ``BATCH`` pairs, and every pair of a run scored
-against the weights as they stood before it, each row then moved by the sum
-of its pairs' steps. The kernel must reproduce it to rounding, including when
-a noise row repeats a word, when a noise word equals the target, and when a
-word is its own context.
+(center, target) pairs in word2vec's order, cut every ``BATCH`` pairs, and
+every pair of a batch scored against the weights as they stood before it,
+each row then moved by the sum of its pairs' steps. The kernel must
+reproduce it to rounding, including when a noise row repeats a word, when a
+noise word equals the target, and when a word is its own context.
 
 The ``reference_*`` functions are plain numpy forms of the kernels. The
 kernels must reproduce them bit for bit.
@@ -40,19 +39,12 @@ def _sigmoid_loss(f, label):
 
 def _pairs_and_batches(win_lo, win_hi):
     """The (center, context) positions in enumeration order, and the pair
-    indices of each batch: consecutive positions are taken while the batch
-    holds at most BATCH pairs, and a position holding more is a batch alone."""
-    by_position = []
-    pairs = []
-    for i in range(len(win_lo)):
-        by_position.append(list(range(len(pairs), len(pairs) + win_hi[i] - win_lo[i])))
-        pairs += [(i, j) for j in range(win_lo[i], win_hi[i] + 1) if j != i]
-    batches = [[]]
-    for group in by_position:
-        if batches[-1] and len(batches[-1]) + len(group) > BATCH:
-            batches.append([])
-        batches[-1].extend(group)
-    return pairs, [batch for batch in batches if batch]
+    indices of each batch: every BATCH consecutive pairs, the last batch
+    holding what is left."""
+    pairs = [(i, j) for i in range(len(win_lo))
+             for j in range(win_lo[i], win_hi[i] + 1) if j != i]
+    return pairs, [list(range(start, min(start + BATCH, len(pairs))))
+                   for start in range(0, len(pairs), BATCH)]
 
 
 def _words(doc, negatives, pair, j):
@@ -206,10 +198,11 @@ def _run_both(kernel, oracle, w_in, w_out, args):
     b_in, b_out = w_in.copy(), w_out.copy()
     loss = kernel(a_in, a_out, *args)
     expected = oracle(b_in, b_out, *args)
-    # the kernel sums each batch's loss pairwise, the oracle term by term
+    # the kernel sums each batch's loss and products in its own order, the
+    # oracle term by term, so they agree to rounding relative to the values
     assert loss == pytest.approx(expected, rel=1e-12, abs=1e-12)
-    np.testing.assert_allclose(a_in, b_in, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(a_out, b_out, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a_in, b_in, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(a_out, b_out, rtol=1e-12, atol=1e-12)
     # the case must move both matrices, or the comparison shows nothing
     assert not np.array_equal(a_in, w_in) and not np.array_equal(a_out, w_out)
 
@@ -311,19 +304,20 @@ class TestSkipgram:
         _run_both(_kernels.skipgram_doc, oracle_skipgram, w_in, w_out,
                   (doc, lo, hi, negatives, np.linspace(0.3, 0.01, len(doc))))
 
-    def test_position_with_more_pairs_than_batch_is_a_batch_alone(self):
+    def test_batch_boundary_inside_a_position(self):
+        # full windows of 5 over 20 tokens: position 7 holds pair indices
+        # 55-64, so the cut after the first BATCH pairs splits them
         rng = np.random.default_rng(42)
-        w_in, w_out = _weights(7, 8, 3)
-        n = BATCH + 6
-        doc = _skewed(rng, 8, n)
-        lo = np.zeros(n, dtype=np.int64)
-        hi = np.minimum(np.arange(n) + 1, n - 1)
-        hi[1] = n - 1  # position 1 sees the whole document
-        pairs, batches = _pairs_and_batches(lo, hi)
-        assert [len(batch) for batch in batches[:2]] == [1, n - 1]
-        negatives = _skewed(rng, 8, (len(pairs), 2))
-        _run_both(_kernels.skipgram_doc, oracle_skipgram, w_in, w_out,
-                  (doc, lo, hi, negatives, np.full(n, 0.05)))
+        w_in, w_out = _weights(7, 10, 5)
+        doc = _skewed(rng, 10, 20)
+        pos = np.arange(len(doc))
+        lo, hi = np.maximum(0, pos - 5), np.minimum(len(doc) - 1, pos + 5)
+        pairs = _pairs_and_batches(lo, hi)[0]
+        assert pairs[BATCH - 1][0] == pairs[BATCH][0] == 7
+        negatives = _skewed(rng, 10, (len(pairs), 5))
+        args = (doc, lo, hi, negatives, np.linspace(0.3, 0.01, len(doc)))
+        _run_both(_kernels.skipgram_doc, oracle_skipgram, w_in, w_out, args)
+        TestBitEqualToReferenceStep._both(w_in, w_out, args)
 
 
 class TestTrainingWithOracleKernels:
@@ -406,8 +400,6 @@ class TestKernelCalls:
         for doc, lo, hi, negs, alphas in calls:
             pairs = int((hi - lo).sum())
             assert len(negs) == pairs
-            sizes = np.diff([0] + _kernels._batch_ends(hi - lo))
-            assert sizes.sum() == pairs and (sizes <= BATCH).all()
             if taken_docs % per_doc == 0:
                 seen.append(0)  # a new epoch starts with a new call
             start = 0

@@ -26,8 +26,11 @@ payload becomes a float64 array, and the ``dataset`` and ``workdir`` paths
 are dropped. Other files are compared as text. The report counts, each
 separately: byte-identical files, files identical by value, the largest
 absolute float difference per artifact, identical training predictions,
-cluster labels and k-means partitions (cluster ids per training row), and
-identical scan results. It then lists
+cluster labels, k-means partitions (cluster ids per training row) and
+k-means partitions up to relabeling (one bijection of cluster ids maps one
+tree's ids onto the other's), and identical scan results. It also counts,
+per tree, the runs whose k-means stopped at the tree's
+``cluster.MAX_ITERATIONS`` rather than converging. It then lists
 every difference other than in float values: first one count per kind (the
 path with list indices dropped, and what differs: its keys, its shape or its
 value), then each entry.
@@ -156,10 +159,12 @@ def _openblas_kernel() -> str:
 def run(tree: Path, inputs: Path, out: Path) -> None:
     """Train and scan every run; the relative workdir keeps paths equal."""
     sys.path.insert(0, str(tree / "src"))
+    from ethcluster.cluster import MAX_ITERATIONS
     from ethcluster.pipeline import PipelineConfig, run_pipeline, scan_contract
 
     out.mkdir(parents=True)
     (out / "environment.json").write_text(json.dumps(environment()), "utf-8")
+    (out / "max_iterations.json").write_text(json.dumps(MAX_ITERATIONS), "utf-8")
     os.chdir(out)
     for spec in json.loads((inputs / "runs.json").read_text("utf-8")):
         config = PipelineConfig.resolve({**spec["config"], "workdir": spec["name"]})
@@ -213,19 +218,28 @@ def differences(a, b, where: str, floats: dict[str, float]) -> list[tuple[str, s
     return [(where, "value", f"{a!r:.60} vs {b!r:.60}")]
 
 
-def _model_facts(model: dict) -> tuple[dict, list[int], list[str]]:
+def _model_facts(model: dict) -> tuple[dict, list[int], list[str], int]:
     labels = {str(c): v for c, v in model["labels"].items()}
     ids = [int(i) for i in np.asarray(model["assignments"]).ravel()]
-    return labels, ids, [labels.get(str(i)) for i in ids]
+    return labels, ids, [labels.get(str(i)) for i in ids], model["iterations_run"]
+
+
+def _relabeled(a: list[int], b: list[int]) -> bool:
+    """Whether one bijection of cluster ids maps assignment list ``a`` onto ``b``."""
+    pairs = set(zip(a, b))
+    return len(a) == len(b) and len(pairs) == len(set(a)) == len(set(b))
 
 
 def compare(out_a: Path, out_b: Path, runs: list[dict]) -> tuple[list[str], bool]:
     counts = {key: [0, 0] for key in ("byte-identical files", "files identical by value",
                                       "training predictions", "cluster labels",
-                                      "k-means partitions", "scan results")}
+                                      "k-means partitions",
+                                      "k-means partitions up to relabeling", "scan results")}
     worst: dict[str, float] = {}
     notes = []
     kinds: Counter[str] = Counter()
+    caps = [json.loads((out / "max_iterations.json").read_text("utf-8")) for out in (out_a, out_b)]
+    capped = [0, 0]
 
     def tally(key: str, same: int, total: int = 1) -> None:
         counts[key][0] += same
@@ -260,6 +274,9 @@ def compare(out_a: Path, out_b: Path, runs: list[dict]) -> tuple[list[str], bool
         facts_b = _model_facts(json.loads((stage_b / "model.json").read_text("utf-8")))
         tally("cluster labels", facts_a[0] == facts_b[0])
         tally("k-means partitions", facts_a[1] == facts_b[1])
+        tally("k-means partitions up to relabeling", _relabeled(facts_a[1], facts_b[1]))
+        for side, (facts, cap) in enumerate(zip((facts_a, facts_b), caps)):
+            capped[side] += facts[3] >= cap
         tally("training predictions", facts_a[2] == facts_b[2])
         scans_a = json.loads((out_a / f"{name}.scans.json").read_text("utf-8"))
         scans_b = json.loads((out_b / f"{name}.scans.json").read_text("utf-8"))
@@ -267,6 +284,8 @@ def compare(out_a: Path, out_b: Path, runs: list[dict]) -> tuple[list[str], bool
               max(len(scans_a), len(scans_b)))
 
     lines = [f"{key}: {same}/{total} identical" for key, (same, total) in counts.items()]
+    lines.append(f"runs whose k-means reached MAX_ITERATIONS: parent {capped[0]}/{len(runs)}, "
+                 f"change {capped[1]}/{len(runs)}")
     lines.append("largest absolute float difference per artifact, over the runs of each family:")
     families = sorted({key.split(" ")[0] for key in worst})
     lines += [f"  {family}: " + ", ".join(f"{key.split(' ')[1]} {diff:.3g}" for key, diff
