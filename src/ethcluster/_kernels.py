@@ -11,12 +11,16 @@ summed ``embed.negative_sampling_loss``, at per-pair learning rates; a noise
 word equal to its pair's target counts for nothing.
 
 A batch works on its distinct input rows ``H`` and distinct output rows
-``U``, found with ``np.unique``. The scores are gathered from ``H @ U.T``,
-the coefficients ``(label - sigma) * alpha`` are summed into the matrix ``C``
-of distinct input rows by distinct output rows, and the rows move by
-``C @ U`` and ``C.T @ H``. So a batch's temporaries hold at most
-``BATCH * (1 + k)`` scores, ``BATCH`` x ``BATCH * (1 + k)`` coefficients and
-distinct-rows x dim row blocks, never a vocabulary-wide array.
+``U``, each found with one sort of the batch's word ids and a
+``searchsorted`` into the distinct ones (``_distinct``, the values and
+inverse of ``np.unique`` at a fraction of its cost). One flat index per
+(pair, word) gathers the scores from ``H @ U.T`` and sums the coefficients
+``(label - sigma) * alpha`` into the matrix ``C`` of distinct input rows by
+distinct output rows, and the rows move by ``C @ U`` and ``C.T @ H``. So a
+batch's temporaries hold at most ``BATCH * (1 + k)`` scores,
+``BATCH`` x ``BATCH * (1 + k)`` coefficients and distinct-rows x dim row
+blocks, never a vocabulary-wide array. The sigmoids of every batch go into
+one array of the call, from which the loss is summed once per call.
 
 All pseudo-randomness (window sizes, negative samples) is drawn outside the
 kernels, so the random stream never depends on how a kernel is written.
@@ -60,22 +64,36 @@ def skipgram_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
     keep = np.ones(words.shape)
     keep[:, 1:] = negatives != words[:, :1]
     rate = alphas[pos][:, None] * keep
-    loss = 0.0
+    sig = np.empty(words.shape)
     for start in range(0, len(pos), BATCH):
         b = slice(start, start + BATCH)
-        rows_in, ci = np.unique(centers[b], return_inverse=True)
-        rows_out, wi = np.unique(words[b], return_inverse=True)
-        wi = wi.reshape(len(ci), -1)
+        rows_in, ci = _distinct(centers[b])
+        rows_out, wi = _distinct(words[b])
         h, u = w_in[rows_in], w_out[rows_out]
-        f = np.clip(h.dot(u.T)[ci[:, None], wi], -_MAX_SCORE, _MAX_SCORE)
-        sig = 1.0 / (1.0 + np.exp(-f))
-        loss -= float((np.log(np.where(label, sig, 1.0 - sig)) * keep[b]).sum())
-        flat = (ci[:, None] * len(rows_out) + wi).ravel()
-        g = ((label - sig) * rate[b]).ravel()
-        c = np.bincount(flat, g, len(rows_in) * len(rows_out)).reshape(len(rows_in), -1)
+        flat = ci[:, None] * len(rows_out) + wi
+        f = h.dot(u.T).take(flat)
+        np.maximum(f, -_MAX_SCORE, out=f)
+        np.minimum(f, _MAX_SCORE, out=f)
+        s = sig[b] = 1.0 / (1.0 + np.exp(-f))
+        g = ((label - s) * rate[b]).ravel()
+        c = np.bincount(flat.ravel(), g, len(rows_in) * len(rows_out)).reshape(len(rows_in), -1)
         w_in[rows_in] = h + c.dot(u)
         w_out[rows_out] = u + c.T.dot(h)
-    return loss
+    return float((-np.log(np.where(label, sig, 1.0 - sig)) * keep).sum())
+
+
+def _distinct(x):
+    """``np.unique(x, return_inverse=True)`` of a non-empty int array: the
+    sorted distinct values, and each entry's index among them, shaped like
+    ``x``. One sort and a binary search cost less than ``np.unique`` at
+    batch sizes."""
+    s = x.flatten()
+    s.sort()
+    first = np.empty(len(s), dtype=bool)
+    first[0] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    rows = s[first]
+    return rows, rows.searchsorted(x)
 
 
 def cbow_doc(*args):

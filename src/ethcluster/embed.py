@@ -7,7 +7,9 @@ randomness (window shrinking, noise words) comes from one seeded numpy
 generator drawn per document outside the hot loops, so training is
 bit-reproducible. Consecutive documents share a kernel call until it holds
 ``BATCH`` pairs, and the kernel cuts a call every ``BATCH`` pairs, so short
-documents still fill whole batches.
+documents still fill whole batches. What needs no random draw, the noise
+words' lookup in the unigram table and the learning rates, is computed once
+per kernel call.
 """
 
 from __future__ import annotations
@@ -136,7 +138,12 @@ def _noise_cdf(freqs: np.ndarray) -> np.ndarray:
 def train_embedding(docs: Sequence[Sequence[str]], config: EmbeddingConfig) -> EmbeddingModel:
     """Train word vectors over tokenized documents.
 
-    The result is a pure function of (docs, config).
+    The result is a pure function of (docs, config). Per document and epoch
+    the generator draws the window sizes, then one uniform per noise word;
+    the two draws interleave, so they stay per document. Per kernel call,
+    over the call's documents at once, the uniforms become noise words and
+    the positions become learning rates; both are elementwise, so each value
+    is the one a per-document computation gives.
     """
     if not docs:
         raise InvalidInput("document list is empty")
@@ -166,18 +173,18 @@ def train_embedding(docs: Sequence[Sequence[str]], config: EmbeddingConfig) -> E
             lo = np.maximum(0, pos - b)
             hi = np.minimum(n - 1, pos + b)
             u = rng.random((int((hi - lo).sum()), NEGATIVE))
-            negs = np.minimum(np.searchsorted(cdf, u, side="right"), vocab_size - 1)
-            negs = negs.astype(np.int64)
-            decay = (position + pos) / max(1, total_positions)
-            alphas = LEARNING_RATE - (LEARNING_RATE - MIN_LEARNING_RATE) * decay
-            alphas = np.maximum(MIN_LEARNING_RATE, alphas)
-            position += n
             # windows shift with the document, so none crosses into another
-            call.append((doc, offset + lo, offset + hi, negs, alphas))
+            call.append((doc, offset + lo, offset + hi, u))
             offset += n
-            pairs += len(negs)
+            pairs += len(u)
             if pairs >= BATCH or i == len(encoded) - 1:
-                _kernels.skipgram_doc(w_in, w_out, *map(np.concatenate, zip(*call)))
+                tokens, lo, hi, u = map(np.concatenate, zip(*call))
+                negs = np.minimum(np.searchsorted(cdf, u, side="right"), vocab_size - 1)
+                decay = (position + np.arange(offset)) / max(1, total_positions)
+                alphas = LEARNING_RATE - (LEARNING_RATE - MIN_LEARNING_RATE) * decay
+                alphas = np.maximum(MIN_LEARNING_RATE, alphas)
+                _kernels.skipgram_doc(w_in, w_out, tokens, lo, hi, negs.astype(np.int64), alphas)
+                position += offset
                 call, offset, pairs = [], 0, 0
 
     return EmbeddingModel(vocab=vocab, vectors=w_in, config=config)

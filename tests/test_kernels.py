@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import clean_source, reentrant_source, timestamp_source
 from ethcluster import _kernels, embed
@@ -320,6 +322,19 @@ class TestSkipgram:
         TestBitEqualToReferenceStep._both(w_in, w_out, args)
 
 
+@given(arrays(np.int64, array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=70),
+              elements=st.integers(0, 600)))
+@example(np.array([7], dtype=np.int64))
+@example(np.full(64, 3, dtype=np.int64))
+@example(np.full((64, 6), 0, dtype=np.int64))
+def test_distinct_rows_equal_np_unique(x):
+    rows, inverse = _kernels._distinct(x)
+    expected_rows, expected_inverse = np.unique(x, return_inverse=True)
+    assert rows.dtype == x.dtype and np.array_equal(rows, expected_rows)
+    assert inverse.shape == x.shape
+    assert np.array_equal(inverse, expected_inverse.reshape(x.shape))
+
+
 class TestTrainingWithOracleKernels:
     """``train_embedding`` run on the oracles gives the same vectors.
 
@@ -555,10 +570,50 @@ class TestTrainingWithReferenceKernels:
                 for source in (reentrant_source, clean_source, timestamp_source) for i in range(3)]
         config = EmbeddingConfig(vector_size=dim, epochs=epochs, seed=5)
         expected = train_embedding(docs, config)
+        self._same_bytes(monkeypatch, docs, config, expected)
+
+    @staticmethod
+    def _same_bytes(monkeypatch, docs, config, expected):
         monkeypatch.setattr(_kernels, "skipgram_doc", reference_skipgram_doc)
         got = train_embedding(docs, config)
         assert got.vocab == expected.vocab
         assert got.vectors.tobytes() == expected.vectors.tobytes()
+
+    def test_byte_equal_vectors_over_a_large_vocabulary(self, monkeypatch):
+        # 600 words, each at least once: a batch touches at most 64 input and
+        # 384 output rows, so most rows are absent from every batch
+        rng = np.random.default_rng(17)
+        words = [f"w{i}" for i in range(600)]
+        stream = rng.permutation(np.concatenate([np.arange(600), _skewed(rng, 600, 300)]))
+        cuts = np.sort(rng.choice(np.arange(1, len(stream)), size=24, replace=False))
+        docs = [[words[i] for i in part] for part in np.split(stream, cuts)]
+        config = EmbeddingConfig(vector_size=10, epochs=2, seed=5)
+        expected = train_embedding(docs, config)
+        assert len(expected.vocab) == 600
+        self._same_bytes(monkeypatch, docs, config, expected)
+
+    def test_epoch_ending_in_a_zero_pair_call(self, monkeypatch):
+        # 40 tokens hold at least 78 pairs, so that document closes its call,
+        # and the three one-token documents after it make a call of no pairs
+        rng = np.random.default_rng(19)
+        words = [f"w{i}" for i in range(12)]
+        docs = [[words[i] for i in _skewed(rng, len(words), 40)], ["w0"], ["w5"], ["lone"]]
+        config = EmbeddingConfig(vector_size=10, epochs=3, seed=5)
+        kernel, calls = _kernels.skipgram_doc, []
+
+        def record(w_in, w_out, doc, win_lo, win_hi, *rest):
+            before = w_in.tobytes(), w_out.tobytes()
+            loss = kernel(w_in, w_out, doc, win_lo, win_hi, *rest)
+            calls.append((len(doc), int((win_hi - win_lo).sum()), loss,
+                          (w_in.tobytes(), w_out.tobytes()) == before))
+            return loss
+
+        monkeypatch.setattr(_kernels, "skipgram_doc", record)
+        expected = train_embedding(docs, config)
+        assert [n for n, *_ in calls] == [40, 3] * config.epochs
+        assert all(pairs >= BATCH and not same for _, pairs, _, same in calls[::2])
+        assert calls[1::2] == [(3, 0, 0.0, True)] * config.epochs
+        self._same_bytes(monkeypatch, docs, config, expected)
 
 
 class TestKmeans:
