@@ -43,7 +43,7 @@ def cmd_ingest(args) -> int:
         endpoints = dict(DEFAULT_ENDPOINTS)
         endpoints[args.chain] = args.endpoint
     store = ContractStore(args.store)
-    lines = map(str.strip, Path(args.addresses).read_text("utf-8", errors="replace").splitlines())
+    lines = map(str.strip, Path(args.addresses).read_text("utf-8-sig", errors="replace").splitlines())
     addresses = [line for line in lines if line and not line.startswith("#")]
     outcomes = {"stored": 0, "duplicate": 0, "failed": 0}
     client = ExplorerClient(endpoints=endpoints, rate_per_second=args.rate)

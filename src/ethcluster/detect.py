@@ -26,23 +26,16 @@ _UNCHECKED_POSTFIX = re.compile(r"\.(call|value|callcode|delegatecall|staticcall
 
 
 def detect_reentrancy(lines: Sequence[str]) -> int:
-    """Windowed scan: a ``call`` line opens a 5-line buffer; any buffered
-    line matching ``balance(s)`` flags the contract.
+    """1 iff the first ``call`` line is not the last line and some line from
+    it onward, itself included, holds a ``balance(s)`` word.
 
-    The buffer is appended to on each later line, checked, then trimmed to 5
-    entries, and a fresh ``call`` line resets it; the scan order matches that
-    discipline exactly.
+    The distance from the call to the balance has no bound. A call on the
+    last line counts for nothing, and a balance on the call line itself
+    counts when a line follows it. Later call lines change nothing.
     """
-    buffer: list[str] = []
-    for line in lines:
-        if buffer:
-            buffer.append(line)
-            if any(_BALANCE.search(l) for l in buffer):
-                return 1
-            if len(buffer) > 5:
-                buffer.pop(0)
+    for i, line in enumerate(lines[:-1]):
         if _CALL_TRIGGER.search(line):
-            buffer = [line]
+            return int(any(_BALANCE.search(later) for later in lines[i:]))
     return 0
 
 

@@ -340,13 +340,15 @@ def build_mixed_dataset(vulnerable: list[ContractRecord],
         raise InvalidInput("both record lists must be non-empty")
     if not 0.0 < fraction < 1.0:
         raise InvalidInput(f"fraction must be in (0,1), got {fraction}")
-    total = int(len(vulnerable) / fraction + 0.5)
-    clean_needed = total - len(vulnerable)
-    if clean_needed > len(clean):
+    total = len(vulnerable) / fraction + 0.5
+    # compared before int(), which overflows on the infinite total of a
+    # subnormal fraction
+    if total >= len(vulnerable) + len(clean) + 1:
         raise InsufficientData(
-            f"{len(vulnerable)} vulnerable at fraction {fraction} needs "
-            f"{clean_needed} clean records, only {len(clean)} available"
+            f"{len(vulnerable)} vulnerable at fraction {fraction} need more "
+            f"than the {len(clean)} clean records available"
         )
+    clean_needed = int(total) - len(vulnerable)
     entries = [(rec, VULNERABLE) for rec in vulnerable]
     entries += [(rec, CLEAN) for rec in clean[:clean_needed]]
     return Dataset(entries=tuple(entries))

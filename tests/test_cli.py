@@ -598,6 +598,16 @@ class TestRunAndScanCli:
         assert main(["run", "--config", config_path, "--workdir", str(other)]) == 0
         assert (other / "reentrancy" / "report.json").exists()
 
+    def test_subnormal_fraction_is_insufficient_data(self, staged_corpus, capsys):
+        root = staged_corpus
+        assert main(["build-dataset", "--vuln", str(root / "vuln"),
+                     "--clean", str(root / "clean"), "--fraction", "1e-320",
+                     "--out", str(root / "dataset.json")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "InsufficientData"
+        assert not (root / "dataset.json").exists()
+
     def test_unknown_kind_error_json(self, staged_corpus, capsys):
         root = staged_corpus
         assert main(["preprocess", "--in", build_dataset(root),
@@ -718,6 +728,20 @@ class TestIngestCli:
                      "--endpoint", explorer_url(mock_explorer), "--rate", "1000"]) == 0
         assert "stored=1 duplicate=0 failed=1" in capsys.readouterr().out
         assert [query["address"] for query in mock_explorer.queries] == [[ADDR_2]]
+
+    def test_address_file_with_a_bom_stores_its_first_address(self, mock_explorer, tmp_path,
+                                                              capsys):
+        mock_explorer.behaviors[ADDR_1] = ("ok", "contract First {}")
+        mock_explorer.behaviors[ADDR_2] = ("ok", "contract Second {}")
+        addresses = tmp_path / "a.txt"
+        addresses.write_text(ADDR_1 + "\n" + ADDR_2 + "\n", "utf-8-sig")
+        store_path = tmp_path / "store.ndjson"
+        assert main(["ingest", "--chain", "etherscan", "--addresses", str(addresses),
+                     "--store", str(store_path),
+                     "--endpoint", explorer_url(mock_explorer), "--rate", "1000"]) == 0
+        assert "stored=2 duplicate=0 failed=0" in capsys.readouterr().out
+        assert [r.source for r in ContractStore(store_path).records()] == [
+            "contract First {}", "contract Second {}"]
 
     def test_ingest_skips_unverified(self, mock_explorer, tmp_path, capsys):
         url = explorer_url(mock_explorer)

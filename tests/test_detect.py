@@ -1,9 +1,12 @@
 """Detector tests.
 
 REGEX_FIXTURES holds the hand-labeled snippet suite: every expected value
-was derived by manually tracing the detector's pattern (and, for reentrancy,
-the buffer discipline: open on a `call` line, append each later line, check
-the whole buffer, then trim to 5). The acceptance suite re-runs this table.
+was derived by manually tracing the detector's pattern. For reentrancy the
+rule is: the first `call` line must not be the last line, and some line from
+it onward, the call line included, must hold a `balance(s)` word. The
+distance to the call has no bound, a call on the last line counts for
+nothing, and a balance on the call line counts when a line follows. The
+acceptance suite re-runs this table.
 """
 
 import pytest
@@ -27,21 +30,38 @@ CALL = 'msg.sender.call{value: v}("");'
 BAL = "balances[msg.sender] = 0;"
 PAD = "uint x = 1;"
 
+def reference_reentrancy_scan(lines):
+    """The detector's former buffer form, kept as the reference: a ``call``
+    line opens a buffer that takes each later line, is checked for
+    ``balance(s)``, then is trimmed to 5 entries; a fresh ``call`` line
+    resets it."""
+    buffer: list[str] = []
+    for line in lines:
+        if buffer:
+            buffer.append(line)
+            if any(detect._BALANCE.search(l) for l in buffer):
+                return 1
+            if len(buffer) > 5:
+                buffer.pop(0)
+        if detect._CALL_TRIGGER.search(line):
+            buffer = [line]
+    return 0
+
+
 # (case id, kind, lines, hand-traced expected flag)
 REGEX_FIXTURES = [
-    # --- reentrancy: buffer discipline traces -----------------------------
+    # --- reentrancy: first call line, then a balance at or after it --------
     ("re_call_then_balance", "reentrancy", [CALL, BAL], 1),
     ("re_balance_then_call", "reentrancy", [BAL, CALL], 0),
     ("re_empty", "reentrancy", [], 0),
     ("re_balance_only", "reentrancy", [BAL, PAD], 0),
     ("re_call_only", "reentrancy", [CALL, PAD, PAD], 0),
-    # balance exactly 5 lines after the call: buffer holds all six lines
+    # balance 5 lines after the call: the distance has no bound
     ("re_gap5", "reentrancy", [CALL, PAD, PAD, PAD, PAD, BAL], 1),
-    # balance 6 lines after: the call line was evicted, but the balance line
-    # itself was just appended, so the scan still flags it
+    # balance 6 lines after: still flags, as at any distance
     ("re_gap6", "reentrancy", [CALL, PAD, PAD, PAD, PAD, PAD, BAL], 1),
     ("re_gap10", "reentrancy", [CALL] + [PAD] * 9 + [BAL], 1),
-    # a call on the final line is never followed by a check pass
+    # a call on the last line counts for nothing, even with a balance on it
     ("re_call_last_line_same_line_balance", "reentrancy",
      ["balances[msg.sender].call(x);"], 0),
     ("re_same_line_with_successor", "reentrancy",
@@ -222,3 +242,15 @@ class TestProperties:
         expected = int(any(detect._UNCHECKED_POSTFIX.search(line)
                            and not detect._UNCHECKED_PREFIX.search(line) for line in lines))
         assert detect_unchecked_call(lines) == expected
+
+    @given(st.lists(st.sampled_from(
+        [CALL, BAL, PAD, "balances[msg.sender].call(x);", "a.CALL(x);", "uint Balance = 1;",
+         "balanceOf(x);", "a.delegatecall(x);", ""]), max_size=15))
+    def test_reentrancy_equals_the_buffer_scan(self, lines):
+        expected = reference_reentrancy_scan(lines)
+        assert detect_reentrancy(lines) == expected
+        assert detect_reentrancy(tuple(lines)) == expected
+
+    def test_reentrancy_has_no_window(self):
+        lines = [CALL] + [PAD] * 500 + [BAL]
+        assert detect_reentrancy(lines) == reference_reentrancy_scan(lines) == 1

@@ -389,6 +389,19 @@ class TestBuildMixedDataset:
         with pytest.raises(InsufficientData):
             build_mixed_dataset(self._records(10, "V"), self._records(5, "C"), 0.3)
 
+    @pytest.mark.parametrize("fraction", [1e-320, 5e-324])
+    def test_tiny_fraction_is_insufficient_data(self, fraction):
+        # 1 / 1e-320 is inf, which int() cannot take
+        with pytest.raises(InsufficientData):
+            build_mixed_dataset(self._records(1, "V"), self._records(5, "C"), fraction)
+
+    def test_fraction_needing_every_clean_record(self):
+        # 3 / 0.3 + 0.5 = 10.5: 7 clean are needed, so 7 suffice and 6 do not
+        assert len(build_mixed_dataset(self._records(3, "V"), self._records(7, "C"),
+                                       0.3).entries) == 10
+        with pytest.raises(InsufficientData):
+            build_mixed_dataset(self._records(3, "V"), self._records(6, "C"), 0.3)
+
     def test_clean_truncated_in_given_order(self):
         clean = self._records(10, "C")
         dataset = build_mixed_dataset(self._records(3, "V"), clean, 0.3)
