@@ -1,15 +1,12 @@
 """Word embeddings over the token corpus.
 
 Skip-gram with negative sampling, trained by minibatch SGD with a linear
-learning-rate decay: each step sums the steps of up to ``BATCH`` consecutive
-skip-gram pairs, all scored at the weights before it (``_kernels``). All
+learning-rate decay: each step sums the steps of up to ``_kernels.BATCH``
+consecutive skip-gram pairs, all scored at the weights before it. An epoch
+hands the kernel the corpus in chunks of whole documents, one call each. All
 randomness (window shrinking, noise words) comes from one seeded numpy
-generator drawn per document outside the hot loops, so training is
-bit-reproducible. Consecutive documents share a kernel call until it holds
-``BATCH`` pairs, and the kernel cuts a call every ``BATCH`` pairs, so short
-documents still fill whole batches. What needs no random draw, the noise
-words' lookup in the unigram table and the learning rates, is computed once
-per kernel call.
+generator, drawn per chunk outside the hot loops, so training is
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -30,9 +27,9 @@ WINDOW = 5
 NEGATIVE = 5
 LEARNING_RATE = 0.025
 
-#: Most skip-gram pairs per minibatch SGD step; a kernel call holds at least
-#: this many unless the epoch ends first.
-BATCH = _kernels.BATCH
+#: A chunk of documents closes at the first document end reaching this many
+#: tokens, so a kernel call's arrays do not grow with the corpus.
+CHUNK = 2048
 
 #: Floor of the linear learning-rate decay.
 MIN_LEARNING_RATE = 1e-4
@@ -138,12 +135,11 @@ def _noise_cdf(freqs: np.ndarray) -> np.ndarray:
 def train_embedding(docs: Sequence[Sequence[str]], config: EmbeddingConfig) -> EmbeddingModel:
     """Train word vectors over tokenized documents.
 
-    The result is a pure function of (docs, config). Per document and epoch
-    the generator draws the window sizes, then one uniform per noise word;
-    the two draws interleave, so they stay per document. Per kernel call,
-    over the call's documents at once, the uniforms become noise words and
-    the positions become learning rates; both are elementwise, so each value
-    is the one a per-document computation gives.
+    The result is a pure function of (docs, config). A chunk closes at the
+    first document end that gives it ``CHUNK`` tokens. Per epoch and chunk
+    the generator draws the window sizes, then one uniform per noise word,
+    and each window is clipped to its position's document, so no skip-gram
+    pair spans two documents.
     """
     if not docs:
         raise InvalidInput("document list is empty")
@@ -151,7 +147,19 @@ def train_embedding(docs: Sequence[Sequence[str]], config: EmbeddingConfig) -> E
     if not vocab:
         raise EmptyCorpus("every document is empty")
 
-    encoded = [np.array([vocab[w] for w in doc], dtype=np.int64) for doc in docs if doc]
+    tokens = np.array([vocab[w] for doc in docs for w in doc], dtype=np.int64)
+    lengths = [len(doc) for doc in docs]
+    ends = np.cumsum(lengths)
+    # the first and last position of each position's document
+    first = np.repeat(ends - lengths, lengths)
+    last = np.repeat(ends - 1, lengths)
+    cuts = [0]
+    for end in ends.tolist():
+        if end - cuts[-1] >= CHUNK:
+            cuts.append(end)
+    if cuts[-1] < len(tokens):
+        cuts.append(len(tokens))
+
     cdf = _noise_cdf(freqs)
     vocab_size = len(vocab)
     dim = config.vector_size
@@ -161,31 +169,19 @@ def train_embedding(docs: Sequence[Sequence[str]], config: EmbeddingConfig) -> E
     w_in = rng.uniform(-bound, bound, size=(vocab_size, dim))
     w_out = np.zeros((vocab_size, dim))
 
-    total_positions = config.epochs * sum(len(d) for d in encoded)
-
-    position = 0
-    for _ in range(config.epochs):
-        call, offset, pairs = [], 0, 0
-        for i, doc in enumerate(encoded):
-            n = len(doc)
-            b = rng.integers(1, WINDOW + 1, size=n)
-            pos = np.arange(n)
-            lo = np.maximum(0, pos - b)
-            hi = np.minimum(n - 1, pos + b)
+    total_positions = config.epochs * len(tokens)
+    for epoch in range(config.epochs):
+        for s, e in zip(cuts, cuts[1:]):
+            pos = np.arange(s, e)
+            b = rng.integers(1, WINDOW + 1, size=e - s)
+            lo = np.maximum(first[s:e], pos - b) - s
+            hi = np.minimum(last[s:e], pos + b) - s
             u = rng.random((int((hi - lo).sum()), NEGATIVE))
-            # windows shift with the document, so none crosses into another
-            call.append((doc, offset + lo, offset + hi, u))
-            offset += n
-            pairs += len(u)
-            if pairs >= BATCH or i == len(encoded) - 1:
-                tokens, lo, hi, u = map(np.concatenate, zip(*call))
-                negs = np.minimum(np.searchsorted(cdf, u, side="right"), vocab_size - 1)
-                decay = (position + np.arange(offset)) / max(1, total_positions)
-                alphas = LEARNING_RATE - (LEARNING_RATE - MIN_LEARNING_RATE) * decay
-                alphas = np.maximum(MIN_LEARNING_RATE, alphas)
-                _kernels.skipgram_doc(w_in, w_out, tokens, lo, hi, negs.astype(np.int64), alphas)
-                position += offset
-                call, offset, pairs = [], 0, 0
+            negs = np.minimum(np.searchsorted(cdf, u, side="right"), vocab_size - 1)
+            decay = (epoch * len(tokens) + pos) / total_positions
+            alphas = LEARNING_RATE - (LEARNING_RATE - MIN_LEARNING_RATE) * decay
+            alphas = np.maximum(MIN_LEARNING_RATE, alphas)
+            _kernels.skipgram_doc(w_in, w_out, tokens[s:e], lo, hi, negs.astype(np.int64), alphas)
 
     return EmbeddingModel(vocab=vocab, vectors=w_in, config=config)
 

@@ -333,8 +333,9 @@ def build_mixed_dataset(vulnerable: list[ContractRecord],
     """Mix all vulnerable records with just enough clean ones.
 
     The total is sized so vulnerable/total lands on ``fraction`` (nearest
-    integer, half up); clean records are taken in stored order. Vulnerable
-    entries come first; the order sets the SGD order and the k-means seed rows.
+    integer, half up) with at least one clean record; clean records are taken
+    in stored order. Vulnerable entries come first; the order sets the SGD
+    order and the k-means seed rows.
     """
     if not vulnerable or not clean:
         raise InvalidInput("both record lists must be non-empty")
@@ -349,6 +350,8 @@ def build_mixed_dataset(vulnerable: list[ContractRecord],
             f"than the {len(clean)} clean records available"
         )
     clean_needed = int(total) - len(vulnerable)
+    if clean_needed < 1:
+        raise InsufficientData(f"fraction {fraction} leaves no room for a clean record")
     entries = [(rec, VULNERABLE) for rec in vulnerable]
     entries += [(rec, CLEAN) for rec in clean[:clean_needed]]
     return Dataset(entries=tuple(entries))

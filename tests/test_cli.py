@@ -608,6 +608,18 @@ class TestRunAndScanCli:
         assert json.loads(err[0])["error"] == "InsufficientData"
         assert not (root / "dataset.json").exists()
 
+    def test_mix_without_a_clean_entry_is_insufficient_data(self, tmp_path, capsys):
+        # 3 / 0.9 + 0.5 rounds down to 3 entries, which leaves no clean one
+        write_corpus(tmp_path / "vuln", [reentrant_source(i) for i in range(3)], prefix="v")
+        write_corpus(tmp_path / "clean", [clean_source(i) for i in range(3)], prefix="w")
+        assert main(["build-dataset", "--vuln", str(tmp_path / "vuln"),
+                     "--clean", str(tmp_path / "clean"), "--fraction", "0.9",
+                     "--out", str(tmp_path / "dataset.json")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "InsufficientData"
+        assert not (tmp_path / "dataset.json").exists()
+
     def test_unknown_kind_error_json(self, staged_corpus, capsys):
         root = staged_corpus
         assert main(["preprocess", "--in", build_dataset(root),

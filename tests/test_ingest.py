@@ -395,6 +395,19 @@ class TestBuildMixedDataset:
         with pytest.raises(InsufficientData):
             build_mixed_dataset(self._records(1, "V"), self._records(5, "C"), fraction)
 
+    @pytest.mark.parametrize("n_vuln, fraction", [(3, 0.9), (1, 0.7), (1, 0.99)])
+    def test_mix_without_a_clean_entry_is_insufficient_data(self, n_vuln, fraction):
+        # 3 / 0.9 + 0.5 rounds down to 3 entries: every one of them vulnerable
+        with pytest.raises(InsufficientData):
+            build_mixed_dataset(self._records(n_vuln, "V"), self._records(3, "C"), fraction)
+
+    def test_one_clean_entry_is_enough(self):
+        # just below 3 / 3.5 and 1 / 1.5, the largest fractions that leave one clean entry
+        labels = build_mixed_dataset(self._records(3, "V"), self._records(3, "C"), 0.85).truth_labels
+        assert labels == [VULNERABLE] * 3 + [CLEAN]
+        labels = build_mixed_dataset(self._records(1, "V"), self._records(3, "C"), 0.66).truth_labels
+        assert labels == [VULNERABLE, CLEAN]
+
     def test_fraction_needing_every_clean_record(self):
         # 3 / 0.3 + 0.5 = 10.5: 7 clean are needed, so 7 suffice and 6 do not
         assert len(build_mixed_dataset(self._records(3, "V"), self._records(7, "C"),
@@ -418,6 +431,11 @@ class TestBuildMixedDataset:
                       for i in range(n_vuln)]
         clean = [_record(f"contract C{i} {{}}", address=f"0x{i + 9000:040x}")
                  for i in range(800)]
+        if int(n_vuln / fraction + 0.5) == n_vuln:
+            # the nearest total leaves no room for a clean entry
+            with pytest.raises(InsufficientData):
+                build_mixed_dataset(vulnerable, clean, fraction)
+            return
         dataset = build_mixed_dataset(vulnerable, clean, fraction)
         total = len(dataset.entries)
         got = sum(1 for label in dataset.truth_labels if label == VULNERABLE) / total

@@ -357,42 +357,57 @@ class TestTrainingWithOracleKernels:
 
 
 def _replay_draws(docs, config):
-    """The per-document draws of ``train_embedding``, replayed with its loop:
-    (document, window start, window end, noise words, learning rates) per
-    document and epoch, in order."""
+    """The draws of ``train_embedding``, replayed one chunk at a time with a
+    loop over each chunk's documents: (tokens, window start, window end,
+    noise words, learning rates) per chunk and epoch, in order. A chunk
+    takes documents until it holds ``embed.CHUNK`` tokens or the corpus
+    ends."""
     vocab, freqs = embed._build_vocab(docs)
     cdf = embed._noise_cdf(freqs)
-    encoded = [np.array([vocab[w] for w in doc], dtype=np.int64) for doc in docs if doc]
+    chunks, chunk = [], []
+    for doc in docs:
+        chunk.append([vocab[w] for w in doc])
+        if sum(map(len, chunk)) >= embed.CHUNK:
+            chunks.append(chunk)
+            chunk = []
+    if sum(map(len, chunk)):
+        chunks.append(chunk)
     rng = np.random.default_rng(config.seed)
     rng.uniform(size=(len(vocab), config.vector_size))  # the initial w_in
-    total = config.epochs * sum(len(d) for d in encoded)
+    total = config.epochs * sum(len(doc) for doc in docs)
     draws, position = [], 0
     for _ in range(config.epochs):
-        for doc in encoded:
-            pos = np.arange(len(doc))
-            b = rng.integers(1, embed.WINDOW + 1, size=len(doc))
-            lo, hi = np.maximum(0, pos - b), np.minimum(len(doc) - 1, pos + b)
+        for chunk in chunks:
+            n = sum(map(len, chunk))
+            b = rng.integers(1, embed.WINDOW + 1, size=n)
+            lo, hi, start = [], [], 0
+            for doc in chunk:
+                for i in range(start, start + len(doc)):
+                    lo.append(max(start, i - b[i]))
+                    hi.append(min(start + len(doc) - 1, i + b[i]))
+                start += len(doc)
+            lo, hi = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
             u = rng.random((int((hi - lo).sum()), embed.NEGATIVE))
             negs = np.minimum(np.searchsorted(cdf, u, side="right"), len(vocab) - 1)
-            decay = (position + pos) / total
+            decay = (position + np.arange(n)) / total
             alphas = np.maximum(embed.MIN_LEARNING_RATE, embed.LEARNING_RATE
                                 - (embed.LEARNING_RATE - embed.MIN_LEARNING_RATE) * decay)
-            draws.append((doc, lo, hi, negs, alphas))
-            position += len(doc)
+            draws.append((np.array(sum(chunk, []), dtype=np.int64), lo, hi, negs, alphas))
+            position += n
     return draws
 
 
 class TestKernelCalls:
-    """What ``train_embedding`` hands the kernel: whole documents, in order,
-    with the draws of the per-document loop, windows shifted so that none
-    crosses a document, and calls closed once they hold BATCH pairs."""
+    """What ``train_embedding`` hands the kernel: per epoch, the corpus in
+    chunks of whole documents, each closed at the first document end that
+    reaches ``CHUNK`` tokens, with the draws of one chunk at a time and no
+    window crossing a document."""
 
-    # at seed 23 one call holds exactly BATCH pairs, so it must close there
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 23])
     def test_calls_replay_the_per_document_draws(self, monkeypatch, seed):
         rng = np.random.default_rng(60 + seed)
         words = [f"w{i}" for i in range(15)]
-        lengths = [1, 40] + rng.integers(1, 16, size=8).tolist()
+        lengths = [0, 1, 40] + rng.integers(1, 16, size=8).tolist()
         rng.shuffle(lengths)
         docs = [[words[i] for i in _skewed(rng, len(words), n)] for n in lengths]
         config = EmbeddingConfig(vector_size=4, epochs=2, seed=seed)
@@ -403,41 +418,35 @@ class TestKernelCalls:
             calls.append([a.copy() for a in args])
             return kernel(w_in, w_out, *args)
 
+        monkeypatch.setattr(embed, "CHUNK", 12)
         monkeypatch.setattr(_kernels, "skipgram_doc", record)
         train_embedding(docs, config)
 
         draws = _replay_draws(docs, config)
-        per_doc = len(draws) // config.epochs
-        per_epoch = [sum(int((hi - lo).sum()) for _, lo, hi, _, _ in draws[e:e + per_doc])
-                     for e in range(0, len(draws), per_doc)]
-        assert min(per_epoch) > BATCH
-        taken_docs, seen = 0, []
-        for doc, lo, hi, negs, alphas in calls:
-            pairs = int((hi - lo).sum())
-            assert len(negs) == pairs
-            if taken_docs % per_doc == 0:
-                seen.append(0)  # a new epoch starts with a new call
-            start = 0
-            while start < len(doc):
-                want_doc, want_lo, want_hi, want_negs, want_alphas = draws[taken_docs]
-                end = start + len(want_doc)
-                # the window stays inside its own document, shifted by start
-                assert np.array_equal(doc[start:end], want_doc)
-                assert np.array_equal(lo[start:end], start + want_lo)
-                assert np.array_equal(hi[start:end], start + want_hi)
-                assert start <= lo[start:end].min() and hi[start:end].max() < end
-                assert np.array_equal(alphas[start:end], want_alphas)
-                last = int((want_hi - want_lo).sum())
-                assert np.array_equal(negs[:last], want_negs)
-                negs = negs[last:]
-                start = end
-                taken_docs += 1
-            # a call closes as soon as it holds BATCH pairs, or at the end of an epoch
-            assert pairs - last < BATCH
-            assert pairs >= BATCH or taken_docs % per_doc == 0
-            seen[-1] += pairs
-        assert taken_docs == len(draws)
-        assert seen == per_epoch
+        assert len(calls) == len(draws) >= 3 * config.epochs
+        corpus = np.array([embed._build_vocab(docs)[0][w] for doc in docs for w in doc])
+        ends = np.cumsum(lengths)
+        doc_of = np.repeat(np.arange(len(docs)), lengths)  # the document of each position
+        start = 0
+        for (doc, lo, hi, negs, alphas), want in zip(calls, draws):
+            end = start + len(doc)
+            assert np.array_equal(doc, corpus[start:end])
+            # a chunk starts and ends at a document end, and no end before its
+            # own reaches CHUNK tokens from its start
+            assert start in ends or start == 0
+            assert end in ends
+            inner = ends[(ends > start) & (ends < end)]
+            assert (inner - start < embed.CHUNK).all()
+            assert end - start >= embed.CHUNK or end == len(corpus)
+            # every window stays inside its position's document
+            pos = np.arange(start, end)
+            assert (doc_of[start + lo] == doc_of[pos]).all()
+            assert (doc_of[start + hi] == doc_of[pos]).all()
+            assert len(negs) == int((hi - lo).sum())
+            for got, expected in zip((doc, lo, hi, negs, alphas), want):
+                assert np.array_equal(got, expected)
+            start = end % len(corpus)
+        assert start == 0  # every epoch ends at the end of the corpus
 
 
 def _step_case(case, dim):
@@ -593,8 +602,8 @@ class TestTrainingWithReferenceKernels:
         self._same_bytes(monkeypatch, docs, config, expected)
 
     def test_epoch_ending_in_a_zero_pair_call(self, monkeypatch):
-        # 40 tokens hold at least 78 pairs, so that document closes its call,
-        # and the three one-token documents after it make a call of no pairs
+        # the 40-token document closes a chunk of CHUNK tokens, and the three
+        # one-token documents after it make a chunk of no pairs
         rng = np.random.default_rng(19)
         words = [f"w{i}" for i in range(12)]
         docs = [[words[i] for i in _skewed(rng, len(words), 40)], ["w0"], ["w5"], ["lone"]]
@@ -608,10 +617,11 @@ class TestTrainingWithReferenceKernels:
                           (w_in.tobytes(), w_out.tobytes()) == before))
             return loss
 
+        monkeypatch.setattr(embed, "CHUNK", 40)
         monkeypatch.setattr(_kernels, "skipgram_doc", record)
         expected = train_embedding(docs, config)
         assert [n for n, *_ in calls] == [40, 3] * config.epochs
-        assert all(pairs >= BATCH and not same for _, pairs, _, same in calls[::2])
+        assert all(pairs > 0 and not same for _, pairs, _, same in calls[::2])
         assert calls[1::2] == [(3, 0, 0.0, True)] * config.epochs
         self._same_bytes(monkeypatch, docs, config, expected)
 

@@ -14,7 +14,7 @@ from conftest import (
     unchecked_source,
     write_corpus,
 )
-from ethcluster import _artifact, embed, pipeline, vectorize
+from ethcluster import _artifact, _kernels, embed, pipeline, vectorize
 from ethcluster import cluster as cl
 from ethcluster.cluster import load_cluster_model, save_cluster_model
 from ethcluster.detect import KINDS, REGEX_KINDS, detector_for
@@ -130,7 +130,8 @@ class TestConfigResolution:
             f"window {embed.WINDOW} (`embed.WINDOW`)",
             f"{embed.NEGATIVE} negative samples (`embed.NEGATIVE`)",
             f"learning rate {embed.LEARNING_RATE} (`embed.LEARNING_RATE`)",
-            f"minibatches of at most {embed.BATCH} pairs (`embed.BATCH`)",
+            f"minibatches of at most {_kernels.BATCH} pairs (`_kernels.BATCH`)",
+            f"chunks of at least {embed.CHUNK} tokens (`embed.CHUNK`)",
             f"PCA to {cl.PCA_DIM} components when vectors are wider than {cl.PCA_DIM}",
             f"at most {cl.MAX_ITERATIONS} k-means iterations",
         ]
