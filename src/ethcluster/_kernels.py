@@ -11,15 +11,16 @@ summed ``embed.negative_sampling_loss``, at per-pair learning rates; a noise
 word equal to its pair's target counts for nothing.
 
 A batch works on its distinct input rows ``H`` and distinct output rows
-``U``, each found with one sort of the batch's word ids and a
-``searchsorted`` into the distinct ones (``_distinct``, the values and
-inverse of ``np.unique`` at a fraction of its cost). One flat index per
-(pair, word) gathers the scores from ``H @ U.T`` and sums the coefficients
-``(label - sigma) * alpha`` into the matrix ``C`` of distinct input rows by
-distinct output rows, and the rows move by ``C @ U`` and ``C.T @ H``. So a
-batch's temporaries hold at most ``BATCH * (1 + k)`` scores,
-``BATCH`` x ``BATCH * (1 + k)`` coefficients and distinct-rows x dim row
-blocks, never a vocabulary-wide array. The sigmoids of every batch go into
+``U``, each found with one sort of the batch's word ids and a lookup in a
+slot table of one int64 per vocabulary word, made once per call
+(``_distinct``, the values and inverse of ``np.unique`` at a fraction of its
+cost). One flat index per (pair, word) gathers the scores from ``H @ U.T``
+and sums the coefficients ``(label - sigma) * alpha`` into the matrix ``C``
+of distinct input rows by distinct output rows, and the rows move by
+``C @ U`` and ``C.T @ H``. So a batch's temporaries hold at most
+``BATCH * (1 + k)`` scores, ``BATCH`` x ``BATCH * (1 + k)`` coefficients and
+distinct-rows x dim row blocks; the one vocabulary-wide array is the slot
+table, 1/dim the size of ``w_in``. The sigmoids of every batch go into
 one array of the call, from which the loss is summed once per call.
 
 All pseudo-randomness (window sizes, negative samples) is drawn outside the
@@ -65,10 +66,11 @@ def skipgram_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
     keep[:, 1:] = negatives != words[:, :1]
     rate = alphas[pos][:, None] * keep
     sig = np.empty(words.shape)
+    slot = np.empty(len(w_in), np.int64)
     for start in range(0, len(pos), BATCH):
         b = slice(start, start + BATCH)
-        rows_in, ci = _distinct(centers[b])
-        rows_out, wi = _distinct(words[b])
+        rows_in, ci = _distinct(centers[b], slot)
+        rows_out, wi = _distinct(words[b], slot)
         h, u = w_in[rows_in], w_out[rows_out]
         flat = ci[:, None] * len(rows_out) + wi
         f = h.dot(u.T).take(flat)
@@ -82,18 +84,21 @@ def skipgram_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
     return float((-np.log(np.where(label, sig, 1.0 - sig)) * keep).sum())
 
 
-def _distinct(x):
+def _distinct(x, slot):
     """``np.unique(x, return_inverse=True)`` of a non-empty int array: the
     sorted distinct values, and each entry's index among them, shaped like
-    ``x``. One sort and a binary search cost less than ``np.unique`` at
-    batch sizes."""
+    ``x``. ``slot`` is an int64 scratch table indexed by value; its entries
+    at ``x``'s values are written before they are read, so its old contents
+    never matter. One sort and a table lookup cost less than ``np.unique``
+    at batch sizes."""
     s = x.flatten()
     s.sort()
     first = np.empty(len(s), dtype=bool)
     first[0] = True
     np.not_equal(s[1:], s[:-1], out=first[1:])
     rows = s[first]
-    return rows, rows.searchsorted(x)
+    slot[rows] = np.arange(len(rows))
+    return rows, slot[x]
 
 
 def cbow_doc(*args):

@@ -327,12 +327,19 @@ class TestSkipgram:
 @example(np.array([7], dtype=np.int64))
 @example(np.full(64, 3, dtype=np.int64))
 @example(np.full((64, 6), 0, dtype=np.int64))
+@example(np.zeros(1, dtype=np.int64))
 def test_distinct_rows_equal_np_unique(x):
-    rows, inverse = _kernels._distinct(x)
-    expected_rows, expected_inverse = np.unique(x, return_inverse=True)
-    assert rows.dtype == x.dtype and np.array_equal(rows, expected_rows)
-    assert inverse.shape == x.shape
-    assert np.array_equal(inverse, expected_inverse.reshape(x.shape))
+    # The slot is as short as x allows (one word when x is all zeros) and
+    # starts as junk. The second input shares values with the first, as a
+    # rule at other ranks, so a slot entry left from the first call shows.
+    slot = np.full(x.max() + 1, -7, dtype=np.int64)
+    second = np.concatenate((x.ravel()[::2], x.max() - x.ravel()))
+    for y in (x, second):
+        rows, inverse = _kernels._distinct(y, slot)
+        expected_rows, expected_inverse = np.unique(y, return_inverse=True)
+        assert rows.dtype == y.dtype and np.array_equal(rows, expected_rows)
+        assert inverse.shape == y.shape
+        assert np.array_equal(inverse, expected_inverse.reshape(y.shape))
 
 
 class TestTrainingWithOracleKernels:
