@@ -19,7 +19,7 @@ import numpy as np
 from . import cluster as cl
 from . import embed, pipeline, vectorize
 from ._artifact import read_json
-from .errors import EthClusterError, PipelineStageError, RateLimited
+from .errors import EthClusterError, FormatError, PipelineStageError, RateLimited
 # perfbench/spans.py wraps confusion, metrics, write_report and render_table on this module.
 from .evaluate import confusion, metrics, project2d, render_table, write_points_csv, write_report
 from .ingest import (
@@ -71,8 +71,7 @@ def cmd_build_dataset(args) -> int:
     clean = records_from_dir(args.clean)
     dataset = build_mixed_dataset(vulnerable, clean, args.fraction)
     dataset.save(args.out)
-    n_vuln = sum(1 for _, label in dataset.entries if label == "vulnerable")
-    print(f"{len(dataset.entries)} entries ({n_vuln} vulnerable) -> {args.out}")
+    print(f"{len(dataset.entries)} entries ({len(vulnerable)} vulnerable) -> {args.out}")
     return 0
 
 
@@ -138,8 +137,14 @@ def cmd_project(args) -> int:
     return 0
 
 
+def _config_object(payload):
+    if type(payload) is not dict:
+        raise FormatError(f"a config must be a JSON object; got {type(payload).__name__}")
+    return payload
+
+
 def _resolved_config(args) -> PipelineConfig:
-    values = read_json(args.config, dict) if args.config else {}
+    values = read_json(args.config, _config_object) if args.config else {}
     overrides = {
         "vulnerability": args.vulnerability,
         "dataset": getattr(args, "dataset", None),
@@ -261,7 +266,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except PipelineStageError as exc:
-        payload = {"error": type(exc.cause).__name__, "message": str(exc.cause), "stage": exc.stage}
+        name = "PathError" if isinstance(exc.cause, OSError) else type(exc.cause).__name__
+        payload = {"error": name, "message": str(exc.cause), "stage": exc.stage}
     except EthClusterError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
     except OSError as exc:

@@ -116,21 +116,19 @@ def kmeans_fit(X: np.ndarray, k: int, max_iterations: int = MAX_ITERATIONS, *,
         raise TooManyClusters(f"k={k} exceeds {n} data rows")
 
     rng = np.random.default_rng(seed)
-    centers = X[rng.choice(n, size=k, replace=False)].copy()
+    centers = X[rng.choice(n, size=k, replace=False)]
 
     assignments, objective = _kernels.kmeans_assign(X, centers)
     history = [objective]
 
     for iterations_run in range(1, max_iterations + 1):
         sums, counts = _kernels.kmeans_update(X, assignments, k)
-        for c in range(k):
-            if counts[c] == 0:
-                # re-seed the empty cluster on the row farthest from its old center
-                diff = X - centers[c]
-                dist = np.einsum("ij,ij->i", diff, diff)
-                centers[c] = X[int(np.argmax(dist))]
-            else:
-                centers[c] = sums[c] / counts[c]
+        empty = counts == 0
+        # re-seed each empty cluster on the row farthest from its old center
+        diff = X - centers[empty, None]
+        reseeds = X[np.einsum("kij,kij->ki", diff, diff).argmax(axis=1)]
+        centers = sums / np.maximum(counts, 1)[:, None]
+        centers[empty] = reseeds
         previous = assignments
         assignments, objective = _kernels.kmeans_assign(X, centers)
         history.append(objective)

@@ -11,7 +11,9 @@ bit-reproducible.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -116,10 +118,7 @@ def negative_sampling_gradients(w_in: np.ndarray, w_out: np.ndarray,
 
 def _build_vocab(docs: Sequence[Sequence[str]]) -> tuple[dict[str, int], np.ndarray]:
     """Every word of the corpus, with its count."""
-    counts: dict[str, int] = {}
-    for doc in docs:
-        for word in doc:
-            counts[word] = counts.get(word, 0) + 1
+    counts = Counter(chain.from_iterable(docs))
     # stable order: frequency descending, first-seen breaking ties
     words = sorted(counts, key=lambda w: -counts[w])
     vocab = {w: i for i, w in enumerate(words)}

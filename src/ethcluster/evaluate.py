@@ -8,6 +8,7 @@ coerced to 0 or 100, so aggregate reports cannot silently absorb them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -47,21 +48,12 @@ def confusion(predicted: Sequence[str], truth: Sequence[str]) -> ConfusionMatrix
     """Count tp/fp/fn/tn over aligned label lists (vulnerable is positive)."""
     if len(predicted) != len(truth):
         raise AlignmentError(f"{len(predicted)} predictions vs {len(truth)} truth labels")
-    tp = fp = fn = tn = 0
-    for pred, actual in zip(predicted, truth):
+    pairs = Counter(zip(predicted, truth))  # first-seen order: the first bad pair is reported
+    for pred, actual in pairs:
         if pred not in (VULNERABLE, CLEAN) or actual not in (VULNERABLE, CLEAN):
             raise InvalidInput(f"labels must be '{VULNERABLE}' or '{CLEAN}', got ({pred!r}, {actual!r})")
-        if pred == VULNERABLE:
-            if actual == VULNERABLE:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if actual == VULNERABLE:
-                fn += 1
-            else:
-                tn += 1
-    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
+    return ConfusionMatrix(tp=pairs[VULNERABLE, VULNERABLE], fp=pairs[VULNERABLE, CLEAN],
+                           fn=pairs[CLEAN, VULNERABLE], tn=pairs[CLEAN, CLEAN])
 
 
 def _round2(numerator: int, denominator: int) -> float:

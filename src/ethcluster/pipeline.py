@@ -71,7 +71,7 @@ class PipelineConfig:
         kind = _kind(values.get("vulnerability", ""))
         values = {"vector_size": kind.vector_size, "tfidf_threshold": kind.tfidf_threshold,
                   "num_clusters": kind.num_clusters, **values}
-        if not values.get("workdir"):
+        if values.get("workdir") in (None, ""):
             values["workdir"] = os.environ.get(WORKDIR_ENV, "ethcluster-work")
         unknown = set(values) - {f.name for f in fields(cls)}
         if unknown:

@@ -10,7 +10,9 @@ become zero vectors.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -23,13 +25,15 @@ from .preprocess import TokenDoc
 
 
 class Dictionary:
-    """Dense word ids in first-seen corpus order, plus document frequencies."""
+    """Dense word ids in first-seen corpus order, plus document frequencies.
+
+    ``word_to_id`` holds its words in id order, so that word ``i`` was
+    inserted ``i``-th: listing its keys gives ``id_to_word``.
+    """
 
     def __init__(self, word_to_id: dict[str, int], doc_freq: list[int], num_docs: int):
         self.word_to_id = word_to_id
-        self.id_to_word = [None] * len(word_to_id)
-        for word, idx in word_to_id.items():
-            self.id_to_word[idx] = word
+        self.id_to_word = list(word_to_id)
         self.doc_freq = doc_freq
         self.num_docs = num_docs
 
@@ -38,22 +42,11 @@ def build_dictionary(docs: Sequence[Sequence[str]]) -> Dictionary:
     """Assign ids in first-occurrence order and count document frequencies."""
     if not docs:
         raise InvalidInput("document list is empty")
-    word_to_id: dict[str, int] = {}
-    doc_freq: list[int] = []
-    for doc in docs:
-        seen: set[int] = set()
-        for word in doc:
-            idx = word_to_id.get(word)
-            if idx is None:
-                idx = len(word_to_id)
-                word_to_id[word] = idx
-                doc_freq.append(0)
-            seen.add(idx)
-        for idx in seen:
-            doc_freq[idx] += 1
-    if not word_to_id:
+    words = dict.fromkeys(chain.from_iterable(docs))
+    if not words:
         raise EmptyCorpus("every document is empty")
-    return Dictionary(word_to_id, doc_freq, len(docs))
+    doc_freq = Counter(chain.from_iterable(map(set, docs)))
+    return Dictionary({w: i for i, w in enumerate(words)}, [doc_freq[w] for w in words], len(docs))
 
 
 def doc2bow(dictionary: Dictionary, doc: Sequence[str]) -> list[tuple[int, int]]:

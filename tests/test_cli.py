@@ -564,6 +564,29 @@ class TestRunAndScanCli:
         assert err["stage"] == "dataset"
         assert err["error"] == "PathError"
 
+    def test_run_on_a_dataset_directory_is_a_path_error(self, tmp_path, capsys):
+        (tmp_path / "dataset").mkdir()
+        assert main(["run", "--vulnerability", "reentrancy", "--dataset", str(tmp_path / "dataset"),
+                     "--workdir", str(tmp_path / "work")]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert (err["error"], err["stage"]) == ("PathError", "dataset")
+        assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize("text", ['[["vulnerability", "reentrancy"]]', "[]", "[1, 2]",
+                                      '"reentrancy"', "null", "5"])
+    def test_config_that_is_not_an_object_is_a_format_error(self, tmp_path, capsys,
+                                                            monkeypatch, text):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(text, "utf-8")
+        assert main(["run", "--config", str(path), "--workdir", str(tmp_path / "work")]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "FormatError" and str(path) in err["message"]
+        assert "JSON object" in err["message"]
+        assert list(tmp_path.iterdir()) == [path]
+
     def _run_on_edited_record(self, root, capsys, field, value):
         """The one error line of ``run`` on a dataset whose entry 3 has
         ``record[field]`` set to ``value``; ``run`` must make no stage dir."""

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ethcluster._artifact import write_json
 from ethcluster.cluster import (
@@ -207,6 +207,22 @@ class TestKmeans:
         init = X[init_rng.choice(20, size=k, replace=False)]
         oracle = brute_force_lloyd(X, init)
         assert list(model.assignments) == oracle
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_emptied_clusters_match_brute_force_oracle(self, data):
+        """Few distinct rows under many clusters leave clusters empty, so this
+        pins which row re-seeds each one: the farthest from its old center."""
+        dim = data.draw(st.integers(1, 3))
+        points = data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim),
+                                    min_size=1, max_size=4, unique=True))
+        rows = data.draw(st.lists(st.sampled_from(points), min_size=2, max_size=30))
+        k = data.draw(st.integers(1, min(8, len(rows))))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        X = np.array(rows, dtype=np.float64)
+        model = kmeans_fit(X, k=k, seed=seed)
+        init = X[np.random.default_rng(seed).choice(len(X), size=k, replace=False)]
+        assert model.assignments.tolist() == brute_force_lloyd(X, init)
 
     def test_objective_non_increasing(self):
         rng = np.random.default_rng(21)

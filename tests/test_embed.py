@@ -3,9 +3,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from ethcluster._artifact import pack
 from ethcluster.embed import (
+    _build_vocab,
     EmbeddingConfig,
     load_model,
     negative_sampling_gradients,
@@ -18,6 +20,19 @@ from ethcluster.errors import EmptyCorpus, FormatError, InvalidInput, VersionErr
 
 def _cosine(a, b):
     return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+def reference_build_vocab(docs):
+    """``_build_vocab`` as a per-word counting loop, its former body, kept as
+    the reference the ``Counter`` form must equal."""
+    counts: dict[str, int] = {}
+    for doc in docs:
+        for word in doc:
+            counts[word] = counts.get(word, 0) + 1
+    words = sorted(counts, key=lambda w: -counts[w])
+    vocab = {w: i for i, w in enumerate(words)}
+    freqs = np.array([counts[w] for w in words], dtype=np.float64)
+    return vocab, freqs
 
 
 def reference_softmax_skipgram(docs, vocab, dim, window, steps, lr, seed):
@@ -114,6 +129,16 @@ class TestTraining:
     def test_empty_docs_rejected(self):
         with pytest.raises(InvalidInput):
             train_embedding([], EmbeddingConfig(vector_size=4))
+
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "call", "x"]), max_size=8),
+                    max_size=6))
+    @example([["b", "a", "a", "b", "c"], ["c"]])  # a three-way tie at 2, then first-seen order
+    @example([])
+    def test_vocab_equals_the_counting_loop(self, docs):
+        vocab, freqs = _build_vocab(docs)
+        ref_vocab, ref_freqs = reference_build_vocab(docs)
+        assert list(vocab.items()) == list(ref_vocab.items())
+        assert freqs.dtype == ref_freqs.dtype and freqs.tobytes() == ref_freqs.tobytes()
 
     def test_vectors_finite_and_shaped(self):
         docs = [["a", "b", "c", "a"], ["b", "c", "d"]] * 5

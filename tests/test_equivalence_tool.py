@@ -130,3 +130,16 @@ def test_environment_names_numpy_and_its_blas():
     assert set(env) == {"numpy", "openblas configuration", "kernel"}
     assert env["numpy"] == np.__version__
     assert all(isinstance(value, str) and value for value in env.values())
+
+
+def test_src_lines_counts_the_python_files_under_src(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree, body in ((parent, "a = 1\nb = 2\n"), (change, "a = 1\n")):
+        (tree / "src" / "pkg").mkdir(parents=True)
+        (tree / "src" / "pkg" / "mod.py").write_text(body, "utf-8")
+        (tree / "src" / "top.py").write_text("x = 1\ny = 2\nz = 3", "utf-8")  # no last newline
+        (tree / "src" / "notes.txt").write_text("not\ncounted\n", "utf-8")
+        (tree / "tests").mkdir()
+        (tree / "tests" / "test_mod.py").write_text("def test():\n    pass\n", "utf-8")
+    assert equivalence.src_lines(parent) == 4
+    assert equivalence.src_lines(change) == 3

@@ -142,6 +142,8 @@ class TestConfigResolution:
         ("vector_size-None", "vector_size", None), ("epochs-1.5", "epochs", 1.5),
         ("tfidf_threshold-0.7", "tfidf_threshold", "0.7"), ("epochs-True", "epochs", True),
         ("dataset-3", "dataset", 3), ("vulnerability-value7", "vulnerability", ["reentrancy"]),
+        ("workdir-False", "workdir", False), ("workdir-0", "workdir", 0),
+        ("workdir-list", "workdir", []),
     ]))
     def test_wrong_typed_value_is_refused(self, build, field, value):
         with pytest.raises(InvalidInput, match=field):
@@ -176,8 +178,9 @@ class TestConfigResolution:
 
     def test_workdir_env_fallback(self, monkeypatch):
         monkeypatch.setenv("ETHCLUSTER_WORKDIR", "/tmp/elsewhere")
-        config = PipelineConfig.resolve({"vulnerability": "timestamp"})
-        assert config.workdir == "/tmp/elsewhere"
+        for unset in ({}, {"workdir": None}, {"workdir": ""}):
+            config = PipelineConfig.resolve({"vulnerability": "timestamp", **unset})
+            assert config.workdir == "/tmp/elsewhere"
 
     def test_regex_kind_mapping(self):
         assert PipelineConfig.resolve({"vulnerability": "reentrancy"}).regex_kind == "reentrancy"

@@ -26,6 +26,25 @@ from ethcluster.vectorize import (
 )
 
 
+def reference_build_dictionary(docs):
+    """``build_dictionary``'s former per-word loop, kept as the reference its
+    ``dict.fromkeys`` and ``Counter`` form must equal: (word_to_id, doc_freq)."""
+    word_to_id: dict[str, int] = {}
+    doc_freq: list[int] = []
+    for doc in docs:
+        seen: set[int] = set()
+        for word in doc:
+            idx = word_to_id.get(word)
+            if idx is None:
+                idx = len(word_to_id)
+                word_to_id[word] = idx
+                doc_freq.append(0)
+            seen.add(idx)
+        for idx in seen:
+            doc_freq[idx] += 1
+    return word_to_id, doc_freq
+
+
 def _embedding(words: list[str], dim: int = 4, scale: float = 1.0) -> EmbeddingModel:
     """Deterministic fake embedding: one-hot-ish rows, no training involved."""
     vocab = {w: i for i, w in enumerate(words)}
@@ -66,6 +85,21 @@ class TestDictionary:
     def test_all_empty_docs(self):
         with pytest.raises(EmptyCorpus):
             build_dictionary([[], []])
+
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "call", "x"]), max_size=8),
+                    min_size=1, max_size=6))
+    @example([["z", "a", "z"], [], ["a", "m", "m"]])
+    @example([[], []])
+    def test_dictionary_equals_the_counting_loop(self, docs):
+        word_to_id, doc_freq = reference_build_dictionary(docs)
+        if not word_to_id:
+            with pytest.raises(EmptyCorpus):
+                build_dictionary(docs)
+            return
+        d = build_dictionary(docs)
+        assert list(d.word_to_id.items()) == list(word_to_id.items())
+        assert d.id_to_word == list(word_to_id) and d.doc_freq == doc_freq
+        assert d.num_docs == len(docs)
 
     def test_df_bounds(self):
         d = build_dictionary([["a", "b"], ["b"], ["b", "c"]])
