@@ -122,8 +122,10 @@ def kmeans_assign(X, centers):
 def kmeans_update(X, ids, k):
     """Per-cluster coordinate sums and member counts of the ``k`` clusters.
 
-    ``np.add.at`` adds the rows in index order, as a loop over them would.
+    One ``np.bincount`` over flat (cluster, coordinate) bins sums each bin's
+    weights in row order from 0.0, as a loop over the rows would.
     """
-    sums = np.zeros((k, X.shape[1]))
-    np.add.at(sums, ids, X)
+    d = X.shape[1]
+    flat = (ids[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(flat, weights=X.ravel(), minlength=k * d).reshape(k, d)
     return sums, np.bincount(ids, minlength=k)

@@ -11,6 +11,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import chain
@@ -131,6 +132,35 @@ def _noise_cdf(freqs: np.ndarray) -> np.ndarray:
     return np.cumsum(weights / weights.sum())
 
 
+def _noise_table(freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The noise CDF with ``+inf`` appended, a bucket table ``start`` over it
+    and the steps a lookup takes (Chen & Asau 1974).
+
+    The table's size is a power of two, so bucket ``t`` holds exactly the
+    uniforms in ``[t / size, (t + 1) / size)``; ``start[t]`` counts the CDF
+    entries <= ``t / size`` and ``steps`` is the most entries inside a bucket.
+    As ``size`` >= the summed noise weights and every count is >= 1, every
+    noise probability is >= ``1 / size`` and ``steps`` <= 2.
+    """
+    cdf = _noise_cdf(freqs)
+    size = 1 << (math.ceil((freqs ** NOISE_POWER).sum()) - 1).bit_length()
+    edges = np.arange(size + 1) / size
+    start = np.searchsorted(cdf, edges[:-1], side="right")
+    steps = int((np.searchsorted(cdf, edges[1:]) - start).max())
+    return np.append(cdf, np.inf), start, steps
+
+
+def _noise_words(table: tuple[np.ndarray, np.ndarray, int], u: np.ndarray) -> np.ndarray:
+    """The noise word of each uniform in ``u``: ``np.searchsorted(cdf, u,
+    side="right")`` clamped to the last word, found through ``_noise_table``."""
+    cdf, start, steps = table
+    negs = start[(u * len(start)).astype(np.int64)]
+    for _ in range(steps):
+        negs += cdf[negs] <= u
+    # cdf ends in the +inf sentinel, so the last word is len(cdf) - 2
+    return np.minimum(negs, len(cdf) - 2, out=negs)
+
+
 def train_embedding(docs: Sequence[Sequence[str]], config: EmbeddingConfig) -> EmbeddingModel:
     """Train word vectors over tokenized documents.
 
@@ -138,7 +168,9 @@ def train_embedding(docs: Sequence[Sequence[str]], config: EmbeddingConfig) -> E
     first document end that gives it ``CHUNK`` tokens. Per epoch and chunk
     the generator draws the window sizes, then one uniform per noise word,
     and each window is clipped to its position's document, so no skip-gram
-    pair spans two documents.
+    pair spans two documents. Noise words come from a bucket table of the
+    smallest power of two >= the summed noise weights, which is at most twice
+    the corpus's token count.
     """
     if not docs:
         raise InvalidInput("document list is empty")
@@ -159,7 +191,7 @@ def train_embedding(docs: Sequence[Sequence[str]], config: EmbeddingConfig) -> E
     if cuts[-1] < len(tokens):
         cuts.append(len(tokens))
 
-    cdf = _noise_cdf(freqs)
+    noise = _noise_table(freqs)
     vocab_size = len(vocab)
     dim = config.vector_size
 
@@ -176,11 +208,10 @@ def train_embedding(docs: Sequence[Sequence[str]], config: EmbeddingConfig) -> E
             lo = np.maximum(first[s:e], pos - b) - s
             hi = np.minimum(last[s:e], pos + b) - s
             u = rng.random((int((hi - lo).sum()), NEGATIVE))
-            negs = np.minimum(np.searchsorted(cdf, u, side="right"), vocab_size - 1)
             decay = (epoch * len(tokens) + pos) / total_positions
             alphas = LEARNING_RATE - (LEARNING_RATE - MIN_LEARNING_RATE) * decay
             alphas = np.maximum(MIN_LEARNING_RATE, alphas)
-            _kernels.skipgram_doc(w_in, w_out, tokens[s:e], lo, hi, negs.astype(np.int64), alphas)
+            _kernels.skipgram_doc(w_in, w_out, tokens[s:e], lo, hi, _noise_words(noise, u), alphas)
 
     return EmbeddingModel(vocab=vocab, vectors=w_in, config=config)
 

@@ -8,6 +8,9 @@ from hypothesis import example, given, strategies as st
 from ethcluster._artifact import pack
 from ethcluster.embed import (
     _build_vocab,
+    _noise_cdf,
+    _noise_table,
+    _noise_words,
     EmbeddingConfig,
     load_model,
     negative_sampling_gradients,
@@ -139,6 +142,31 @@ class TestTraining:
         ref_vocab, ref_freqs = reference_build_vocab(docs)
         assert list(vocab.items()) == list(ref_vocab.items())
         assert freqs.dtype == ref_freqs.dtype and freqs.tobytes() == ref_freqs.tobytes()
+
+    @given(st.one_of(st.integers(1, 400).map(lambda n: [1] * n),
+                     st.lists(st.integers(1, 1000), min_size=1, max_size=400),
+                     # a heavy head: up to five words with counts up to 1e5
+                     st.builds(list.__add__,
+                               st.lists(st.integers(1000, 100_000), min_size=1, max_size=5),
+                               st.lists(st.integers(1, 3), max_size=395))),
+           st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))
+    @example([1, 1, 1], [])
+    @example([100_000, 1, 1], [0.5])
+    def test_noise_words_equal_searchsorted(self, counts, uniforms):
+        freqs = np.array(counts, dtype=np.float64)
+        cdf = _noise_cdf(freqs)
+        table = _noise_table(freqs)
+        size = len(table[1])
+        edges = np.arange(size) / size
+        # every CDF entry, every bucket edge and their neighbours below 1
+        u = np.concatenate([uniforms, [0.0, np.nextafter(1.0, 0.0)], edges,
+                            np.nextafter(edges, 0.0), cdf, np.nextafter(cdf, 0.0),
+                            np.nextafter(cdf, 2.0)])
+        u = u[u < 1.0].reshape(-1, 1)
+        expected = np.minimum(np.searchsorted(cdf, u, side="right"), len(counts) - 1)
+        got = _noise_words(table, u)
+        assert table[2] <= 2
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
 
     def test_vectors_finite_and_shaped(self):
         docs = [["a", "b", "c", "a"], ["b", "c", "d"]] * 5

@@ -646,6 +646,22 @@ class TestKmeans:
         assert np.array_equal(got_sums, sums)
         assert np.array_equal(got_counts, counts)
 
+    @given(st.data())
+    def test_update_bytes_equal_oracle(self, data):
+        # -0.0 entries, empty clusters and magnitudes from 1e-8 to 1e8
+        n, dim, k = (data.draw(st.integers(1, hi)) for hi in (30, 6, 9))
+        scaled = st.tuples(st.floats(1.0, 9.99), st.integers(-8, 7), st.sampled_from([1.0, -1.0]))
+        element = st.one_of(st.sampled_from([0.0, -0.0]),
+                            scaled.map(lambda t: t[2] * t[0] * 10.0 ** t[1]))
+        X = data.draw(arrays(np.float64, (n, dim), elements=element))
+        distinct = data.draw(st.integers(1, k))  # k may exceed the distinct ids
+        assign = data.draw(arrays(np.int64, n, elements=st.integers(0, distinct - 1)))
+        sums, counts = np.zeros((k, dim)), np.zeros(k, dtype=np.int64)
+        got_sums, got_counts = _kernels.kmeans_update(X, assign, k)
+        oracle_kmeans_update(X, assign, sums, counts)
+        assert got_sums.shape == sums.shape and got_sums.tobytes() == sums.tobytes()
+        assert got_counts.tobytes() == counts.tobytes()
+
     @pytest.mark.parametrize("seed", range(5))
     def test_assign_matches_oracle(self, seed):
         rng = np.random.default_rng(seed)
