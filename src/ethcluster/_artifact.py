@@ -67,8 +67,8 @@ def read_json(path: str | Path, decode, name: str | None = None):
         return decode(payload)
     except (FormatError, VersionError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
-    except (AttributeError, IndexError, InvalidInput, KeyError, OverflowError, TypeError,
-            ValueError) as exc:
+    except (AttributeError, IndexError, InvalidInput, KeyError, OverflowError, RecursionError,
+            TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 

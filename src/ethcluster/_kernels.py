@@ -20,8 +20,7 @@ of distinct input rows by distinct output rows, and the rows move by
 ``C @ U`` and ``C.T @ H``. So a batch's temporaries hold at most
 ``BATCH * (1 + k)`` scores, ``BATCH`` x ``BATCH * (1 + k)`` coefficients and
 distinct-rows x dim row blocks; the one vocabulary-wide array is the slot
-table, 1/dim the size of ``w_in``. The sigmoids of every batch go into
-one array of the call, from which the loss is summed once per call.
+table, 1/dim the size of ``w_in``.
 
 All pseudo-randomness (window sizes, negative samples) is drawn outside the
 kernels, so the random stream never depends on how a kernel is written.
@@ -52,7 +51,7 @@ def skipgram_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
     per position, holding the position itself; negatives: int64[n_pairs, k]
     noise words, one row per pair in pair-enumeration order; alphas:
     float64[n] per-position learning rate. Updates w_in / w_out in place and
-    returns the summed pair loss, each pair scored at its batch's start.
+    returns nothing.
     """
     counts = win_hi - win_lo
     pos = np.repeat(np.arange(len(doc)), counts)  # the center position of each pair
@@ -65,7 +64,6 @@ def skipgram_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
     keep = np.ones(words.shape)
     keep[:, 1:] = negatives != words[:, :1]
     rate = alphas[pos][:, None] * keep
-    sig = np.empty(words.shape)
     slot = np.empty(len(w_in), np.int64)
     for start in range(0, len(pos), BATCH):
         b = slice(start, start + BATCH)
@@ -76,12 +74,11 @@ def skipgram_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
         f = h.dot(u.T).take(flat)
         np.maximum(f, -_MAX_SCORE, out=f)
         np.minimum(f, _MAX_SCORE, out=f)
-        s = sig[b] = 1.0 / (1.0 + np.exp(-f))
+        s = 1.0 / (1.0 + np.exp(-f))
         g = ((label - s) * rate[b]).ravel()
         c = np.bincount(flat.ravel(), g, len(rows_in) * len(rows_out)).reshape(len(rows_in), -1)
         w_in[rows_in] = h + c.dot(u)
         w_out[rows_out] = u + c.T.dot(h)
-    return float((-np.log(np.where(label, sig, 1.0 - sig)) * keep).sum())
 
 
 def _distinct(x, slot):

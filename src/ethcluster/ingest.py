@@ -158,8 +158,10 @@ class ExplorerClient:
 
     def __init__(self, endpoints: dict[str, str] | None = None,
                  rate_per_second: float = RATE_PER_SECOND):
-        if not (math.isfinite(rate_per_second) and rate_per_second > 0):
-            raise InvalidInput(f"rate must be a finite number > 0, got {rate_per_second}")
+        # a rate below 1 waits 1/rate seconds, which no sleep may exceed
+        if not (math.isfinite(rate_per_second) and rate_per_second >= 1 / threading.TIMEOUT_MAX):
+            raise InvalidInput(f"rate must be finite and at least 1/{threading.TIMEOUT_MAX:.0f} "
+                               f"per second, got {rate_per_second}")
         self.endpoints = dict(DEFAULT_ENDPOINTS if endpoints is None else endpoints)
         self._buckets = {chain: TokenBucket(rate_per_second) for chain in self.endpoints}
 
@@ -199,7 +201,7 @@ class ExplorerClient:
             raise TransportError(f"{chain} returned HTTP {status} for {address}")
         try:
             payload = json.loads(body)
-        except ValueError as exc:
+        except (RecursionError, ValueError) as exc:
             raise TransportError(f"{chain} returned non-JSON payload for {address}") from exc
         if not isinstance(payload, dict):
             raise TransportError(f"{chain} returned a non-object payload for {address}")
@@ -284,7 +286,7 @@ class ContractStore:
             return
         except OSError as exc:
             raise StoreError(f"cannot read store at {self.path}: {exc}") from exc
-        except (FormatError, InvalidInput, TypeError, ValueError) as exc:
+        except (FormatError, InvalidInput, RecursionError, TypeError, ValueError) as exc:
             raise StoreError(f"{self.path}: line {number} is not a record: {exc}") from exc
 
     def records(self) -> list[ContractRecord]:
@@ -369,6 +371,8 @@ def records_from_dir(directory: str | Path) -> list[ContractRecord]:
         raise PathError(f"not a directory: {str(directory)!r}")
     records = []
     for path in sorted(directory.rglob("*.sol")):
+        if not path.is_file():  # e.g. Hardhat's artifacts/contracts/B.sol/
+            continue
         source = path.read_text("utf-8", errors="replace")
         if not source.strip():
             continue

@@ -17,6 +17,7 @@ class _ExplorerHandler(BaseHTTPRequestHandler):
     ("ok", source_text), ("empty",), ("http", status_code),
     ("http_once", status_code, source_text), ("ratemsg",), ("raw", body),
     which answers HTTP 200 with ``body`` encoded as JSON, whatever its shape,
+    ("bytes", data), which answers HTTP 200 with the bytes ``data`` as they are,
     ("short",), which sends half the body it announces and hangs up, or
     ("garbage",), which answers with a line that is not an HTTP status line.
     Unknown addresses answer with a default source derived from the address.
@@ -56,7 +57,7 @@ class _ExplorerHandler(BaseHTTPRequestHandler):
                 source = f"contract C_{address[-6:]} {{}}"
             body = {"status": "1", "message": "OK",
                     "result": [{"SourceCode": source, "CompilerVersion": "v0.8.19"}]}
-        payload = json.dumps(body).encode("utf-8")
+        payload = behavior[1] if behavior[0] == "bytes" else json.dumps(body).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))

@@ -256,8 +256,10 @@ class TestStagewiseCli:
                                              ("vuln", "PathError"),
                                              ("truncated.json", "FormatError"),
                                              ("forged.json", "FormatError"),
-                                             ("no-entries.json", "FormatError")],
-                             ids=["missing", "directory", "malformed", "forged-hash", "no-entries"])
+                                             ("no-entries.json", "FormatError"),
+                                             ("deep.json", "FormatError")],
+                             ids=["missing", "directory", "malformed", "forged-hash", "no-entries",
+                                  "deeply-nested"])
     def test_preprocess_input_that_is_not_a_dataset_writes_no_tokens(self, staged_corpus,
                                                                      capsys, name, error):
         root = staged_corpus
@@ -267,6 +269,7 @@ class TestStagewiseCli:
         dataset["entries"][3]["record"]["source_hash"] = "f" * 64
         (root / "forged.json").write_text(json.dumps(dataset), "utf-8")
         (root / "no-entries.json").write_text('{"entries": []}', "utf-8")
+        (root / "deep.json").write_text("[" * 100_000, "utf-8")
         out = root / "tokens.json"
         capsys.readouterr()
         assert main(["preprocess", "--in", str(root / name), "--out", str(out)]) == 1
@@ -587,6 +590,16 @@ class TestRunAndScanCli:
         assert "JSON object" in err["message"]
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_deeply_nested_config_is_a_format_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text("[" * 100_000, "utf-8")
+        assert main(["run", "--config", str(path), "--workdir", str(tmp_path / "work")]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "FormatError" and "RecursionError" in err["message"]
+        assert list(tmp_path.iterdir()) == [path]
+
     def _run_on_edited_record(self, root, capsys, field, value):
         """The one error line of ``run`` on a dataset whose entry 3 has
         ``record[field]`` set to ``value``; ``run`` must make no stage dir."""
@@ -718,10 +731,13 @@ class TestIngestCli:
     def test_malformed_payloads_fail_and_the_loop_goes_on(self, mock_explorer, tmp_path,
                                                            capsys):
         url = explorer_url(mock_explorer)
-        malformed = [[], {"result": [{"SourceCode": "contract A {}", "CompilerVersion": None}]}]
+        malformed = [("raw", []),
+                     ("raw", {"result": [{"SourceCode": "contract A {}",
+                                          "CompilerVersion": None}]}),
+                     ("bytes", b"[" * 100_000)]
         addresses = ["0x" + f"{i:040x}" for i in range(1, len(malformed) + 2)]
-        for address, body in zip(addresses, malformed):
-            mock_explorer.behaviors[address] = ("raw", body)
+        for address, behavior in zip(addresses, malformed):
+            mock_explorer.behaviors[address] = behavior
         mock_explorer.behaviors[addresses[-1]] = ("ok", "contract Last {}")
         listing = tmp_path / "a.txt"
         listing.write_text("\n".join(addresses) + "\n", "utf-8")
@@ -744,7 +760,7 @@ class TestIngestCli:
                      "--endpoint", explorer_url(mock_explorer), "--rate", "0.5"]) == 0
         assert "stored=1 duplicate=0 failed=0" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("rate", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("rate", ["0", "-1", "nan", "inf", "1e-10"])
     def test_ingest_refuses_a_bad_rate(self, mock_explorer, tmp_path, capsys, rate):
         addresses = tmp_path / "a.txt"
         addresses.write_text(ADDR_1 + "\n", "utf-8")

@@ -148,10 +148,10 @@ class TestFetch:
         with pytest.raises(TransportError):
             client.fetch_verified_source("etherscan", ADDR_A)
 
-    @pytest.mark.parametrize("behavior", ["short", "garbage"],
-                             ids=["truncated-body", "non-http-status-line"])
+    @pytest.mark.parametrize("behavior", [("short",), ("garbage",), ("bytes", b"[" * 100_000)],
+                             ids=["truncated-body", "non-http-status-line", "deeply-nested"])
     def test_broken_reply_is_a_transport_error(self, mock_explorer, client, behavior):
-        mock_explorer.behaviors[ADDR_A] = (behavior,)
+        mock_explorer.behaviors[ADDR_A] = behavior
         with pytest.raises(TransportError):
             client.fetch_verified_source("etherscan", ADDR_A)
 
@@ -352,7 +352,8 @@ class TestStore:
         int_source = json.dumps({**fields, "source": 3})
         forged_hash = json.dumps({**fields, "source_hash": "f" * 64})
         blank_source = json.dumps({**fields, "source": " \n"})
-        for i, bad in enumerate(['{"chain": "etherscan"', int_source, forged_hash, blank_source]):
+        for i, bad in enumerate(['{"chain": "etherscan"', int_source, forged_hash, blank_source,
+                                 "[" * 100_000]):
             path = tmp_path / f"store{i}.ndjson"
             ContractStore(path).put(_record("contract A{}"))
             with path.open("a", encoding="utf-8") as fh:
@@ -504,6 +505,13 @@ class TestRecordsFromDir:
         (tmp_path / "a.sol").write_text("contract A {}", "utf-8")
         with pytest.raises(PathError, match=name):
             records_from_dir(tmp_path / name)
+
+    def test_directories_named_sol_are_skipped(self, tmp_path):
+        # Hardhat's build layout: artifacts/contracts/B.sol/B.json
+        (tmp_path / "a.sol").write_text("contract A {}", "utf-8")
+        (tmp_path / "artifacts" / "contracts" / "B.sol").mkdir(parents=True)
+        (tmp_path / "artifacts" / "contracts" / "B.sol" / "B.json").write_text("{}", "utf-8")
+        assert [r.source for r in records_from_dir(tmp_path)] == ["contract A {}"]
 
     def test_empty_directory_has_no_records(self, tmp_path):
         assert records_from_dir(tmp_path) == []

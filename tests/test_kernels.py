@@ -9,6 +9,12 @@ noise word equals the target, and when a word is its own context.
 
 The ``reference_*`` functions are plain numpy forms of the kernels. The
 kernels must reproduce them bit for bit.
+
+The SGD kernel returns no loss, so these tests compare weights only. The
+objective itself is pinned elsewhere: ``TestStepDescendsTheObjective`` holds
+each step to ``-alpha`` times ``negative_sampling_gradients``, and
+``tests/test_embed.py::TestGradients`` and acceptance criterion 5 hold those
+gradients to central differences of ``negative_sampling_loss``.
 """
 
 import math
@@ -25,7 +31,6 @@ from ethcluster.cluster import kmeans_fit
 from ethcluster.embed import (
     EmbeddingConfig,
     negative_sampling_gradients,
-    negative_sampling_loss,
     train_embedding,
 )
 from ethcluster.preprocess import preprocess_contract
@@ -33,10 +38,8 @@ from ethcluster.preprocess import preprocess_contract
 _MAX_SCORE = 30.0
 
 
-def _sigmoid_loss(f, label):
-    f = min(max(f, -_MAX_SCORE), _MAX_SCORE)
-    sig = 1.0 / (1.0 + math.exp(-f))
-    return sig, (-math.log(sig) if label == 1.0 else -math.log(1.0 - sig))
+def _sigmoid(f):
+    return 1.0 / (1.0 + math.exp(-min(max(f, -_MAX_SCORE), _MAX_SCORE)))
 
 
 def _pairs_and_batches(win_lo, win_hi):
@@ -57,7 +60,6 @@ def _words(doc, negatives, pair, j):
 
 def oracle_skipgram(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
     dim = w_in.shape[1]
-    loss = 0.0
     pairs, batches = _pairs_and_batches(win_lo, win_hi)
     for batch in batches:
         before_in, before_out = w_in.copy(), w_out.copy()
@@ -68,13 +70,10 @@ def oracle_skipgram(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
                 f = 0.0
                 for d in range(dim):
                     f += before_in[center, d] * before_out[word, d]
-                sig, term = _sigmoid_loss(f, label)
-                loss += term
-                g = (label - sig) * alphas[i]
+                g = (label - _sigmoid(f)) * alphas[i]
                 for d in range(dim):
                     w_in[center, d] += g * before_out[word, d]
                     w_out[word, d] += g * before_in[center, d]
-    return loss
 
 
 def reference_skipgram_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
@@ -82,7 +81,6 @@ def reference_skipgram_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
     index arithmetic: pairs and batches enumerated in Python, distinct rows
     from sorted sets and the coefficients added one at a time."""
     doc, negatives = doc.tolist(), negatives.tolist()
-    loss = 0.0
     pairs, batches = _pairs_and_batches(win_lo.tolist(), win_hi.tolist())
     for batch in batches:
         steps = [(doc[pairs[p][0]], _words(doc, negatives, p, pairs[p][1]), float(alphas[pairs[p][0]]))
@@ -98,12 +96,10 @@ def reference_skipgram_doc(w_in, w_out, doc, win_lo, win_hi, negatives, alphas):
         k = 0
         for center, words, alpha in steps:
             for word, label in words:
-                loss -= math.log(sig[k] if label else 1.0 - sig[k])
                 c[rows_in.index(center), rows_out.index(word)] += (label - sig[k]) * alpha
                 k += 1
         w_in[rows_in] = h + c.dot(u)
         w_out[rows_out] = u + c.T.dot(h)
-    return loss
 
 
 def oracle_kmeans_assign(X, centers, out):
@@ -198,11 +194,10 @@ def _training_case(seed, dim):
 def _run_both(kernel, oracle, w_in, w_out, args):
     a_in, a_out = w_in.copy(), w_out.copy()
     b_in, b_out = w_in.copy(), w_out.copy()
-    loss = kernel(a_in, a_out, *args)
-    expected = oracle(b_in, b_out, *args)
-    # the kernel sums each batch's loss and products in its own order, the
-    # oracle term by term, so they agree to rounding relative to the values
-    assert loss == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    kernel(a_in, a_out, *args)
+    oracle(b_in, b_out, *args)
+    # the kernel sums each batch's products in its own order, the oracle
+    # term by term, so they agree to rounding relative to the values
     np.testing.assert_allclose(a_in, b_in, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(a_out, b_out, rtol=1e-12, atol=1e-12)
     # the case must move both matrices, or the comparison shows nothing
@@ -272,9 +267,8 @@ class TestSkipgram:
     def test_one_token_document(self):
         w_in, w_out = _weights(4, 3, 4)
         before_in, before_out = w_in.copy(), w_out.copy()
-        loss = _kernels.skipgram_doc(w_in, w_out, np.array([2]), np.array([0]), np.array([0]),
-                                     np.zeros((0, 5), dtype=np.int64), np.array([0.3]))
-        assert loss == 0.0
+        _kernels.skipgram_doc(w_in, w_out, np.array([2]), np.array([0]), np.array([0]),
+                              np.zeros((0, 5), dtype=np.int64), np.array([0.3]))
         assert np.array_equal(w_in, before_in) and np.array_equal(w_out, before_out)
 
     @pytest.mark.parametrize("dim", [3, 10])
@@ -423,7 +417,7 @@ class TestKernelCalls:
 
         def record(w_in, w_out, *args):
             calls.append([a.copy() for a in args])
-            return kernel(w_in, w_out, *args)
+            kernel(w_in, w_out, *args)
 
         monkeypatch.setattr(embed, "CHUNK", 12)
         monkeypatch.setattr(_kernels, "skipgram_doc", record)
@@ -492,17 +486,15 @@ def _one_pair(w_out, h, words):
 
 class TestBitEqualToReferenceStep:
     """The kernel against ``reference_skipgram_doc``: equal ``w_in`` and
-    ``w_out`` arrays, and a loss equal to rounding (the kernel sums it
-    pairwise)."""
+    ``w_out`` arrays."""
 
     @staticmethod
     def _both(w_in, w_out, args):
         a_in, a_out = w_in.copy(), w_out.copy()
         b_in, b_out = w_in.copy(), w_out.copy()
-        loss = _kernels.skipgram_doc(a_in, a_out, *args)
-        expected = reference_skipgram_doc(b_in, b_out, *args)
+        _kernels.skipgram_doc(a_in, a_out, *args)
+        reference_skipgram_doc(b_in, b_out, *args)
         assert a_in.tobytes() == b_in.tobytes() and a_out.tobytes() == b_out.tobytes()
-        assert loss == pytest.approx(expected, rel=1e-12, abs=1e-12)
         return a_in, a_out
 
     @pytest.mark.parametrize("dim", [1, 10, 300])
@@ -545,12 +537,13 @@ class TestBitEqualToReferenceStep:
 
 
 class TestStepDescendsTheObjective:
-    """Each batch is one SGD step on ``negative_sampling_loss``, the objective
-    the gradient check differentiates: at one learning rate, ``w_in`` and
-    ``w_out`` move by ``-alpha`` times its gradients over the batch's pairs at
-    the weights before the batch, and the returned loss is the objective's.
-    Repeated words, self contexts and noise words equal to the target are
-    all allowed."""
+    """Each batch is one SGD step on ``negative_sampling_loss``: at one
+    learning rate, ``w_in`` and ``w_out`` move by ``-alpha`` times
+    ``negative_sampling_gradients`` over the batch's pairs at the weights
+    before the batch. Those gradients are the objective's because
+    ``tests/test_embed.py::TestGradients`` and acceptance criterion 5 check
+    them against central differences of the loss. Repeated words, self
+    contexts and noise words equal to the target are all allowed."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_step_is_sgd_on_the_loss(self, seed):
@@ -568,12 +561,10 @@ class TestStepDescendsTheObjective:
             objective = [(doc[i], doc[j], negatives[p].tolist()) for p, (i, j) in enumerate(pairs)]
             g_in, g_out = negative_sampling_gradients(w_in, w_out, objective)
             moved_in, moved_out = w_in.copy(), w_out.copy()
-            loss = _kernels.skipgram_doc(moved_in, moved_out, doc, lo, hi,
-                                         negatives.astype(np.int64), np.full(len(doc), alpha))
+            _kernels.skipgram_doc(moved_in, moved_out, doc, lo, hi,
+                                  negatives.astype(np.int64), np.full(len(doc), alpha))
             np.testing.assert_allclose(moved_in - w_in, -alpha * g_in, rtol=0, atol=1e-12)
             np.testing.assert_allclose(moved_out - w_out, -alpha * g_out, rtol=0, atol=1e-12)
-            assert loss == pytest.approx(negative_sampling_loss(w_in, w_out, objective),
-                                         rel=1e-12, abs=1e-12)
 
 
 class TestTrainingWithReferenceKernels:
@@ -619,17 +610,16 @@ class TestTrainingWithReferenceKernels:
 
         def record(w_in, w_out, doc, win_lo, win_hi, *rest):
             before = w_in.tobytes(), w_out.tobytes()
-            loss = kernel(w_in, w_out, doc, win_lo, win_hi, *rest)
-            calls.append((len(doc), int((win_hi - win_lo).sum()), loss,
+            kernel(w_in, w_out, doc, win_lo, win_hi, *rest)
+            calls.append((len(doc), int((win_hi - win_lo).sum()),
                           (w_in.tobytes(), w_out.tobytes()) == before))
-            return loss
 
         monkeypatch.setattr(embed, "CHUNK", 40)
         monkeypatch.setattr(_kernels, "skipgram_doc", record)
         expected = train_embedding(docs, config)
         assert [n for n, *_ in calls] == [40, 3] * config.epochs
-        assert all(pairs > 0 and not same for _, pairs, _, same in calls[::2])
-        assert calls[1::2] == [(3, 0, 0.0, True)] * config.epochs
+        assert all(pairs > 0 and not same for _, pairs, same in calls[::2])
+        assert calls[1::2] == [(3, 0, True)] * config.epochs
         self._same_bytes(monkeypatch, docs, config, expected)
 
 
