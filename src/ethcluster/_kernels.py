@@ -22,6 +22,8 @@ of distinct input rows by distinct output rows, and the rows move by
 distinct-rows x dim row blocks; the one vocabulary-wide array is the slot
 table, 1/dim the size of ``w_in``.
 
+``kmeans_assign`` also returns the distances ``cluster.kmeans_fit`` re-seeds from.
+
 All pseudo-randomness (window sizes, negative samples) is drawn outside the
 kernels, so the random stream never depends on how a kernel is written.
 """
@@ -106,14 +108,14 @@ def cbow_doc(*args):
 def kmeans_assign(X, centers):
     """Nearest-center assignment (squared-distance ties go to the lowest id).
 
-    Returns the int64 cluster id of each row and the within-cluster sum of
-    squared distances. All k x n distances come from one k x n x dim float64
-    difference: about 1 MB for 300 rows of dim 50 at k=8, 64 MB for 20 000.
+    Returns each row's int64 cluster id, the within-cluster sum of squared
+    distances and the k x n squared distances, all from one k x n x dim
+    float64 difference: about 1 MB for 300 rows of dim 50 at k=8, 64 MB for 20 000.
     """
     diff = X - centers[:, None]
     d = np.einsum("kij,kij->ki", diff, diff)
     # argmin returns the first minimum, so a tie goes to the lowest id
-    return d.argmin(axis=0), float(d.min(axis=0).sum())
+    return d.argmin(axis=0), float(d.min(axis=0).sum()), d
 
 
 def kmeans_update(X, ids, k):

@@ -101,8 +101,9 @@ def kmeans_fit(X: np.ndarray, k: int, max_iterations: int = MAX_ITERATIONS, *,
 
     Iterates nearest-center assignment and mean update until assignments
     stop changing or ``max_iterations`` is hit; the stored assignments are
-    always consistent with the final centers. A cluster that loses all
-    members is re-seeded with the row farthest from its former center.
+    always consistent with the final centers. A cluster that loses all members
+    is re-seeded with the row farthest from its former center, by the distances
+    of the assignment that emptied it.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     n, _ = X.shape
@@ -118,19 +119,17 @@ def kmeans_fit(X: np.ndarray, k: int, max_iterations: int = MAX_ITERATIONS, *,
     rng = np.random.default_rng(seed)
     centers = X[rng.choice(n, size=k, replace=False)]
 
-    assignments, objective = _kernels.kmeans_assign(X, centers)
+    assignments, objective, dist = _kernels.kmeans_assign(X, centers)
     history = [objective]
 
     for iterations_run in range(1, max_iterations + 1):
         sums, counts = _kernels.kmeans_update(X, assignments, k)
         empty = counts == 0
-        # re-seed each empty cluster on the row farthest from its old center
-        diff = X - centers[empty, None]
-        reseeds = X[np.einsum("kij,kij->ki", diff, diff).argmax(axis=1)]
         centers = sums / np.maximum(counts, 1)[:, None]
-        centers[empty] = reseeds
+        # re-seed each empty cluster on the row farthest from its old center
+        centers[empty] = X[dist[empty].argmax(axis=1)]
         previous = assignments
-        assignments, objective = _kernels.kmeans_assign(X, centers)
+        assignments, objective, dist = _kernels.kmeans_assign(X, centers)
         history.append(objective)
         if np.array_equal(assignments, previous):
             break
@@ -218,7 +217,7 @@ def _cluster_model(payload: dict) -> ClusterModel:
                          labels={int(c): label for c, label in payload["labels"].items()},
                          pca=basis, hashes=strings(payload["hashes"], len(ids)))
     if (payload["k"] != model.k or basis and pca["num_components"] != basis.num_components
-            or model.labels and sorted(model.labels) != list(range(model.k))
+            or model.labels and set(payload["labels"]) != {str(c) for c in range(model.k)}
             or not set(model.labels.values()) <= {VULNERABLE, CLEAN}
             or basis and basis.components.shape != (len(basis.mean), model.centers.shape[1])):
         raise FormatError(f"k, labels or PCA basis disagree with {model.centers.shape} centers")

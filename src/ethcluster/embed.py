@@ -34,7 +34,8 @@ LEARNING_RATE = 0.025
 #: tokens, so a kernel call's arrays do not grow with the corpus.
 CHUNK = 2048
 
-#: Floor of the linear learning-rate decay.
+#: The rate the linear learning-rate decay approaches; the last position of
+#: the last epoch trains at ``MIN + (LEARNING_RATE - MIN) / total positions``.
 MIN_LEARNING_RATE = 1e-4
 
 #: The seed of every seeded stage unless the caller gives one.
@@ -127,13 +128,8 @@ def _build_vocab(docs: Sequence[Sequence[str]]) -> tuple[dict[str, int], np.ndar
     return vocab, freqs
 
 
-def _noise_cdf(freqs: np.ndarray) -> np.ndarray:
-    weights = freqs ** NOISE_POWER
-    return np.cumsum(weights / weights.sum())
-
-
 def _noise_table(freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """The noise CDF with ``+inf`` appended, a bucket table ``start`` over it
+    """The noise CDF, ending in exactly 1.0, a bucket table ``start`` over it
     and the steps a lookup takes (Chen & Asau 1974).
 
     The table's size is a power of two, so bucket ``t`` holds exactly the
@@ -142,23 +138,24 @@ def _noise_table(freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     As ``size`` >= the summed noise weights and every count is >= 1, every
     noise probability is >= ``1 / size`` and ``steps`` <= 2.
     """
-    cdf = _noise_cdf(freqs)
-    size = 1 << (math.ceil((freqs ** NOISE_POWER).sum()) - 1).bit_length()
+    weights = freqs ** NOISE_POWER
+    cdf = np.cumsum(weights / weights.sum())
+    cdf[-1] = 1.0
+    size = 1 << (math.ceil(weights.sum()) - 1).bit_length()
     edges = np.arange(size + 1) / size
     start = np.searchsorted(cdf, edges[:-1], side="right")
     steps = int((np.searchsorted(cdf, edges[1:]) - start).max())
-    return np.append(cdf, np.inf), start, steps
+    return cdf, start, steps
 
 
 def _noise_words(table: tuple[np.ndarray, np.ndarray, int], u: np.ndarray) -> np.ndarray:
-    """The noise word of each uniform in ``u``: ``np.searchsorted(cdf, u,
-    side="right")`` clamped to the last word, found through ``_noise_table``."""
+    """The noise word of each uniform in ``u``, ``np.searchsorted(cdf, u,
+    side="right")``, found through ``_noise_table``."""
     cdf, start, steps = table
     negs = start[(u * len(start)).astype(np.int64)]
     for _ in range(steps):
         negs += cdf[negs] <= u
-    # cdf ends in the +inf sentinel, so the last word is len(cdf) - 2
-    return np.minimum(negs, len(cdf) - 2, out=negs)
+    return negs
 
 
 def train_embedding(docs: Sequence[Sequence[str]], config: EmbeddingConfig) -> EmbeddingModel:
@@ -210,7 +207,6 @@ def train_embedding(docs: Sequence[Sequence[str]], config: EmbeddingConfig) -> E
             u = rng.random((int((hi - lo).sum()), NEGATIVE))
             decay = (epoch * len(tokens) + pos) / total_positions
             alphas = LEARNING_RATE - (LEARNING_RATE - MIN_LEARNING_RATE) * decay
-            alphas = np.maximum(MIN_LEARNING_RATE, alphas)
             _kernels.skipgram_doc(w_in, w_out, tokens[s:e], lo, hi, _noise_words(noise, u), alphas)
 
     return EmbeddingModel(vocab=vocab, vectors=w_in, config=config)

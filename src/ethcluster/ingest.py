@@ -158,9 +158,10 @@ class ExplorerClient:
 
     def __init__(self, endpoints: dict[str, str] | None = None,
                  rate_per_second: float = RATE_PER_SECOND):
-        # a rate below 1 waits 1/rate seconds, which no sleep may exceed
-        if not (math.isfinite(rate_per_second) and rate_per_second >= 1 / threading.TIMEOUT_MAX):
-            raise InvalidInput(f"rate must be finite and at least 1/{threading.TIMEOUT_MAX:.0f} "
+        # a rate below 1 waits 1/rate seconds, at most half of TIMEOUT_MAX: time.sleep
+        # refuses a wait whose deadline (monotonic clock plus wait) passes TIMEOUT_MAX
+        if not (math.isfinite(rate_per_second) and rate_per_second >= 2 / threading.TIMEOUT_MAX):
+            raise InvalidInput(f"rate must be finite and at least 2/{threading.TIMEOUT_MAX:.0f} "
                                f"per second, got {rate_per_second}")
         self.endpoints = dict(DEFAULT_ENDPOINTS if endpoints is None else endpoints)
         self._buckets = {chain: TokenBucket(rate_per_second) for chain in self.endpoints}

@@ -182,6 +182,13 @@ CASES = [
     ("nan-mean", cl.load_cluster_model, _poke("pca", "mean", float("nan")), FormatError),
     ("scalar-centers", cl.load_cluster_model, _set("centers", 1.0), FormatError),
     ("label-out-of-range", cl.load_cluster_model, _set("labels", "5", "clean"), FormatError),
+    # keys that int() reads as cluster 1, beside the written "1"
+    ("label-key-leading-zero", cl.load_cluster_model, _set("labels", "01", "vulnerable"),
+     FormatError),
+    ("label-key-space", cl.load_cluster_model, _set("labels", " 1", "vulnerable"), FormatError),
+    ("label-key-plus", cl.load_cluster_model, _set("labels", "+1", "vulnerable"), FormatError),
+    ("label-key-arabic-indic-digit", cl.load_cluster_model,
+     _set("labels", "\u0661", "vulnerable"), FormatError),
     ("k-not-centers", cl.load_cluster_model, _set("k", 99), FormatError),
     ("num-components-not-components", cl.load_cluster_model,
      _set("pca", "num_components", "x"), FormatError),

@@ -1,4 +1,5 @@
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -760,7 +761,9 @@ class TestIngestCli:
                      "--endpoint", explorer_url(mock_explorer), "--rate", "0.5"]) == 0
         assert "stored=1 duplicate=0 failed=0" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("rate", ["0", "-1", "nan", "inf", "1e-10"])
+    # 1/TIMEOUT_MAX waits TIMEOUT_MAX seconds, a deadline past what time.sleep takes
+    @pytest.mark.parametrize("rate", ["0", "-1", "nan", "inf", "1e-10",
+                                      repr(1 / threading.TIMEOUT_MAX)])
     def test_ingest_refuses_a_bad_rate(self, mock_explorer, tmp_path, capsys, rate):
         addresses = tmp_path / "a.txt"
         addresses.write_text(ADDR_1 + "\n", "utf-8")

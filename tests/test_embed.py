@@ -8,9 +8,9 @@ from hypothesis import example, given, strategies as st
 from ethcluster._artifact import pack
 from ethcluster.embed import (
     _build_vocab,
-    _noise_cdf,
     _noise_table,
     _noise_words,
+    NOISE_POWER,
     EmbeddingConfig,
     load_model,
     negative_sampling_gradients,
@@ -154,7 +154,8 @@ class TestTraining:
     @example([100_000, 1, 1], [0.5])
     def test_noise_words_equal_searchsorted(self, counts, uniforms):
         freqs = np.array(counts, dtype=np.float64)
-        cdf = _noise_cdf(freqs)
+        weights = freqs ** NOISE_POWER
+        cdf = np.cumsum(weights / weights.sum())
         table = _noise_table(freqs)
         size = len(table[1])
         edges = np.arange(size) / size

@@ -141,5 +141,8 @@ def test_src_lines_counts_the_python_files_under_src(tmp_path):
         (tree / "src" / "notes.txt").write_text("not\ncounted\n", "utf-8")
         (tree / "tests").mkdir()
         (tree / "tests" / "test_mod.py").write_text("def test():\n    pass\n", "utf-8")
-    assert equivalence.src_lines(parent) == 4
-    assert equivalence.src_lines(change) == 3
+    (change / "tests" / "test_more.py").write_text("x = 1\n", "utf-8")
+    assert equivalence.py_lines(parent / "src") == 4
+    assert equivalence.py_lines(change / "src") == 3
+    assert equivalence.py_lines(parent / "tests") == 2
+    assert equivalence.py_lines(change / "tests") == 3

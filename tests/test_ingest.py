@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import sys
 import threading
 import time
@@ -246,6 +247,20 @@ class TestTokenBucket:
                 bucket.acquire()
         assert sum(clock.slept) == pytest.approx(waited)
         assert all(seconds > 0 for seconds in clock.slept)
+
+    def test_client_refuses_a_wait_past_half_the_longest_sleep(self, sleeps):
+        """``time.sleep`` refuses a deadline past ``TIMEOUT_MAX`` on the monotonic
+        clock, so the client refuses each rate whose one wait is longer than half
+        of it, and the slowest rate it takes waits exactly that half."""
+        bound = 2 / threading.TIMEOUT_MAX
+        for rate in (1 / threading.TIMEOUT_MAX, math.nextafter(bound, 0.0)):
+            with pytest.raises(InvalidInput):
+                ExplorerClient(rate_per_second=rate)
+        ExplorerClient(rate_per_second=bound)
+        bucket = TokenBucket(bound)
+        for _ in range(2):
+            bucket.acquire()
+        assert sleeps == [pytest.approx(threading.TIMEOUT_MAX / 2)]
 
     def test_concurrent_acquires_book_distinct_starts(self, monkeypatch):
         """On a stopped clock, 400 acquires from 8 threads at rate 100 take the

@@ -120,16 +120,19 @@ def oracle_kmeans_assign(X, centers, out):
 
 def reference_kmeans_assign(X, centers):
     """The per-center numpy loop that the one-pass kernel replaced: a row moves
-    to center c only on a strictly smaller distance, so ties keep the lowest id."""
+    to center c only on a strictly smaller distance, so ties keep the lowest id.
+    Returns the ids, the summed distances and each center's row of distances."""
     best_d = np.full(X.shape[0], np.inf)
     ids = np.zeros(X.shape[0], dtype=np.int64)
+    rows = []
     for c in range(centers.shape[0]):
         diff = X - centers[c]
         d = np.einsum("ij,ij->i", diff, diff)
+        rows.append(d)
         closer = d < best_d
         ids[closer] = c
         best_d[closer] = d[closer]
-    return ids, float(best_d.sum())
+    return ids, float(best_d.sum()), np.array(rows)
 
 
 def _assign_case(case, seed):
@@ -364,7 +367,8 @@ def _replay_draws(docs, config):
     takes documents until it holds ``embed.CHUNK`` tokens or the corpus
     ends."""
     vocab, freqs = embed._build_vocab(docs)
-    cdf = embed._noise_cdf(freqs)
+    weights = freqs ** embed.NOISE_POWER
+    cdf = np.cumsum(weights / weights.sum())
     chunks, chunk = [], []
     for doc in docs:
         chunk.append([vocab[w] for w in doc])
@@ -659,7 +663,7 @@ class TestKmeans:
         X = rng.normal(size=(n, dim))
         centers = rng.normal(size=(k, dim))
         expected = np.empty(n, dtype=np.int64)
-        got, total = _kernels.kmeans_assign(X, centers)
+        got, total, _ = _kernels.kmeans_assign(X, centers)
         oracle_total = oracle_kmeans_assign(X, centers, expected)
         assert np.array_equal(got, expected)
         assert total == pytest.approx(oracle_total, rel=1e-12)
@@ -669,11 +673,12 @@ class TestKmeans:
                              ["random", "exact-ties", "duplicate-centers", "one-row", "k=1"])
     def test_assign_bit_equal_to_per_center_loop(self, case, seed):
         X, centers = _assign_case(case, seed)
-        ids, total = _kernels.kmeans_assign(X, centers)
-        expected_ids, expected_total = reference_kmeans_assign(X, centers)
+        ids, total, dist = _kernels.kmeans_assign(X, centers)
+        expected_ids, expected_total, expected_dist = reference_kmeans_assign(X, centers)
         assert ids.dtype == np.int64
         assert np.array_equal(ids, expected_ids)
         assert total.hex() == expected_total.hex()
+        assert dist.shape == expected_dist.shape and dist.tobytes() == expected_dist.tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fit_with_duplicate_centers_matches_per_center_loop(self, monkeypatch, seed):
@@ -694,7 +699,7 @@ class TestKmeans:
         X = np.array([[1.0, 0.0], [0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [5.0, 5.0]])
         centers = np.array([[2.0, 0.0], [0.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         expected = np.empty(5, dtype=np.int64)
-        got, total = _kernels.kmeans_assign(X, centers)
+        got, total, _ = _kernels.kmeans_assign(X, centers)
         oracle_total = oracle_kmeans_assign(X, centers, expected)
         assert got.tolist() == expected.tolist() == [0, 1, 0, 4, 4]
         assert total == oracle_total == 33.0

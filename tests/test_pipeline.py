@@ -81,22 +81,34 @@ def _both_ways(cases):
             for case_id, field, value in cases]
 
 
-@pytest.fixture(scope="module")
-def reentrancy_run(tmp_path_factory):
-    """One trained reentrancy pipeline shared by the read-only assertions."""
-    tmp_path = tmp_path_factory.mktemp("reentrancy")
+def _default_run(tmp_path_factory, vulnerability, generator):
+    """A pipeline of ``vulnerability`` at its defaults, trained on 15 of its
+    contracts and 40 clean ones; its config and report."""
+    tmp_path = tmp_path_factory.mktemp(vulnerability)
     dataset_path = make_dataset(
         tmp_path,
-        [reentrant_source(i) for i in range(15)],
+        [generator(i) for i in range(15)],
         [clean_source(i) for i in range(40)],
     )
     config = PipelineConfig.resolve({
-        "vulnerability": "reentrancy",
+        "vulnerability": vulnerability,
         "dataset": str(dataset_path),
         "workdir": str(tmp_path / "work"),
     })
     report = run_pipeline(config)
     return config, report
+
+
+@pytest.fixture(scope="module")
+def reentrancy_run(tmp_path_factory):
+    """One trained reentrancy pipeline shared by the read-only assertions."""
+    return _default_run(tmp_path_factory, "reentrancy", reentrant_source)
+
+
+@pytest.fixture(scope="module")
+def unchecked_call_run(tmp_path_factory):
+    """One trained unchecked_call pipeline: dim 100, so PCA, and k = 8."""
+    return _default_run(tmp_path_factory, "unchecked_call", unchecked_source)
 
 
 class TestConfigResolution:
@@ -355,8 +367,10 @@ class TestScan:
         expected = model.labels[int(np.argmin(dists))]
         assert scan_contract(config, "")["label"] == expected
 
-    def test_every_training_contract_scans_to_its_training_prediction(self, reentrancy_run):
-        config, _ = reentrancy_run
+    @pytest.mark.parametrize("vulnerability", ["reentrancy", "unchecked_call"])
+    def test_every_training_contract_scans_to_its_training_prediction(self, request,
+                                                                       vulnerability):
+        config, _ = request.getfixturevalue(f"{vulnerability}_run")
         model = json.loads((config.stage_dir() / "model.json").read_text("utf-8"))
         records = Dataset.load(config.dataset).records
         assert len(records) == len(model["assignments"])

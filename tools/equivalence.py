@@ -39,8 +39,8 @@ Each tree's ``run`` phase also writes ``environment.json``: the numpy
 version, numpy's ``openblas configuration`` string and the kernel the loaded
 OpenBLAS picked. The report prints both, and says when they differ, because
 the learned artifacts' bytes change with the OpenBLAS kernel. It also prints
-each tree's ``src/`` line count (``.py`` files, as ``wc -l`` counts them)
-and the difference.
+each tree's ``src/`` and ``tests/`` line counts (``.py`` files, as ``wc -l``
+counts them) and their differences.
 
 Exit status: 0 when every count but the byte count is complete, 1
 otherwise. Needs only the standard library and numpy (the input phase
@@ -302,9 +302,9 @@ def compare(out_a: Path, out_b: Path, runs: list[dict]) -> tuple[list[str], bool
     return lines, ok
 
 
-def src_lines(tree: Path) -> int:
-    """The newline count of the ``.py`` files under ``tree/src``, as ``wc -l`` counts."""
-    return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
+def py_lines(directory: Path) -> int:
+    """The newline count of the ``.py`` files under ``directory``, as ``wc -l`` counts."""
+    return sum(path.read_bytes().count(b"\n") for path in directory.rglob("*.py"))
 
 
 def _subprocess(tree: Path, *args: str) -> None:
@@ -336,8 +336,9 @@ def main(argv: list[str] | None = None) -> int:
     for side, env in zip(("parent", "change"), envs):
         print(f"{side} BLAS: numpy {env['numpy']}, {env['openblas configuration']}, "
               f"kernel {env['kernel']}")
-    lines_a, lines_b = map(src_lines, trees)
-    print(f"src/ lines: parent {lines_a}, change {lines_b} ({lines_b - lines_a:+d})")
+    for part in ("src", "tests"):
+        lines_a, lines_b = (py_lines(tree / part) for tree in trees)
+        print(f"{part}/ lines: parent {lines_a}, change {lines_b} ({lines_b - lines_a:+d})")
     if envs[0] != envs[1]:
         print("the trees ran under different BLAS environments, so the byte counts "
               "are not comparable")
