@@ -11,6 +11,12 @@ n names, never a list of payloads. Lists of strings and of integers go
 through ``strings`` and ``ints``. Each decoder refuses any other JSON value
 with a ``FormatError``.
 
+``write_json`` writes the bytes ``json.dumps(payload, sort_keys=True)`` would,
+but copies each payload's base64 text as it is: the base64 alphabet (RFC 4648:
+letters, digits, ``+``, ``/`` and ``=``) holds no quote, backslash or control
+character, the only characters a JSON string must escape (RFC 8259 §7), and
+that text is most of every learned artifact's bytes.
+
 A write lands in a temporary file that ``os.replace`` swaps in: a failed
 write leaves the previous artifact whole, and every write gets a new inode,
 part of the key ``pipeline.scan_contract`` reuses parsed artifacts under.
@@ -19,6 +25,7 @@ part of the key ``pipeline.scan_contract`` reuses parsed artifacts under.
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import math
 import os
@@ -32,23 +39,51 @@ VERSION = 5  # of every artifact header; a change to any artifact's layout bumps
 
 
 def write_text(text: str, path: str | Path) -> None:
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8")
+    """Write ``text`` as UTF-8 bytes, untranslated, through a temporary file beside
+    ``path`` that ``os.replace`` swaps in; on any failure the temporary file goes."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(text)
+            fh.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
         raise
 
 
 def write_json(payload, path: str | Path, name: str | None = None) -> None:
-    """Compact JSON with sorted keys (CPython encodes it in C), with artifact ``name``'s header."""
+    """Write exactly the text of ``json.dumps(payload, sort_keys=True)``, with
+    artifact ``name``'s header, but copy each ``pack`` payload's base64 text.
+
+    Only the dicts that hold a payload are walked here; every other value goes
+    through ``json.dumps``, whose C encoder would check each character of the
+    base64 text for escapes although none is needed. The parts are joined once.
+    """
     if name:
         payload = {**payload, "format": f"ethcluster-{name}", "version": VERSION}
-    write_text(json.dumps(payload, sort_keys=True), path)
+    parts: list[str] = []
+    _json_parts(payload, parts)
+    write_text("".join(parts), path)
+
+
+def _json_parts(value, parts: list[str]) -> None:
+    if type(value) is _Packed:
+        parts += ('{"f8": "', value["f8"], '", "shape": ', json.dumps(value["shape"]), "}")
+    elif _holds_packed(value):
+        for i, key in enumerate(sorted(value)):
+            parts += (", " if i else "{", json.dumps(key), ": ")
+            _json_parts(value[key], parts)
+        parts.append("}")
+    else:
+        parts.append(json.dumps(value, sort_keys=True))
+
+
+def _holds_packed(value) -> bool:
+    return isinstance(value, dict) and any(
+        type(item) is _Packed or _holds_packed(item) for item in value.values())
 
 
 def read_json(path: str | Path, decode, name: str | None = None):
@@ -72,16 +107,24 @@ def read_json(path: str | Path, decode, name: str | None = None):
         raise FormatError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
+class _Packed(dict):
+    """A ``pack`` payload: a plain dict to every reader, which ``write_json`` writes
+    without escaping its base64 text."""
+
+    __slots__ = ()
+
+
 def pack(arr) -> dict:
-    """The payload ``floats`` decodes: ``arr``'s shape and its float64 bytes. An
-    array ``floats`` would refuse (empty, ragged, non-finite) is an ``InvalidInput``."""
+    """The payload ``floats`` decodes: ``arr``'s shape and its float64 bytes, as a
+    dict whose type ``write_json`` knows. An array ``floats`` would refuse (empty,
+    ragged, non-finite) is an ``InvalidInput``."""
     try:
         arr = np.asarray(arr, dtype="<f8")
     except ValueError as exc:
         raise InvalidInput(f"not a rectangular float array: {exc}") from exc
     if not arr.size or not np.isfinite(arr).all():
         raise InvalidInput(f"expected a non-empty finite float array, got shape {arr.shape}")
-    return {"shape": list(arr.shape), "f8": base64.b64encode(arr.tobytes()).decode("ascii")}
+    return _Packed(shape=list(arr.shape), f8=base64.b64encode(arr.tobytes()).decode("ascii"))
 
 
 def floats(value, ndim: int) -> np.ndarray:

@@ -128,7 +128,10 @@ class TokenBucket:
 
     It is held as one timestamp, the time the bucket is next full (GCRA's virtual
     scheduling, ITU-T I.371): ``acquire`` books its start under the lock and sleeps until it.
-    Time is counted in token intervals (seconds * rate), so each booking adds exactly 1.
+    Time is counted in token intervals (seconds * rate), so each booking adds exactly 1,
+    and the k-th of concurrent callers waits k intervals. The wait is slept in steps of at
+    most half of ``threading.TIMEOUT_MAX``, because ``time.sleep`` refuses a wait whose
+    deadline (monotonic clock plus wait) passes ``TIMEOUT_MAX``.
     """
 
     def __init__(self, rate: float):
@@ -142,8 +145,11 @@ class TokenBucket:
             now = time.monotonic() * self.rate
             self._full_at = max(self._full_at, now) + 1.0
             start = self._full_at - self._capacity
-        if start > now:
-            time.sleep((start - now) / self.rate)
+        wait = (start - now) / self.rate
+        while wait > 0:
+            step = min(wait, threading.TIMEOUT_MAX / 2)
+            time.sleep(step)
+            wait -= step
 
 
 class ExplorerClient:
@@ -158,8 +164,7 @@ class ExplorerClient:
 
     def __init__(self, endpoints: dict[str, str] | None = None,
                  rate_per_second: float = RATE_PER_SECOND):
-        # a rate below 1 waits 1/rate seconds, at most half of TIMEOUT_MAX: time.sleep
-        # refuses a wait whose deadline (monotonic clock plus wait) passes TIMEOUT_MAX
+        # a slower rate waits over a century per fetch, more than one sleep step of the bucket
         if not (math.isfinite(rate_per_second) and rate_per_second >= 2 / threading.TIMEOUT_MAX):
             raise InvalidInput(f"rate must be finite and at least 2/{threading.TIMEOUT_MAX:.0f} "
                                f"per second, got {rate_per_second}")

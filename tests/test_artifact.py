@@ -5,6 +5,9 @@ for bit.
 Each loader case saves a valid artifact with the module's own writer, breaks
 one field of the decoded payload and writes it back. The loader must raise
 the given ``EthClusterError`` subclass, naming the file.
+
+``write_json`` copies payloads' base64 text rather than escaping it, and must
+still write the bytes ``json.dumps(payload, sort_keys=True)`` writes.
 """
 
 import base64
@@ -17,8 +20,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import clean_source, reentrant_source, write_corpus
 from ethcluster import cluster as cl
-from ethcluster import embed, pipeline, vectorize
-from ethcluster._artifact import VERSION, floats, pack
+from ethcluster import _artifact, embed, evaluate, ingest, pipeline, preprocess, vectorize
+from ethcluster._artifact import VERSION, floats, pack, write_json
 from ethcluster.errors import FormatError, VersionError
 from ethcluster.ingest import Dataset, build_mixed_dataset, records_from_dir
 from ethcluster.preprocess import load_tokendocs, preprocess_contract, save_tokendocs
@@ -312,3 +315,70 @@ def test_refused_float_payload(payload):
 
 def test_valid_payload_decodes():
     assert floats(GOOD, 2).tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+
+
+# --- the writer ---------------------------------------------------------------
+
+def _plain(value):
+    """``value`` with every dict, ``pack`` payloads too, rebuilt as a plain dict."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    return value
+
+
+def _dumped(payload, name) -> bytes:
+    """``json.dumps`` of ``payload`` with plain dicts, under artifact ``name``'s header."""
+    if name:
+        payload = {**payload, "format": f"ethcluster-{name}", "version": VERSION}
+    return json.dumps(_plain(payload), sort_keys=True).encode("utf-8")
+
+
+PACKED = arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=3),
+                elements=st.floats(allow_nan=False, allow_infinity=False)).map(pack)
+# keys JSON must escape, non-ASCII ones and a payload's own keys, beside any text
+KEYS = st.text(max_size=4) | st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "é",
+                                               "\u2028", "\U0001f600", "f8", "shape"])
+TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | PACKED,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(KEYS, children, max_size=4),
+    max_leaves=12)
+
+
+@pytest.fixture(scope="module")
+def out(tmp_path_factory):
+    return tmp_path_factory.mktemp("writer") / "artifact.json"
+
+
+@given(st.tuples(TREES, st.none()) | st.tuples(st.dictionaries(KEYS, TREES, max_size=4),
+                                                st.just("model")))
+@example((pack([1.0]), None))
+@example(({"é\n": {'"': pack([[1.0, -0.0]]), "a": [pack([2.0]), {"b": pack([3.0])}]},
+           "format": 1}, "model"))
+def test_write_json_writes_what_json_dumps_writes(out, tree_and_name):
+    tree, name = tree_and_name
+    write_json(tree, out, name)
+    assert out.read_bytes() == _dumped(tree, name)
+
+
+def _write_report(path):
+    report = evaluate.metrics(evaluate.confusion(["vulnerable", "clean"], ["vulnerable"] * 2))
+    evaluate.write_report("reentrancy", report, {"vector_size": 10, "seed": 1}, path)
+
+
+@pytest.mark.parametrize("write", [*WRITERS.values(), _write_report],
+                         ids=[*(loader.__qualname__ for loader in WRITERS), "write_report"])
+def test_stage_writer_writes_what_json_dumps_writes(tmp_path, monkeypatch, write):
+    calls = []
+
+    def record(payload, path, name=None):
+        calls.append((payload, name))
+        _artifact.write_json(payload, path, name)
+
+    for module in (preprocess, pipeline, embed, vectorize, cl, evaluate, ingest):
+        monkeypatch.setattr(module, "write_json", record)
+    path = tmp_path / "artifact"
+    write(path)
+    [(payload, name)] = calls
+    assert path.read_bytes() == _dumped(payload, name)

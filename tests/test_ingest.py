@@ -262,6 +262,19 @@ class TestTokenBucket:
             bucket.acquire()
         assert sleeps == [pytest.approx(threading.TIMEOUT_MAX / 2)]
 
+    def test_concurrent_waits_are_slept_in_steps_time_sleep_takes(self, monkeypatch):
+        """On a stopped clock, three acquires at the slowest rate the client takes
+        book what three concurrent callers book: the third waits two intervals, a
+        whole ``TIMEOUT_MAX``, which ``time.sleep`` refuses in one call."""
+        slept = []
+        monkeypatch.setattr(time, "monotonic", lambda: 0.0)
+        monkeypatch.setattr(time, "sleep", slept.append)
+        bucket = TokenBucket(2 / threading.TIMEOUT_MAX)
+        for _ in range(3):
+            bucket.acquire()
+        assert sum(slept) == pytest.approx(1.5 * threading.TIMEOUT_MAX)
+        assert max(slept) <= threading.TIMEOUT_MAX / 2
+
     def test_concurrent_acquires_book_distinct_starts(self, monkeypatch):
         """On a stopped clock, 400 acquires from 8 threads at rate 100 take the
         100 tokens at once and book one start every 0.01 s after them; a lost

@@ -111,6 +111,13 @@ def unchecked_call_run(tmp_path_factory):
     return _default_run(tmp_path_factory, "unchecked_call", unchecked_source)
 
 
+@pytest.fixture(scope="module")
+def timestamp_run(tmp_path_factory):
+    """One trained timestamp pipeline: dim 300 over 50 documents, so PCA to 50
+    components is fit on a matrix with fewer rows than columns."""
+    return _default_run(tmp_path_factory, "timestamp", timestamp_source)
+
+
 class TestConfigResolution:
     def test_reentrancy_defaults(self):
         config = PipelineConfig.resolve({"vulnerability": "reentrancy"})
@@ -367,7 +374,7 @@ class TestScan:
         expected = model.labels[int(np.argmin(dists))]
         assert scan_contract(config, "")["label"] == expected
 
-    @pytest.mark.parametrize("vulnerability", ["reentrancy", "unchecked_call"])
+    @pytest.mark.parametrize("vulnerability", ["reentrancy", "unchecked_call", "timestamp"])
     def test_every_training_contract_scans_to_its_training_prediction(self, request,
                                                                        vulnerability):
         config, _ = request.getfixturevalue(f"{vulnerability}_run")
@@ -582,6 +589,34 @@ class TestAtomicWrites:
             raise OSError("disk full")
 
         monkeypatch.setattr(_artifact.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_cluster_model(cmodel, stage_dir / "model.json")
+        assert {p.name: p.read_bytes() for p in stage_dir.iterdir()} == before
+
+    def test_write_failing_midway_leaves_the_previous_model_and_no_temp_file(self, trained,
+                                                                              monkeypatch):
+        stage_dir, before = trained
+        cmodel = load_cluster_model(stage_dir / "model.json")
+
+        class HalfWritten:
+            """A file that takes half of what it is handed, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                self.fh.flush()
+                raise OSError("disk full")
+
+        monkeypatch.setattr(_artifact, "open", lambda *args, **kwargs: HalfWritten(
+            open(*args, **kwargs)), raising=False)
         with pytest.raises(OSError, match="disk full"):
             save_cluster_model(cmodel, stage_dir / "model.json")
         assert {p.name: p.read_bytes() for p in stage_dir.iterdir()} == before
