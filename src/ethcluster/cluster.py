@@ -26,7 +26,9 @@ from .errors import (
 )
 from .ingest import CLEAN, VULNERABLE, Dataset
 
-#: PCA reduces vectors wider than PCA_DIM to PCA_DIM components, or one per row if fewer.
+#: PCA reduces to PCA_DIM components only when the training rows and the vector
+#: width both exceed it; on fewer rows it could only rotate them
+#: (``pipeline.cluster_vectors``).
 PCA_DIM = 50
 #: Lloyd's iteration cap of every trained model.
 MAX_ITERATIONS = 100
@@ -62,10 +64,8 @@ def pca_fit(X: np.ndarray, num_components: int) -> PcaBasis:
 def pca_transform(basis: PcaBasis, X: np.ndarray) -> np.ndarray:
     """Project rows (training or unseen) onto the fitted basis."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.shape[1] != basis.mean.shape[0]:
-        raise DimError(f"expected {basis.mean.shape[0]} columns, got {X.shape[1]}")
+    if X.ndim != 2 or X.shape[1] != basis.mean.shape[0]:
+        raise DimError(f"expected rows of {basis.mean.shape[0]} columns, got shape {X.shape}")
     return (X - basis.mean) @ basis.components
 
 

@@ -106,8 +106,6 @@ def project2d(X: np.ndarray, assignments: Sequence[int],
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
-    if n < 2:
-        raise InvalidInput(f"need at least 2 rows to project, got {n}")
     if len(assignments) != n or len(labels) != n:
         raise AlignmentError("assignments/labels must align with rows")
     basis = pca_fit(X, num_components=min(2, d))

@@ -152,6 +152,30 @@ class TokenBucket:
             wait -= step
 
 
+def _joined_files(text: str, what: str) -> str:
+    """The file contents of a multi-file verification, joined by newlines in
+    path order, so the hash does not depend on an explorer's key order.
+
+    Standard-JSON verifications come as ``{{ <compiler input> }}``, whose
+    ``sources`` maps each path to ``{"content": ...}``; multi-part ones come
+    as that path map alone. Stored as JSON text, each file would be one line,
+    and a leading ``//`` comment would strip all of it.
+    """
+    text = text.strip()
+    if text.startswith("{{") and text.endswith("}}"):
+        text = text[1:-1]
+    try:
+        files = json.loads(text)
+    except (RecursionError, ValueError) as exc:
+        raise TransportError(f"{what} starts with '{{' but is not JSON") from exc
+    files = files.get("sources", files)
+    if not (isinstance(files, dict) and all(
+            isinstance(file, dict) and isinstance(file.get("content"), str)
+            for file in files.values())):
+        raise TransportError(f"{what} is not a map of paths to {{\"content\": <text>}}")
+    return "\n".join(files[path]["content"] for path in sorted(files))
+
+
 class ExplorerClient:
     """HTTP client for the per-chain get-source-code endpoints.
 
@@ -227,6 +251,8 @@ class ExplorerClient:
         if not isinstance(source, str) or not isinstance(compiler_version, str):
             raise TransportError(f"{chain}: SourceCode or CompilerVersion of {address} "
                                  "is not a string")
+        if source.lstrip().startswith("{"):
+            source = _joined_files(source, f"{chain}: SourceCode of {address}")
         if not source.strip():
             raise NotVerified(f"contract {address} on {chain} is not verified")
         return ContractRecord.build(

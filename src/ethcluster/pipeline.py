@@ -171,13 +171,18 @@ def vectorize_corpus(docs: Sequence[TokenDoc], model: embed.EmbeddingModel, thre
 
 def cluster_vectors(vectors: Sequence[vectorize.DocumentVector], k: int, max_iterations: int,
                     seed: int, dataset: Dataset | None = None) -> cl.ClusterModel:
-    """PCA to ``cl.PCA_DIM`` components when the vectors are wider, then
-    seeded k-means; clusters are labeled when a dataset is given, whose
-    records must be the vectors' documents in the same order."""
+    """PCA to ``cl.PCA_DIM`` components when both the rows and the vectors'
+    width exceed it, then seeded k-means; clusters are labeled when a dataset
+    is given, whose records must be the vectors' documents in the same order.
+
+    At ``cl.PCA_DIM`` rows or fewer, a basis would keep every direction the
+    rows span, so no row's or unseen vector's nearest center could change;
+    k-means then runs on the vectors themselves.
+    """
     X = np.array([v.values for v in vectors])
     basis = None
-    if X.shape[1] > cl.PCA_DIM:
-        basis = cl.pca_fit(X, min(cl.PCA_DIM, X.shape[0]))
+    if min(X.shape) > cl.PCA_DIM:
+        basis = cl.pca_fit(X, cl.PCA_DIM)
         X = cl.pca_transform(basis, X)
     cmodel = cl.kmeans_fit(X, k=k, max_iterations=max_iterations, seed=seed)
     cmodel.pca, cmodel.hashes = basis, [v.contract_hash for v in vectors]

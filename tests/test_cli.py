@@ -20,6 +20,7 @@ from ethcluster.cli import build_parser, main
 from ethcluster.cluster import PCA_DIM
 from ethcluster.detect import KINDS
 from ethcluster.ingest import ContractStore
+from ethcluster.preprocess import preprocess_contract
 from ethcluster.vectorize import DocumentVector, save_vectors
 
 ADDR_1 = "0x" + "1" * 40
@@ -362,7 +363,7 @@ class TestStagewiseCli:
     def test_project_assigns_training_rows_to_their_clusters(self, tmp_path):
         rng = np.random.default_rng(8)
         path = tmp_path / "vectors.json"
-        write_vectors(path, rng.standard_normal((12, 60)))
+        write_vectors(path, rng.standard_normal((60, 60)))
         model = tmp_path / "model.json"
         assert main(["cluster", "--vectors", str(path), "--k", "3", "--out", str(model)]) == 0
         saved = json.loads(model.read_text("utf-8"))
@@ -375,12 +376,14 @@ class TestStagewiseCli:
     @pytest.mark.parametrize("width", [60, 6], ids=["pca", "plain"])
     def test_project_vectors_of_another_width_write_no_points(self, tmp_path, capsys, width):
         rng = np.random.default_rng(9)
+        rows = 60
         for name, cols in (("train.json", width), ("other.json", width - 1)):
-            write_vectors(tmp_path / name, rng.standard_normal((12, cols)))
+            write_vectors(tmp_path / name, rng.standard_normal((rows, cols)))
         model = tmp_path / "model.json"
         assert main(["cluster", "--vectors", str(tmp_path / "train.json"), "--k", "3",
                      "--out", str(model)]) == 0
-        assert (json.loads(model.read_text("utf-8"))["pca"] is None) == (width <= PCA_DIM)
+        pca = json.loads(model.read_text("utf-8"))["pca"]
+        assert (pca is not None) == (min(rows, width) > PCA_DIM)
         capsys.readouterr()
         assert main(["project", "--vectors", str(tmp_path / "other.json"), "--model", str(model),
                      "--out", str(tmp_path / "points.csv")]) == 1
@@ -751,6 +754,61 @@ class TestIngestCli:
         assert [r.source for r in ContractStore(store_path).records()] == ["contract Last {}"]
         assert main(argv) == 0
         assert f"stored=0 duplicate=1 failed={len(malformed)}" in capsys.readouterr().out
+
+    # two files as an explorer sends them: each one line with \n escapes, led by a comment
+    VAULT = ("// SPDX-License-Identifier: MIT\npragma solidity ^0.8.0;\ncontract Vault {\n"
+             "    uint reserveLevel;\n}\n")
+    LEDGER = ("// SPDX-License-Identifier: MIT\npragma solidity ^0.8.0;\ncontract Ledger {\n"
+              "    uint entryCount;\n}\n")
+
+    @staticmethod
+    def _ingest(mock_explorer, tmp_path, *addresses):
+        """``ingest`` of ``addresses`` into a new store; the stored sources."""
+        listing, store_path = tmp_path / "a.txt", tmp_path / "store.ndjson"
+        listing.write_text("\n".join(addresses) + "\n", "utf-8")
+        assert main(["ingest", "--chain", "etherscan", "--addresses", str(listing),
+                     "--store", str(store_path), "--endpoint", explorer_url(mock_explorer),
+                     "--rate", "1000"]) == 0
+        return [r.source for r in ContractStore(store_path).records()]
+
+    @pytest.mark.parametrize("wrap", [
+        lambda files: "{" + json.dumps({"language": "Solidity", "sources": files,
+                                        "settings": {"optimizer": {"enabled": True}}}) + "}",
+        json.dumps,
+    ], ids=["standard-json", "multi-part"])
+    def test_multi_file_source_is_stored_as_its_files(self, mock_explorer, tmp_path, capsys,
+                                                      wrap):
+        # keys out of path order: the stored text must not depend on them
+        files = {"src/Vault.sol": {"content": self.VAULT},
+                 "lib/Ledger.sol": {"content": self.LEDGER}}
+        mock_explorer.behaviors[ADDR_1] = ("ok", wrap(files))
+        [source] = self._ingest(mock_explorer, tmp_path, ADDR_1)
+        assert "stored=1 duplicate=0 failed=0" in capsys.readouterr().out
+        assert source == self.LEDGER + "\n" + self.VAULT
+        tokens = set(preprocess_contract(source).tokens)
+        assert {"Vault", "reserveLevel", "Ledger", "entryCount"} <= tokens
+        assert not {"language", "sources", "content", "settings", "optimizer"} & tokens
+
+    @pytest.mark.parametrize("source", [
+        "{{ not json }}",
+        json.dumps({"a.sol": {"content": None}}),
+        json.dumps({"sources": {"a.sol": "contract A {}"}}),
+    ], ids=["not-json", "null-content", "content-not-in-an-object"])
+    def test_malformed_multi_file_source_fails_and_the_loop_goes_on(
+            self, mock_explorer, tmp_path, capsys, source):
+        mock_explorer.behaviors[ADDR_1] = ("ok", source)
+        mock_explorer.behaviors[ADDR_2] = ("ok", "contract Next {}")
+        assert self._ingest(mock_explorer, tmp_path, ADDR_1, ADDR_2) == ["contract Next {}"]
+        out = capsys.readouterr().out.splitlines()
+        failed = [line for line in out if "failed:" in line]
+        assert len(failed) == 1 and failed[0].startswith(f"{ADDR_1} failed: ")
+        assert "stored=1 duplicate=0 failed=1" in out[-1]
+
+    def test_single_file_source_is_stored_byte_for_byte(self, mock_explorer, tmp_path, capsys):
+        source = "\n  " + self.VAULT.replace("\n", "\r\n") + "\t\n"
+        mock_explorer.behaviors[ADDR_1] = ("ok", source)
+        assert self._ingest(mock_explorer, tmp_path, ADDR_1) == [source]
+        assert "stored=1 duplicate=0 failed=0" in capsys.readouterr().out
 
     def test_ingest_below_one_request_per_second(self, mock_explorer, tmp_path, capsys):
         # the bucket once held at most 0.5 tokens at rate 0.5 and never fetched

@@ -147,14 +147,14 @@ class TestPca:
         rng = np.random.default_rng(5)
         X = rng.standard_normal((12, 5))
         basis = pca_fit(X, 3)
-        assert np.allclose(pca_transform(basis, X.mean(axis=0)), 0.0, atol=1e-12)
+        assert np.allclose(pca_transform(basis, X.mean(axis=0, keepdims=True)), 0.0, atol=1e-12)
 
     def test_transform_is_affine(self):
         # centered projection: transform(a + b - mean) = transform(a) + transform(b)
         rng = np.random.default_rng(15)
         X = rng.standard_normal((10, 5))
         basis = pca_fit(X, 3)
-        a, b = rng.standard_normal(5), rng.standard_normal(5)
+        a, b = rng.standard_normal(5)[None], rng.standard_normal(5)[None]
         lhs = pca_transform(basis, a + b - basis.mean)
         rhs = pca_transform(basis, a) + pca_transform(basis, b)
         assert np.allclose(lhs, rhs, atol=1e-10)
@@ -177,6 +177,13 @@ class TestPca:
         basis = pca_fit(rng.standard_normal((6, 4)), 2)
         with pytest.raises(DimError):
             pca_transform(basis, rng.standard_normal((3, 5)))
+
+    def test_one_dimensional_row_is_a_dim_error(self):
+        # every caller passes rows as a matrix; a bare row is not reshaped
+        rng = np.random.default_rng(7)
+        basis = pca_fit(rng.standard_normal((6, 4)), 2)
+        with pytest.raises(DimError):
+            pca_transform(basis, rng.standard_normal(4))
 
 
 class TestKmeans:

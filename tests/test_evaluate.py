@@ -157,6 +157,10 @@ class TestProject2d:
         with pytest.raises(AlignmentError):
             project2d(np.zeros((3, 2)), [0], [CLEAN] * 3)
 
+    def test_one_row_is_invalid_input(self):
+        with pytest.raises(InvalidInput):
+            project2d(np.zeros((1, 3)), [0], [CLEAN])
+
     def test_csv_format(self, tmp_path):
         rows = [(1.5, -0.25, 0, CLEAN), (2.0, 0.5, 1, VULNERABLE)]
         path = tmp_path / "points.csv"

@@ -132,10 +132,22 @@ class TestFetch:
         {"result": ["contract A {}"]},
         {"result": [{"SourceCode": None, "CompilerVersion": "v0.8.19"}]},
         {"result": [{"SourceCode": "contract A {}", "CompilerVersion": None}]},
-    ], ids=["list-payload", "dict-result", "string-entry", "null-source", "null-compiler"])
+        *({"result": [{"SourceCode": source, "CompilerVersion": "v0.8.19"}]} for source in (
+            "{ contract A {} }", '{"a.sol": "contract A {}"}',
+            '{"sources": [{"content": "contract A {}"}]}', '{"a.sol": {"content": 7}}')),
+    ], ids=["list-payload", "dict-result", "string-entry", "null-source", "null-compiler",
+            "files-not-json", "file-not-an-object", "sources-list", "number-content"])
     def test_malformed_payload_is_a_transport_error(self, mock_explorer, client, body):
         mock_explorer.behaviors[ADDR_A] = ("raw", body)
         with pytest.raises(TransportError):
+            client.fetch_verified_source("etherscan", ADDR_A)
+
+    @pytest.mark.parametrize("source", ["{{}}", "{}", '{"sources": {"a.sol": {"content": " "}}}'],
+                             ids=["standard-json", "multi-part", "blank-file"])
+    def test_multi_file_source_without_text_is_not_verified(self, mock_explorer, client,
+                                                            source):
+        mock_explorer.behaviors[ADDR_A] = ("ok", source)
+        with pytest.raises(NotVerified):
             client.fetch_verified_source("etherscan", ADDR_A)
 
     def test_http_failure(self, mock_explorer, client):

@@ -81,14 +81,15 @@ def _both_ways(cases):
             for case_id, field, value in cases]
 
 
-def _default_run(tmp_path_factory, vulnerability, generator):
-    """A pipeline of ``vulnerability`` at its defaults, trained on 15 of its
-    contracts and 40 clean ones; its config and report."""
+def _default_run(tmp_path_factory, vulnerability, generator, n_vulnerable=15):
+    """A pipeline of ``vulnerability`` at its defaults, trained on a 30/70 mix
+    of ``n_vulnerable`` of its contracts and clean ones (15 give 50
+    documents); its config and report."""
     tmp_path = tmp_path_factory.mktemp(vulnerability)
     dataset_path = make_dataset(
         tmp_path,
-        [generator(i) for i in range(15)],
-        [clean_source(i) for i in range(40)],
+        [generator(i) for i in range(n_vulnerable)],
+        [clean_source(i) for i in range(3 * n_vulnerable)],
     )
     config = PipelineConfig.resolve({
         "vulnerability": vulnerability,
@@ -107,15 +108,23 @@ def reentrancy_run(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def unchecked_call_run(tmp_path_factory):
-    """One trained unchecked_call pipeline: dim 100, so PCA, and k = 8."""
+    """One trained unchecked_call pipeline: dim 100 over 50 documents, so no
+    PCA, and k = 8."""
     return _default_run(tmp_path_factory, "unchecked_call", unchecked_source)
 
 
 @pytest.fixture(scope="module")
 def timestamp_run(tmp_path_factory):
-    """One trained timestamp pipeline: dim 300 over 50 documents, so PCA to 50
-    components is fit on a matrix with fewer rows than columns."""
+    """One trained timestamp pipeline: dim 300 over 50 documents, so no PCA:
+    k-means runs on the 300-wide vectors."""
     return _default_run(tmp_path_factory, "timestamp", timestamp_source)
+
+
+@pytest.fixture(scope="module")
+def timestamp_wide_run(tmp_path_factory):
+    """One trained timestamp pipeline: dim 300 over 60 documents, so PCA to
+    50 components is fit on a matrix with fewer rows than columns."""
+    return _default_run(tmp_path_factory, "timestamp", timestamp_source, n_vulnerable=18)
 
 
 class TestConfigResolution:
@@ -151,7 +160,8 @@ class TestConfigResolution:
             f"learning rate {embed.LEARNING_RATE} (`embed.LEARNING_RATE`)",
             f"minibatches of at most {_kernels.BATCH} pairs (`_kernels.BATCH`)",
             f"chunks of at least {embed.CHUNK} tokens (`embed.CHUNK`)",
-            f"PCA to {cl.PCA_DIM} components when vectors are wider than {cl.PCA_DIM}",
+            f"PCA to {cl.PCA_DIM} components when both the training rows and the vectors' "
+            f"width exceed {cl.PCA_DIM}",
             f"at most {cl.MAX_ITERATIONS} k-means iterations",
         ]
         assert [phrase for phrase in stated if phrase not in readme] == []
@@ -216,8 +226,9 @@ class TestRunPipeline:
         """Every float array goes through ``_artifact.pack``: a JSON list that
         holds a float anywhere in a stage dir is float text that came back,
         and one that holds float payloads is a table stored row by row."""
-        config = train_reentrancy(tmp_path, [reentrant_source(i) for i in range(6)],
-                                  [clean_source(i) for i in range(14)], vector_size=60)
+        # 60 documents at width 60: PCA engages
+        config = train_reentrancy(tmp_path, [reentrant_source(i) for i in range(18)],
+                                  [clean_source(i) for i in range(42)], vector_size=60)
 
         def float_lists(value, where):
             """The paths of the JSON lists under ``value`` that hold a float or
@@ -288,24 +299,18 @@ class TestRunPipeline:
         for name in ARTIFACTS:
             assert (config.stage_dir() / name).read_bytes() == first[name], name
 
-    def test_pca_engages_above_activation_dim(self, tmp_path):
-        dataset_path = make_dataset(
-            tmp_path,
-            [timestamp_source(i) for i in range(9)],
-            [clean_source(i) for i in range(30)],
-        )
-        config = PipelineConfig.resolve({
-            "vulnerability": "timestamp",
-            "dataset": str(dataset_path),
-            "workdir": str(tmp_path / "work"),
-            "epochs": 2,
-        })
-        run_pipeline(config)
+    def test_pca_engages_above_activation_dim(self, timestamp_wide_run, timestamp_run):
+        config, _ = timestamp_wide_run
         model = json.loads((config.stage_dir() / "model.json").read_text("utf-8"))
-        assert model["pca"] is not None
-        # 30 rows cap the component count below the configured 50
-        assert model["pca"]["num_components"] == 30
-        assert model["centers"]["shape"][1] == 30
+        assert len(model["assignments"]) > cl.PCA_DIM and config.vector_size > cl.PCA_DIM
+        assert model["pca"]["num_components"] == cl.PCA_DIM
+        assert model["centers"]["shape"][1] == cl.PCA_DIM
+        # at PCA_DIM rows a basis could only rotate them: no PCA
+        config, _ = timestamp_run
+        model = json.loads((config.stage_dir() / "model.json").read_text("utf-8"))
+        assert len(model["assignments"]) == cl.PCA_DIM
+        assert model["pca"] is None
+        assert model["centers"]["shape"][1] == config.vector_size
 
     @pytest.mark.parametrize("vulnerability,generator", [
         ("reentrancy", reentrant_source),
@@ -374,7 +379,8 @@ class TestScan:
         expected = model.labels[int(np.argmin(dists))]
         assert scan_contract(config, "")["label"] == expected
 
-    @pytest.mark.parametrize("vulnerability", ["reentrancy", "unchecked_call", "timestamp"])
+    @pytest.mark.parametrize("vulnerability", ["reentrancy", "unchecked_call", "timestamp",
+                                               "timestamp_wide"])
     def test_every_training_contract_scans_to_its_training_prediction(self, request,
                                                                        vulnerability):
         config, _ = request.getfixturevalue(f"{vulnerability}_run")

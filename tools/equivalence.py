@@ -12,6 +12,9 @@ The first tree generates the inputs once, so both trees see the same bytes:
   (a 30/70 mix, as ``tests/test_pipeline.py`` builds it);
 * ``perfbench/corpus.build_mix`` runs at seeds 1..N: reentrancy (20
   documents), timestamp at one epoch and unchecked_call (10 documents each);
+* at the same seeds, 60-document mixes (``mix60-``) of timestamp at one epoch
+  and of unchecked_call, 18 vulnerable, 12 near misses and 30 clean: more
+  rows than ``cluster.PCA_DIM``, so they are the only runs that fit PCA;
 * contracts to scan per run: every training contract, plus for the conftest
   runs 31 more of the kind and 60 more clean ones, plus 60 (conftest runs) or
   64 (mixes) held-out contracts from ``perfbench/corpus.heldout`` for the
@@ -72,12 +75,15 @@ CONFTEST_GENERATORS = {
     "tx_origin": "tx_origin_source",
     "unchecked_call": "unchecked_source",
 }
-# kind -> ((vulnerable, near miss, clean) counts, config overrides), as in
-# the benchmark's training and scan set-ups
+# run family -> (kind, (vulnerable, near miss, clean) counts, config overrides),
+# the first three as in the benchmark's training and scan set-ups; a run is
+# named <family>-<seed>
 MIXES = {
-    "reentrancy": ((6, 3, 11), {}),
-    "timestamp": ((3, 2, 5), {"epochs": 1}),
-    "unchecked_call": ((3, 2, 5), {}),
+    "mix-reentrancy": ("reentrancy", (6, 3, 11), {}),
+    "mix-timestamp": ("timestamp", (3, 2, 5), {"epochs": 1}),
+    "mix-unchecked_call": ("unchecked_call", (3, 2, 5), {}),
+    "mix60-timestamp": ("timestamp", (18, 12, 30), {"epochs": 1}),
+    "mix60-unchecked_call": ("unchecked_call", (18, 12, 30), {}),
 }
 PATH_KEYS = ("dataset", "workdir")
 # the kernel-name getter of a plain OpenBLAS and of numpy's wheel build, 32- and 64-bit int
@@ -112,15 +118,17 @@ def prepare(tree: Path, inputs: Path, seeds: int) -> None:
         dataset.save(root / "dataset.json")
         extra = [source(i) for i in range(9, 40)]
         extra += [conftest.clean_source(i) for i in range(30, 90)]
-        if kind in MIXES:
+        if kind in {mix[0] for mix in MIXES.values()}:
             extra += [s for s, _ in corpus.heldout(kind, random.Random(f"heldout:{kind}"), 60)]
         add(root.name, kind, root / "dataset.json", {}, extra)
 
     for seed in range(1, seeds + 1):
-        for kind, (sizes, overrides) in MIXES.items():
-            name = f"mix-{kind}-{seed}"
-            mix = corpus.build_mix(kind, random.Random(f"{seed}:{kind}"), *sizes, inputs / name)
-            held = corpus.heldout(kind, random.Random(f"{seed}:heldout:{kind}"), 64)
+        for family, (kind, sizes, overrides) in MIXES.items():
+            name = f"{family}-{seed}"
+            # "mix-<kind>" runs are seeded by the kind alone, as they always were
+            tag = family.removeprefix("mix-")
+            mix = corpus.build_mix(kind, random.Random(f"{seed}:{tag}"), *sizes, inputs / name)
+            held = corpus.heldout(kind, random.Random(f"{seed}:heldout:{tag}"), 64)
             add(name, kind, mix.dataset_path, overrides, [s for s, _ in held])
     (inputs / "runs.json").write_text(json.dumps(runs), "utf-8")
 
